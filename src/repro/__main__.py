@@ -74,7 +74,7 @@ def _write_artifact(report, directory: str) -> None:
     print(f"[artifact] {path}")
 
 
-def _run_one(name: str, loads, report_dir=None, executor=None, shards=1) -> None:
+def _run_one(name: str, loads, report_dir=None, executor=None) -> None:
     module, _ = EXPERIMENTS[name]
     kwargs = {}
     if loads and hasattr(module.run, "__code__") and (
@@ -85,10 +85,6 @@ def _run_one(name: str, loads, report_dir=None, executor=None, shards=1) -> None
         "executor" in module.run.__code__.co_varnames
     ):
         kwargs["executor"] = executor
-    if shards > 1 and hasattr(module.run, "__code__") and (
-        "shards" in module.run.__code__.co_varnames
-    ):
-        kwargs["shards"] = shards
     started = time.time()
     if report_dir is not None:
         from repro.eval.runner import capture_run
@@ -365,8 +361,6 @@ def _dispatch(args, shutdown) -> int:
         executor = exec_cli.runner_from_args(args, shutdown=shutdown)
         if executor is not None:
             kwargs["executor"] = executor
-        if getattr(args, "shards", 1) > 1:
-            kwargs["shards"] = args.shards
         started = time.time()
         report = serve_mod.run(**kwargs)
         print(serve_mod.render(report))
@@ -388,8 +382,7 @@ def _dispatch(args, shutdown) -> int:
     executor = exec_cli.runner_from_args(args, shutdown=shutdown)
     for name in names:
         _run_one(
-            name, args.loads, report_dir=args.report_dir, executor=executor,
-            shards=getattr(args, "shards", 1),
+            name, args.loads, report_dir=args.report_dir, executor=executor
         )
     return 0
 

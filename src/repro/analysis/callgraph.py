@@ -139,8 +139,6 @@ class ModuleRecord:
     kernel_pairs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: checkpoint roots declared here: root_id -> "module:Class"
     checkpoint_roots: Dict[str, str] = field(default_factory=dict)
-    #: window-merge metric roots declared here: root_id -> "module:Class"
-    window_merge_roots: Dict[str, str] = field(default_factory=dict)
 
     def to_jsonable(self) -> Dict[str, Any]:
         return {
@@ -160,9 +158,6 @@ class ModuleRecord:
                 k: dict(v) for k, v in sorted(self.kernel_pairs.items())
             },
             "checkpoint_roots": dict(sorted(self.checkpoint_roots.items())),
-            "window_merge_roots": dict(
-                sorted(self.window_merge_roots.items())
-            ),
         }
 
     @classmethod
@@ -182,7 +177,6 @@ class ModuleRecord:
             job_registry=dict(data["job_registry"]),
             kernel_pairs={k: dict(v) for k, v in data["kernel_pairs"].items()},
             checkpoint_roots=dict(data.get("checkpoint_roots", {})),
-            window_merge_roots=dict(data.get("window_merge_roots", {})),
         )
 
 
@@ -223,13 +217,6 @@ class ProgramIndex:
         merged: Dict[str, str] = {}
         for module in self.modules.values():
             merged.update(module.checkpoint_roots)
-        return dict(sorted(merged.items()))
-
-    def window_merge_roots(self) -> Dict[str, str]:
-        """All window-merge root tables merged: root_id -> "module:Class"."""
-        merged: Dict[str, str] = {}
-        for module in self.modules.values():
-            merged.update(module.window_merge_roots)
         return dict(sorted(merged.items()))
 
     def class_info(self, qualname: str) -> Optional[Dict[str, Any]]:
@@ -860,22 +847,22 @@ def _decode_job_registries(symbols: _ModuleSymbols) -> Dict[str, str]:
     return registry
 
 
-def _decode_root_table(symbols: _ModuleSymbols, marker: str) -> Dict[str, str]:
-    """Literal dicts whose name contains ``marker``. Same
-    static-decoding contract as job registries — keep each table a
-    literal of ``root_id: "module:Class"`` entries or the rule that
-    walks it goes blind."""
+def _decode_checkpoint_roots(symbols: _ModuleSymbols) -> Dict[str, str]:
+    """Literal dicts named ``*CHECKPOINT_ROOTS*``: the root table the
+    EQX406 snapshot-coverage rule walks. Same static-decoding contract
+    as job registries — keep the table a literal of
+    ``root_id: "module:Class"`` entries or the rule goes blind."""
     roots: Dict[str, str] = {}
     for node in ast.walk(symbols.tree):
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
-            if isinstance(target, ast.Name) and marker in target.id:
+            if isinstance(target, ast.Name) and "CHECKPOINT_ROOTS" in target.id:
                 value = node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             if (
                 isinstance(node.target, ast.Name)
-                and marker in node.target.id
+                and "CHECKPOINT_ROOTS" in node.target.id
             ):
                 value = node.value
         if isinstance(value, ast.Dict):
@@ -889,16 +876,6 @@ def _decode_root_table(symbols: _ModuleSymbols, marker: str) -> Dict[str, str]:
                 ):
                     roots[key.value] = val.value
     return roots
-
-
-def _decode_checkpoint_roots(symbols: _ModuleSymbols) -> Dict[str, str]:
-    """``*CHECKPOINT_ROOTS*`` tables: what EQX406 walks."""
-    return _decode_root_table(symbols, "CHECKPOINT_ROOTS")
-
-
-def _decode_window_merge_roots(symbols: _ModuleSymbols) -> Dict[str, str]:
-    """``*WINDOW_MERGE_ROOTS*`` tables: what EQX407 checks."""
-    return _decode_root_table(symbols, "WINDOW_MERGE_ROOTS")
 
 
 def _decode_kernel_pairs(
@@ -987,7 +964,6 @@ def build_index(root: Path) -> ProgramIndex:
             job_registry=_decode_job_registries(symbols),
             kernel_pairs=_decode_kernel_pairs(symbols, resolver),
             checkpoint_roots=_decode_checkpoint_roots(symbols),
-            window_merge_roots=_decode_window_merge_roots(symbols),
         )
         for fn_name, node in symbols.functions.items():
             qualname = f"{module_name}.{fn_name}"

@@ -79,12 +79,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "(the EQX406 snapshot rule's coverage floor)",
     )
     parser.add_argument(
-        "--min-window-roots", type=int, default=0,
-        help="whole-program mode: fail unless at least this many "
-        "window-merge roots resolve to classes carrying merge_state "
-        "(the EQX407 shard-fold rule's coverage floor)",
-    )
-    parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (json for CI)",
     )
@@ -159,11 +153,6 @@ def collect_whole_program(
             "checkpoint root",
             coverage["checkpoint_roots_covered"],
             args.min_checkpoint_roots,
-        ),
-        (
-            "window-merge root",
-            coverage["window_merge_roots_covered"],
-            args.min_window_roots,
         ),
     ):
         if covered < wanted:

@@ -223,14 +223,6 @@ ASYMMETRIC_SNAPSHOT = _register(Rule(
     "dataclasses are exempt; genuinely unsnapshotable classes must "
     "raise SnapshotError from to_state instead of omitting it.",
 ))
-UNMERGEABLE_WINDOW_METRIC = _register(Rule(
-    "EQX407", "unmergeable-window-metric", Severity.ERROR,
-    "A metric root the sharded executor folds across window boundaries "
-    "(repro.state.WINDOW_MERGE_ROOTS) lacks merge_state alongside its "
-    "to_state/from_state pair — the ordered window merge cannot fold "
-    "that type, so a sharded run either crashes or silently drops its "
-    "contribution and the byte-identical-to-serial guarantee breaks.",
-))
 
 
 def catalog() -> List[Rule]:

@@ -37,12 +37,6 @@ against the interprocedural effect summary of
   bit-exact resume contract is void. Frozen dataclasses (config-only
   values) are exempt; classes that genuinely cannot snapshot must
   still define ``to_state`` and raise ``SnapshotError`` from it.
-* **EQX407 unmergeable-window-metric** — every metric root the sharded
-  executor folds across window boundaries
-  (``repro.state.WINDOW_MERGE_ROOTS``, decoded statically like the
-  checkpoint-root table) must implement ``merge_state`` alongside its
-  snapshot pair; a missing fold means a sharded run cannot reproduce
-  the serial artifacts byte for byte.
 
 Escape hatch: audited sinks carry ``@pure``/``@audited`` annotations
 (:mod:`repro.analysis.annotations`), recognized statically; line-level
@@ -123,15 +117,6 @@ class WholeProgramReport:
                 qualname if self.index.class_info(qualname) is not None
                 else None
             )
-        window_roots: Dict[str, Optional[str]] = {}
-        for root_id, target in self.index.window_merge_roots().items():
-            qualname = target.replace(":", ".")
-            window_roots[root_id] = (
-                qualname
-                if self.index.class_info(qualname) is not None
-                and self.index.class_has_method(qualname, "merge_state")
-                else None
-            )
         return {
             "modules": len(self.index.modules),
             "functions": len(self.index.functions),
@@ -146,10 +131,6 @@ class WholeProgramReport:
             "merge_state": merge_state,
             "checkpoint_roots": roots,
             "checkpoint_roots_covered": sum(1 for q in roots.values() if q),
-            "window_merge_roots": window_roots,
-            "window_merge_roots_covered": sum(
-                1 for q in window_roots.values() if q
-            ),
             "digest": self.index.digest,
             "from_cache": self.from_cache,
         }
@@ -391,44 +372,6 @@ def _check_snapshot_symmetry(index: ProgramIndex) -> List[Diagnostic]:
     return diags
 
 
-def _check_window_merge_roots(index: ProgramIndex) -> List[Diagnostic]:
-    """EQX407: window-merged metric roots must carry merge_state."""
-    diags: List[Diagnostic] = []
-    for root_id, target in index.window_merge_roots().items():
-        qualname = target.replace(":", ".")
-        info = index.class_info(qualname)
-        module_name, _, _ = qualname.rpartition(".")
-        module = index.modules.get(module_name)
-        if info is None or module is None:
-            diags.append(rules.diagnostic(
-                rules.UNMERGEABLE_WINDOW_METRIC,
-                f"window-merge root {root_id!r} targets {target!r}, which "
-                f"is outside the call graph — its merge contract is "
-                f"unverifiable",
-                file=module.path if module else None,
-                obj=qualname,
-            ))
-            continue
-        if index.suppressed(module_name, int(info["line"]), "EQX407"):
-            continue
-        missing = [
-            method
-            for method in ("merge_state", "to_state", "from_state")
-            if not index.class_has_method(qualname, method)
-        ]
-        if not missing:
-            continue
-        diags.append(rules.diagnostic(
-            rules.UNMERGEABLE_WINDOW_METRIC,
-            f"{qualname} (window-merge root {root_id!r}) is missing "
-            f"{', '.join(missing)} — the sharded executor's ordered "
-            f"window merge cannot fold it, so sharded artifacts cannot "
-            f"be byte-identical to the serial run",
-            file=module.path, line=int(info["line"]),
-        ))
-    return diags
-
-
 def _check_merge_state(
     index: ProgramIndex, summary: EffectSummary
 ) -> List[Diagnostic]:
@@ -475,7 +418,6 @@ def analyze_tree(
     diagnostics.extend(_check_entry_point_coverage(index))
     diagnostics.extend(_check_merge_state(index, summary))
     diagnostics.extend(_check_snapshot_symmetry(index))
-    diagnostics.extend(_check_window_merge_roots(index))
     diagnostics.sort(key=lambda d: (
         d.location.file or "", d.location.line or 0, d.rule_id,
     ))
@@ -499,9 +441,5 @@ def coverage_lines(coverage: Dict[str, Any]) -> List[str]:
         f"checkpoint roots covered: {coverage['checkpoint_roots_covered']}/"
         f"{len(coverage['checkpoint_roots'])} "
         f"({', '.join(sorted(coverage['checkpoint_roots']))})",
-        f"window-merge roots covered: "
-        f"{coverage['window_merge_roots_covered']}/"
-        f"{len(coverage['window_merge_roots'])} "
-        f"({', '.join(sorted(coverage['window_merge_roots']))})",
     ]
     return lines

@@ -17,7 +17,7 @@ public entry point the examples and the evaluation harness use:
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -608,179 +608,6 @@ class EquinoxAccelerator:
         self.dispatcher.flush()
 
         return self._report(load)
-
-    def run_window(
-        self,
-        load: float,
-        requests: int,
-        windows: int,
-        index: int,
-        seed: int = 0,
-        resume: Optional[Dict[str, Any]] = None,
-        on_restore: Optional[Any] = None,
-        max_events: int = 50_000_000,
-    ) -> Tuple[Dict[str, Any], Optional[SimulationReport]]:
-        """Run window ``index`` of a ``windows``-way split of one
-        :meth:`run`-style load experiment (the sharded executor's unit
-        of work — see :mod:`repro.exec.shard`).
-
-        The windowed schedule is its own canonical run: boundaries
-        snap to quiesce points, and the un-fired arrival stubs at each
-        boundary are carried in the checkpoint payload and re-injected
-        (clamped to the post-quiesce clock) by the next window. Both
-        the forward pass and the replay workers execute **this same
-        method on a freshly constructed accelerator**, so the two
-        phases agree by construction and the merged artifact is
-        byte-identical across worker counts, caching and kill/resume.
-
-        Args:
-            load: Offered load fraction, as in :meth:`run`.
-            requests: *Total* requests across all windows; window ``k``
-                runs until ``requests·(k+1)//windows`` cumulative
-                completions.
-            windows: Number of windows in the schedule (W ≥ 1).
-            index: This window's position, ``0 ≤ index < windows``.
-            seed: Arrival-process seed (window 0 creates the stream;
-                later windows restore it from ``resume``).
-            resume: Boundary payload produced by window ``index-1``
-                (required iff ``index > 0``).
-            on_restore: Zero-argument callback invoked right after the
-                boundary state is restored, before any event runs —
-                the replay worker primes its observation baselines
-                here (:meth:`repro.eval.runner.ExperimentCapture.prime`).
-            max_events: Hard safety stop for the event loop.
-
-        Returns:
-            ``(payload, report)`` — the boundary payload for the next
-            window (every window produces one; the final window's is
-            the end-state payload whose digest closes the checksum
-            chain) and the :class:`SimulationReport`, ``None`` except
-            for the final window.
-        """
-        if load <= 0:
-            raise ValueError("load must be positive")
-        if requests <= 0:
-            raise ValueError("windowed runs need an explicit request count")
-        if windows < 1:
-            raise ValueError(f"need at least one window, got {windows}")
-        if not 0 <= index < windows:
-            raise ValueError(f"window index {index} outside [0, {windows})")
-        if (resume is None) != (index == 0):
-            raise ValueError(
-                "window 0 starts fresh (resume=None); every later "
-                "window requires its predecessor's boundary payload"
-            )
-        if self.slo_guard is not None:
-            # The guard's persistent ticker would be re-armed by
-            # from_state on top of the constructor's arming — and the
-            # quiesce boundary would carry it live. Load points never
-            # install a guard; sharded serve goes through the fleet
-            # router instead.
-            raise SnapshotError(
-                "windowed execution does not support the SLO guard"
-            )
-
-        rate = load * self.capacity_requests_per_cycle()
-        arrivals: ArrivalProcess = PoissonArrivals(rate, seed=seed)
-        if self.fault_plan is not None and self.fault_plan.requests.enabled:
-            arrivals = FaultyArrivals(
-                arrivals, self.fault_plan, self.fault_counters
-            )
-
-        stop_submitting = [False]
-        block = 32
-
-        def _submit() -> None:
-            if stop_submitting[0]:
-                return
-            self.dispatcher.submit()
-
-        def _tail() -> None:
-            if stop_submitting[0]:
-                return
-            self.dispatcher.submit()
-            _admit_block()
-
-        def _admit_block() -> None:
-            gaps = arrivals.next_gaps(block)
-            t = self.sim.now
-            for gap in gaps[:-1]:
-                t += gap
-                self.sim.at_call(t, _submit)
-            self.sim.at_call(t + gaps[-1], _tail)
-
-        kinds = {"submit": _submit, "tail": _tail}
-        if index == 0:
-            if self.training_engine is not None:
-                if not self.training_engine._started:
-                    self.training_engine.start()
-            _admit_block()
-        else:
-            assert resume is not None
-            self.from_state(resume["accelerator"])
-            arrivals.from_state(resume["arrivals"])
-            if on_restore is not None:
-                on_restore()
-            # Re-inject the boundary's un-fired arrival stubs with
-            # their original sequence numbers; entries the quiesce
-            # drain overtook are clamped to now, identically in both
-            # phases (part of the windowed-schedule contract).
-            self.sim.schedule_anonymous(
-                (float(entry["time"]), int(entry["seq"]),
-                 kinds[entry["kind"]])
-                for entry in resume["pending"]
-            )
-
-        target = (requests * (index + 1)) // windows
-        start_events = self.sim.events_processed
-        slice_cycles = max(self.batch_service_cycles(), 1000.0)
-        while self.engine.requests_completed < target:
-            if self.sim.events_processed - start_events > max_events:
-                raise RuntimeError(
-                    "simulation exceeded its event budget; the offered "
-                    "load may be far beyond saturation"
-                )
-            if self.sim.peek() is None:
-                raise RuntimeError("simulation drained before completing")
-            self.sim.run(
-                until=self.sim.now + slice_cycles,
-                max_events=max_events,
-            )
-
-        report: Optional[SimulationReport] = None
-        if index == windows - 1:
-            stop_submitting[0] = True
-            self.dispatcher.flush()
-            report = self._report(load)
-            # Discard the now-inert arrival stubs and drain to the same
-            # quiescent end state in every phase, so the end payload's
-            # digest is well defined and closes the checksum chain.
-            self.sim.drain_anonymous(matching=(_submit, _tail))
-        else:
-            # Extract the live arrival stubs *before* quiescing —
-            # quiesce would otherwise fire them into the dispatcher.
-            pending = self.sim.drain_anonymous(matching=(_submit, _tail))
-            tails = sum(1 for _, _, cb in pending if cb is _tail)
-            if tails != 1:
-                raise SnapshotError(
-                    f"expected exactly one pending admission tail at "
-                    f"the window boundary, found {tails}"
-                )
-
-        self.quiesce(max_events=max_events)
-        payload = {
-            "accelerator": self.to_state(),
-            "arrivals": arrivals.to_state(),
-            "pending": [] if report is not None else [
-                {
-                    "time": time,
-                    "seq": seq,
-                    "kind": "tail" if cb is _tail else "submit",
-                }
-                for time, seq, cb in pending
-            ],
-        }
-        return payload, report
 
     def run_profile(
         self,

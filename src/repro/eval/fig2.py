@@ -7,7 +7,7 @@ checked is identical: the hbfp8 curve tracks fp32 epoch for epoch.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.eval.report import render_series
 from repro.train.convergence import convergence_experiment, perplexity_experiment
@@ -38,32 +38,9 @@ def run(
     encodings: Sequence[str] = ("fp32", "hbfp8"),
     epochs: int = 12,
     lm_epochs: int = 10,
-    shards: int = 1,
-    executor: Optional[Any] = None,
 ) -> Fig2Result:
-    """Run both convergence experiments.
-
-    With ``shards > 1`` (or an ``executor``) each curve runs through
-    the forward/replay/merge pipeline of :mod:`repro.exec.shard`,
-    split over epoch windows. The batch order is seeded per epoch and
-    evaluation never touches training dynamics, so the sharded curves
-    are **bit-identical** to the serial ones — the strongest tier of
-    the sharding contract, which CI checks by comparing rendered
-    output across ``--shards`` values.
-    """
-    if shards > 1 or executor is not None:
-        from repro.exec.shard import run_convergence_sharded
-
-        return Fig2Result(
-            classification=run_convergence_sharded(
-                "classification", encodings, epochs, shards,
-                executor=executor,
-            ),
-            language_model=run_convergence_sharded(
-                "language_model", encodings, lm_epochs, shards,
-                executor=executor,
-            ),
-        )
+    """Run both convergence experiments in-process (each curve is one
+    serial training run, so there is nothing to fan out)."""
     return Fig2Result(
         classification=convergence_experiment(encodings=encodings, epochs=epochs),
         language_model=perplexity_experiment(encodings=encodings, epochs=lm_epochs),

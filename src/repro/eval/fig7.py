@@ -45,20 +45,13 @@ def run(
     encodings: Sequence[str] = ("hbfp8", "bfloat16"),
     seed: int = 0,
     executor: Optional[Any] = None,
-    shards: int = 1,
 ) -> Fig7Result:
     """With an ``executor`` (a :class:`repro.exec.JobRunner`), every
     (class, load) point becomes an ``eval.load_point`` job; curve and
     capture aggregation stays in sweep order, so the result is the same
-    for any worker count. With ``shards > 1`` every point instead runs
-    as a W=``shards`` snapshot-sharded simulation
-    (:mod:`repro.exec.shard`) whose window jobs fan out across the
-    executor's workers — byte-identical for any worker count, cache
-    state or kill/resume at a fixed ``shards``."""
+    for any worker count."""
     curves: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
     targets: Dict[str, float] = {}
-    if shards > 1:
-        return _run_sharded(loads, batches, encodings, seed, executor, shards)
     if executor is not None:
         return _run_jobs(loads, batches, encodings, seed, executor)
     for encoding in encodings:
@@ -72,37 +65,6 @@ def run(
                 report = simulate_load_point(acc, load, batches=batches, seed=seed)
                 points.append(
                     (report.inference_top_s, report.p99_latency_us / 1e3)
-                )
-            curves[encoding][latency_class] = points
-    return Fig7Result(curves=curves, latency_target_ms=targets)
-
-
-def _run_sharded(
-    loads: Sequence[float],
-    batches: int,
-    encodings: Sequence[str],
-    seed: int,
-    executor: Optional[Any],
-    shards: int,
-) -> Fig7Result:
-    from repro.exec.shard import run_load_point_sharded
-
-    targets: Dict[str, float] = {}
-    curves: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
-    for encoding in encodings:
-        classes = HBFP8_CLASSES if encoding == "hbfp8" else BFLOAT16_CLASSES
-        targets[encoding] = latency_target_us(encoding) / 1e3
-        curves[encoding] = {}
-        for latency_class in classes:
-            points = []
-            for load in loads:
-                result = run_load_point_sharded(
-                    latency_class, encoding, load, batches, shards,
-                    seed=seed, executor=executor,
-                )
-                contribute_capture_state(result["capture"])
-                points.append(
-                    (result["inference_top_s"], result["p99_latency_us"] / 1e3)
                 )
             curves[encoding][latency_class] = points
     return Fig7Result(curves=curves, latency_target_ms=targets)

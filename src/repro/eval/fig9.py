@@ -44,36 +44,15 @@ def run(
     batches: int = 12,
     seed: int = 0,
     executor: Optional[Any] = None,
-    shards: int = 1,
 ) -> Fig9Result:
     """With an ``executor`` each (class, load) point fans out as an
-    ``eval.load_point`` job with ``training`` set; with ``shards > 1``
-    every point runs as a W=``shards`` snapshot-sharded simulation
-    (:mod:`repro.exec.shard`) — these are the heaviest single
-    simulations in the repo, so they are where window-parallel replay
-    pays off most."""
+    ``eval.load_point`` job with ``training`` set."""
     dedicated = build_training_plan(
         deepbench_lstm(), equinox_configuration("none")
     ).dedicated_throughput_top_s()
-    if shards > 1:
-        from repro.exec.shard import run_load_point_sharded
-
-        curves = {
-            latency_class: [
-                run_load_point_sharded(
-                    latency_class, "hbfp8", load, batches, shards,
-                    seed=seed, executor=executor, training=True,
-                )["training_top_s"]
-                for load in loads
-            ]
-            for latency_class in classes
-        }
-        return Fig9Result(
-            loads=list(loads), curves=curves, dedicated_top_s=dedicated
-        )
     if executor is not None:
         return _run_jobs(loads, classes, batches, seed, executor, dedicated)
-    curves = {}
+    curves: Dict[str, List[float]] = {}
     for latency_class in classes:
         series = []
         for load in loads:

@@ -93,46 +93,7 @@ class ExperimentCapture:
         self.windows = 0
         self._accel_state: Dict[int, Dict[str, float]] = {}
         self._fault_totals: Dict[int, Dict[str, float]] = {}
-        #: Fault-counter baselines set by :meth:`prime` — a restored
-        #: accelerator carries cumulative counters whose history belongs
-        #: to earlier windows, so its observation must subtract them.
-        self._fault_base: Dict[int, Dict[str, float]] = {}
         self._remote_serial = 0
-
-    @audited(
-        "id_value",
-        reason="id(accelerator) keys per-accelerator delta state only; "
-        "the identity never reaches captured values, so the fold is a "
-        "deterministic function of the observed accelerators",
-    )
-    def prime(self, accelerator: EquinoxAccelerator) -> None:
-        """Seed delta baselines from an accelerator's *current* state
-        without folding anything.
-
-        The window-replay path of :mod:`repro.exec.shard` restores an
-        accelerator mid-run: its cumulative collectors (latency history,
-        op meters, cycle accounting, fault counters) already contain
-        every earlier window's work, which belongs to the earlier
-        windows' captures. Priming records those totals as the
-        observation baseline, so the next :meth:`observe` folds exactly
-        the one window this process replays.
-        """
-        state = self._accel_state.setdefault(id(accelerator), {})
-        state["latency_idx"] = float(accelerator.engine.latency.count)
-        state["now"] = accelerator.sim.now
-        for context in self.ops:
-            meter = accelerator.mmu.throughput_by_context.get(context)
-            state[f"ops_{context}"] = (
-                meter.total_ops if meter is not None else 0.0
-            )
-        for category, cycles in (
-            accelerator.mmu.accounting.busy_cycles().items()
-        ):
-            state[f"busy_{category}"] = cycles
-        self._fault_base[id(accelerator)] = {
-            str(k): float(v)
-            for k, v in accelerator.fault_counters.as_dict().items()
-        }
 
     @audited(
         "id_value",
@@ -168,9 +129,8 @@ class ExperimentCapture:
             state[key] = cycles
 
         self.frequency_hz = config.frequency_hz
-        base = self._fault_base.get(id(accelerator), {})
         self._fault_totals[id(accelerator)] = {
-            str(k): float(v) - base.get(str(k), 0.0)
+            str(k): float(v)
             for k, v in accelerator.fault_counters.as_dict().items()
         }
         self.windows += 1

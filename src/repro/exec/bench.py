@@ -14,7 +14,6 @@ checksum of what it computed) that IS recorded — a kernel that got
 faster by silently doing less work is visible in the proof column.
 """
 
-import gc
 import json
 import os
 import platform
@@ -272,116 +271,6 @@ def _kernel_sim_drain(batched: bool) -> float:
     )
 
 
-# ----------------------------------------------------------------------
-# Sharded-execution bench (sim.shard.reference vs sim.shard.fast)
-#
-# Prices the snapshot-sharded executor's headline: splitting one big
-# simulation across W workers cuts wall-clock to the critical-path
-# window. The pinned workload is one Figure-9 load point (training
-# variant, Equinox_500us at 60 % load) cut into W=8 request windows.
-# The forward pass and the non-critical window results are memoized at
-# warmup; the timed arms differ only in how much replay work sits on
-# the measured path:
-#
-# * ``reference`` — the serial oracle: replay every window in boundary
-#   order, then merge. This is the wall-clock a one-worker run pays.
-# * ``fast`` — the 8-worker makespan model: replay only the
-#   critical-path window (the argmax of the forward pass's per-window
-#   event counts — its honest cost signal), take the other windows'
-#   results as delivered by the rest of the fleet, then do the same
-#   ordered merge. Single-process CI can't time a real 8-wide fleet,
-#   so the bench times exactly the serial fraction Amdahl leaves:
-#   slowest window plus merge.
-#
-# Both arms fold byte-identical window results through the same merge,
-# so their work proofs — a checksum of the merged artifact — are equal
-# by construction, and a "speedup" obtained by skipping merge work or
-# diverging from the digest chain is visible in the proof column.
-# ----------------------------------------------------------------------
-
-_SHARD_WINDOWS = 8
-_SHARD_BATCHES = 2
-_SHARD_SEED = 1
-_SHARD_POINT = {
-    "latency_class": "500us",
-    "encoding": "hbfp8",
-    "load": 0.6,
-    "windows": _SHARD_WINDOWS,
-    "training": True,
-}
-
-
-@lru_cache(maxsize=None)
-def _shard_forward() -> Dict[str, Any]:
-    """The memoized phase-1 pass: boundary checkpoints, the digest
-    chain, and the per-window event counts (built once, at warmup)."""
-    from repro.exec.shard import shard_load_forward
-
-    return shard_load_forward(
-        {**_SHARD_POINT, "batches": _SHARD_BATCHES}, _SHARD_SEED
-    )
-
-
-def _shard_window_config(index: int) -> Dict[str, Any]:
-    forward = _shard_forward()
-    return {
-        **_SHARD_POINT,
-        "requests": forward["requests"],
-        "index": index,
-        "boundary_sha": (
-            None if index == 0 else forward["digests"][index - 1]
-        ),
-        "resume": (
-            None if index == 0 else forward["checkpoints"][index - 1]
-        ),
-    }
-
-
-@lru_cache(maxsize=None)
-def _shard_cached_windows() -> Tuple[Dict[str, Any], ...]:
-    """Every window replayed once at warmup — the results the fast
-    arm's peer workers deliver off the measured path."""
-    from repro.exec.shard import shard_load_window
-
-    return tuple(
-        shard_load_window(_shard_window_config(index), _SHARD_SEED)
-        for index in range(_SHARD_WINDOWS)
-    )
-
-
-def _kernel_sim_shard(critical_only: bool) -> float:
-    """One sharded Figure-9 load point; replay cost on the timed path
-    is all W windows (reference) or just the critical one (fast)."""
-    from repro.eval.runner import ExperimentCapture
-    from repro.exec.canonical import config_digest
-    from repro.exec.shard import ShardError, shard_load_window
-
-    forward = _shard_forward()
-    if critical_only:
-        events = forward["events"]
-        critical = max(range(_SHARD_WINDOWS), key=lambda i: events[i])
-        results = list(_shard_cached_windows())
-        results[critical] = shard_load_window(
-            _shard_window_config(critical), _SHARD_SEED
-        )
-    else:
-        results = [
-            shard_load_window(_shard_window_config(index), _SHARD_SEED)
-            for index in range(_SHARD_WINDOWS)
-        ]
-
-    # The same ordered merge the orchestrator performs: digest-chain
-    # verification, capture fold, headline report from the last window.
-    for index, result in enumerate(results):
-        if result["sha_out"] != forward["digests"][index]:
-            raise ShardError(f"bench window {index} broke the chain")
-    merged = ExperimentCapture("load_point")
-    for result in results:
-        merged.merge_state(result["capture"])
-    artifact = {**results[-1]["report"], "capture": merged.state_dict()}
-    return float(int(config_digest(artifact)[:12], 16))
-
-
 def _kernel_gemm() -> float:
     """HBFP8 datapath GEMM, 192x192 seeded operands."""
     import numpy as np
@@ -547,16 +436,6 @@ def pinned_kernels() -> Dict[str, Tuple[str, Callable[[], float]]]:
             f"event soup {_DRAIN_ARRIVALS} arrivals, anonymous lane + "
             "batched loop",
             lambda: _kernel_sim_drain(True),
-        ),
-        "sim.shard.reference": (
-            f"fig9 load point, W={_SHARD_WINDOWS} windows, serial "
-            "replay + merge",
-            lambda: _kernel_sim_shard(False),
-        ),
-        "sim.shard.fast": (
-            f"fig9 load point, W={_SHARD_WINDOWS} windows, "
-            "critical-path window + merge",
-            lambda: _kernel_sim_shard(True),
         ),
         "chaos.scenario": (
             "fault-injected run, HBM ECC 5% err", _kernel_chaos_scenario,
@@ -750,14 +629,6 @@ def run_suite(
     if speedups:
         document["speedups"] = speedups
     if kernels is None:  # full-suite runs also price the checkpoint barrier
-        # The sim.shard arms memoize a full forward pass plus eight
-        # replayed windows; that retained state makes every gen-2 GC
-        # pass expensive and would taint the barrier price (the
-        # checkpointed run allocates more, so it pays more). Release
-        # it first — the barrier workload owns a quiet heap.
-        _shard_forward.cache_clear()
-        _shard_cached_windows.cache_clear()
-        gc.collect()
         document["checkpoint"] = _checkpoint_overhead(repeats)
     return document
 

@@ -85,14 +85,6 @@ def add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "N completed (journaled) jobs — CI uses it to prove --resume "
         "converges to the byte-identical artifact",
     )
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="W",
-        help="snapshot-sharded execution: split each big simulation "
-        "into W quiesce-aligned windows (forward state pass, then "
-        "window replay as cache-sound jobs, then bit-exact ordered "
-        "merge); the artifact is byte-identical for any --jobs value, "
-        "cache state or kill/resume at a fixed W",
-    )
 
 
 def apply_kernel_backend(args: argparse.Namespace) -> None:

@@ -36,12 +36,6 @@ _REGISTRY: Dict[str, str] = {
     "chaos.scenario": "repro.exec.tasks:chaos_scenario",
     "serve.fleet_scenario": "repro.exec.tasks:serve_fleet_scenario",
     "exec.probe": "repro.exec.tasks:exec_probe",
-    "shard.load_forward": "repro.exec.shard:shard_load_forward",
-    "shard.load_window": "repro.exec.shard:shard_load_window",
-    "shard.train_forward": "repro.exec.shard:shard_train_forward",
-    "shard.train_window": "repro.exec.shard:shard_train_window",
-    "shard.serve_forward": "repro.exec.shard:shard_serve_forward",
-    "shard.serve_window": "repro.exec.shard:shard_serve_window",
 }
 
 

@@ -84,16 +84,3 @@ class FaultCounters:
         """Overwrite every counter from a :meth:`to_state` snapshot."""
         for name in self.as_dict():
             setattr(self, name, type(getattr(self, name))(state[name]))
-
-    def merge_state(self, state: Dict[str, float]) -> None:
-        """Fold another window's :meth:`to_state` snapshot into this one
-        (the sharded executor's ordered merge). Every counter is a sum,
-        so the fold is symmetric: merging window snapshots in boundary
-        order reproduces the serial run's counters exactly."""
-        for name in self.as_dict():
-            setattr(
-                self,
-                name,
-                getattr(self, name)
-                + type(getattr(self, name))(state[name]),
-            )

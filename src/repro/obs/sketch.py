@@ -29,8 +29,8 @@ def _grow_expansion(partials: List[float], x: float) -> None:
     added (each two-sum step is error-free), so two sketches that
     observed the same multiset of samples carry the same exact sum no
     matter how the observations were grouped or merged — the property
-    the sharded executor's window merge relies on for byte-identical
-    artifacts. Same algorithm as ``math.fsum``, kept incremental.
+    that keeps a ``--jobs`` run's merged capture byte-identical to the
+    serial one. Same algorithm as ``math.fsum``, kept incremental.
     """
     i = 0
     for y in partials:
@@ -141,7 +141,7 @@ class QuantileSketch:
         self._inf_count += other._inf_count
         self._count += other._count
         # Folding the other expansion term-by-term keeps the merged sum
-        # exact, so merging per-window sketches in any grouping equals
+        # exact, so merging per-job sketches in any grouping equals
         # the serial cumulative sketch bit-for-bit.
         for partial in other._partials:
             _grow_expansion(self._partials, partial)

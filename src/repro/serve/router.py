@@ -273,12 +273,6 @@ class FleetRouter:
                 (start + offset) % fleet_size for offset in range(affinity_size)
             ]
         self._next_request_id = 0
-        #: Optional per-tenant *window* sketches: when set (by the
-        #: sharded scenario driver), every completion is observed into
-        #: these in addition to the cumulative ``sketches`` — the
-        #: window's delta, shipped back for ordered merging. Transient
-        #: by design: never part of :meth:`to_state`.
-        self.window_sketches: Optional[Dict[str, QuantileSketch]] = None
         self.submitted_by_tenant: Dict[str, int] = dict.fromkeys(
             self._tenant_names, 0
         )
@@ -363,10 +357,6 @@ class FleetRouter:
         for request in batch.requests:
             assert request.tenant is not None
             self.sketches[request.tenant].observe(request.latency_cycles)
-            if self.window_sketches is not None:
-                self.window_sketches[request.tenant].observe(
-                    request.latency_cycles
-                )
             self.completed_by_tenant[request.tenant] += 1
 
     # ------------------------------------------------------------------

@@ -164,18 +164,6 @@ def _simulate(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
             "request(s) still outstanding after flush"
         )
 
-    return _summarize(router, tenants, service_cycles, frequency_hz)
-
-
-def _summarize(
-    router: Any,
-    tenants: List[TenantSpec],
-    service_cycles: float,
-    frequency_hz: float,
-) -> Dict[str, Any]:
-    """Fold a finished fleet run into one curve point (shared by the
-    monolithic scenario and the final window of a sharded one)."""
-    fleet_size = router.fleet_size
     shed = router.shed_by_tenant()
     timed_out = router.timed_out_by_tenant()
     duration = router.last_completion_cycle
@@ -260,207 +248,6 @@ def _summarize(
     }
 
 
-def simulate_scenario_window(
-    config: Dict[str, Any],
-    seed: int,
-    *,
-    index: int,
-    windows: int,
-    resume: Optional[Dict[str, Any]] = None,
-    collect_window_sketches: bool = False,
-) -> Dict[str, Any]:
-    """Run arrival window ``index`` of a ``windows``-way split of one
-    fleet scenario (the sharded executor's serve unit of work).
-
-    The windowed schedule is a canonical run of its own: window ``k``
-    fires arrivals up to the cumulative quota ``requests·(k+1) //
-    windows``, drains the fleet to zero outstanding requests (in
-    bounded slices, so kill events armed for later cycles never fire
-    early), and snapshots ``(sim, router, counters, arrivals,
-    remaining)``. The arrival chain carries no live event across a
-    boundary — the next window redraws its first gap from the restored
-    mixed stream — and the plan's kill events are **keyed**, so they
-    re-arm bit-exactly through ``Simulator.from_state``. Forward pass
-    and replay workers both execute this same function on fresh
-    objects, which is what makes the phases agree byte-for-byte.
-
-    Returns ``{"payload", "summary", "window_sketches"?,
-    "cumulative_sketches"?}`` — ``summary`` is the curve point, only
-    from the final window; ``window_sketches`` (when requested) are
-    this window's per-tenant latency deltas for the ordered merge.
-    """
-    from repro.faults.admission import AdmissionControl
-    from repro.faults.counters import FaultCounters
-    from repro.faults.plan import FaultPlan
-    from repro.serve.router import FleetRouter
-    from repro.sim.engine import Simulator
-    from repro.workload.loadgen import MixedArrivals, PoissonArrivals
-
-    if windows < 1:
-        raise ValueError(f"need at least one window, got {windows}")
-    if not 0 <= index < windows:
-        raise ValueError(f"window index {index} outside [0, {windows})")
-    if (resume is None) != (index == 0):
-        raise ValueError(
-            "window 0 starts fresh (resume=None); every later window "
-            "requires its predecessor's boundary payload"
-        )
-
-    tenants = [TenantSpec.from_dict(entry) for entry in config["tenants"]]
-    fleet_size = int(config["fleet_size"])
-    requests = int(config["requests"])
-    service_cycles = float(config["batch_service_cycles"])
-    slots = int(config["batch_slots"])
-    frequency_hz = float(config["frequency_hz"])
-    plan = (
-        FaultPlan.from_dict(config["plan"])
-        if config.get("plan") is not None
-        else None
-    )
-
-    counters = FaultCounters()
-    shares = [
-        spec.slo.share(spec.name, slots, service_cycles) for spec in tenants
-    ]
-    admission = AdmissionControl(
-        deadline_cycles=64.0 * service_cycles,
-        max_retries=1,
-        backoff_cycles=0.5 * service_cycles,
-    )
-
-    def _build_router(sim: Simulator) -> FleetRouter:
-        return FleetRouter(
-            sim,
-            shares,
-            fleet_size=fleet_size,
-            batch_slots=slots,
-            batch_service_cycles=service_cycles,
-            seed=seed,
-            admission=admission,
-            fault_plan=plan,
-            counters=counters,
-        )
-
-    if index == 0:
-        sim = Simulator()
-        router = _build_router(sim)
-    else:
-        # The un-fired kill events need the router; the router needs
-        # the restored simulator. Late-bind through a cell.
-        cell: Dict[str, FleetRouter] = {}
-        crashed = plan.workers.crashed if plan is not None else ()
-        callbacks = {
-            f"serve.kill.{cid}": (
-                lambda cid=cid: cell["router"].kill_chip(cid)
-            )
-            for cid in crashed
-            if 0 <= cid < fleet_size
-        }
-        sim = Simulator.from_state(resume["sim"], callbacks)
-        router = _build_router(sim)
-        cell["router"] = router
-        router.from_state(resume["router"])
-        counters.from_state(resume["counters"])
-
-    capacity_per_chip = slots / service_cycles
-    rates = [
-        spec.load_fraction * capacity_per_chip * fleet_size
-        for spec in tenants
-    ]
-    streams = [
-        PoissonArrivals(
-            rate,
-            seed=[seed, zlib.crc32(ARRIVALS_SUBSTREAM.encode("utf-8")), index_],
-        )
-        for index_, rate in enumerate(rates)
-    ]
-    mixed = MixedArrivals(streams)
-    if index == 0:
-        remaining = requests
-    else:
-        mixed.from_state(resume["arrivals"])
-        remaining = int(resume["remaining"])
-
-    if collect_window_sketches:
-        router.window_sketches = {
-            spec.name: QuantileSketch() for spec in tenants
-        }
-
-    quota = (requests * (index + 1)) // windows
-    stop_at = requests - quota
-
-    def _schedule_next() -> None:
-        gap, source = mixed.next_tagged()
-
-        def _fire(source: int = source) -> None:
-            nonlocal remaining
-            router.submit(tenants[source].name)
-            remaining -= 1
-            if remaining > stop_at:
-                _schedule_next()
-
-        sim.after(gap, _fire)
-
-    if remaining > stop_at:
-        _schedule_next()
-    if index == 0:
-        # Same insertion order as the monolithic run: first arrival,
-        # then the keyed kill events.
-        router.schedule_kills(requests / sum(rates))
-
-    # Run the window's arrival chain to its quota, then drain the
-    # fleet to quiescence — in bounded slices either way, so a kill
-    # event armed for a later cycle is never popped early by an
-    # unbounded run. One slice is the admission deadline: the longest
-    # a placed request can stay outstanding without a state change.
-    drain_slice = 64.0 * service_cycles
-    while remaining > stop_at:
-        if sim.peek() is None:
-            raise RuntimeError(
-                "arrival chain drained before reaching the window quota"
-            )
-        sim.run(until=sim.now + drain_slice)
-    for _ in range(64):
-        if not router.outstanding_requests:
-            break
-        router.flush()
-        sim.run(until=sim.now + drain_slice)
-    if router.outstanding_requests:
-        raise RuntimeError(
-            f"fleet failed to drain: {router.outstanding_requests} "
-            "request(s) still outstanding at the window boundary"
-        )
-
-    summary = None
-    cumulative_sketches = None
-    if index == windows - 1:
-        # Post-traffic events (kills armed beyond the last completion)
-        # fire now, exactly as the monolithic run's final drain does.
-        sim.run()
-        summary = _summarize(router, tenants, service_cycles, frequency_hz)
-        cumulative_sketches = {
-            spec.name: router.sketches[spec.name].to_state()
-            for spec in tenants
-        }
-
-    payload = {
-        "sim": sim.to_state(),
-        "router": router.to_state(),
-        "counters": counters.to_state(),
-        "arrivals": mixed.to_state(),
-        "remaining": remaining,
-    }
-    result: Dict[str, Any] = {"payload": payload, "summary": summary}
-    if collect_window_sketches:
-        result["window_sketches"] = {
-            name: sketch.to_state()
-            for name, sketch in router.window_sketches.items()
-        }
-        if cumulative_sketches is not None:
-            result["cumulative_sketches"] = cumulative_sketches
-    return result
-
-
 def _canonical(point: Dict[str, Any]) -> str:
     return json.dumps(jsonable(point), sort_keys=True, allow_nan=False)
 
@@ -497,7 +284,6 @@ def run(
     requests_per_chip: int = DEFAULT_REQUESTS_PER_CHIP,
     seed: int = 7,
     executor: Optional[Any] = None,
-    shards: int = 1,
 ) -> FleetReport:
     """Execute the tenant-mix matrix and return the validated report.
 
@@ -508,12 +294,6 @@ def run(
         seed: Base seed for arrivals, placement, and kill times.
         executor: Optional :class:`repro.exec.JobRunner`; scenarios
             (independent by construction) fan out across workers.
-        shards: With ``shards > 1`` each scenario runs as a
-            W=``shards`` snapshot-sharded simulation whose window jobs
-            fan out across the executor (:mod:`repro.exec.shard`); the
-            curve point's ``reproducible`` flag then reports the
-            digest-chain + sketch-merge cross-check instead of the
-            monolithic double-run self-check.
     """
     from repro.core.equinox import EquinoxAccelerator
     from repro.dse.table1 import equinox_configuration
@@ -561,15 +341,7 @@ def run(
         }
         for size in sizes
     ]
-    if shards > 1:
-        from repro.exec.shard import run_scenario_sharded
-
-        curve = [
-            run_scenario_sharded(spec, seed, shards, executor=executor)
-            for spec in specs
-        ]
-    else:
-        curve = _map_scenarios(specs, seed, executor)
+    curve = _map_scenarios(specs, seed, executor)
 
     report = FleetReport(
         seed=seed,

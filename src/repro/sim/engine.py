@@ -331,83 +331,6 @@ class Simulator:
             seq += 1
         return len(entries)
 
-    def drain_anonymous(
-        self,
-        matching: Optional[Iterable[Callable[[], None]]] = None,
-        until: Optional[float] = None,
-    ) -> List[Tuple[float, int, Callable[[], None]]]:
-        """Extract live anonymous-lane entries from the heap.
-
-        The escape hatch the sharded executor's forwarding mode needs:
-        anonymous entries make :meth:`to_state` refuse (a closure cannot
-        be serialized), but a *driver that owns those closures* can pull
-        them out before snapshotting and re-inject them afterwards via
-        :meth:`schedule_anonymous` — the ``(time, seq)`` pair travels
-        with each entry, so the re-injected entries keep their exact
-        firing order relative to every other event.
-
-        Args:
-            matching: Only extract entries whose callback is one of
-                these callables (identity comparison). ``None`` extracts
-                every anonymous entry — only safe when the caller knows
-                no other component has fire-and-forget work in flight.
-            until: Only extract entries scheduled at or before this
-                time (``None`` = no time bound).
-
-        Returns:
-            ``(time, seq, callback)`` triples sorted by firing order.
-        """
-        match_ids = (
-            None if matching is None else {id(cb) for cb in matching}
-        )
-        kept: List[_Entry] = []
-        drained: List[Tuple[float, int, Callable[[], None]]] = []
-        for entry in self._heap:
-            time, seq, event, callback = entry
-            if (
-                event is None
-                and (match_ids is None or id(callback) in match_ids)
-                and (until is None or time <= until)
-            ):
-                drained.append((time, seq, callback))
-            else:
-                kept.append(entry)
-        if drained:
-            # In-place mutation, same aliasing contract as _compact().
-            heapq.heapify(kept)
-            self._heap[:] = kept
-        drained.sort(key=lambda item: (item[0], item[1]))
-        return drained
-
-    def schedule_anonymous(
-        self, entries: Iterable[Tuple[float, int, Callable[[], None]]]
-    ) -> int:
-        """Re-inject entries previously extracted by :meth:`drain_anonymous`.
-
-        Each entry keeps its original sequence number, which must
-        predate the current cursor — these are *old* entries returning,
-        never new ones. A time in the past is clamped to ``now``: the
-        boundary drain may have advanced the clock past an extracted
-        entry's due time, and clamping makes it fire at the restore
-        instant while the preserved sequence numbers keep the original
-        relative order. Returns the number of entries scheduled.
-        """
-        count = 0
-        for time, seq, callback in entries:
-            seq = int(seq)
-            if seq >= self._seq_next:
-                raise ValueError(
-                    f"anonymous entry seq {seq} was never allocated "
-                    f"(cursor at {self._seq_next}); schedule_anonymous "
-                    "only re-injects drained entries"
-                )
-            time = float(time)
-            if time < self.now:
-                time = self.now
-            heapq.heappush(self._heap, (time, seq, None, callback))
-            count += 1
-        return count
-
     # ------------------------------------------------------- drain
     def run(
         self,

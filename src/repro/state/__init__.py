@@ -31,7 +31,6 @@ from repro.state.checkpoint import (
 )
 from repro.state.protocol import (
     CHECKPOINT_ROOTS,
-    WINDOW_MERGE_ROOTS,
     SnapshotError,
     restore_rng,
     rng_state,
@@ -47,7 +46,6 @@ __all__ = [
     "GracefulShutdown",
     "ShutdownRequested",
     "SnapshotError",
-    "WINDOW_MERGE_ROOTS",
     "read_checkpoint",
     "restore_rng",
     "rng_state",

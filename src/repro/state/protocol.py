@@ -33,13 +33,7 @@ import numpy as np
 # its public home.
 from repro.sim.engine import SnapshotError
 
-__all__ = [
-    "CHECKPOINT_ROOTS",
-    "SnapshotError",
-    "WINDOW_MERGE_ROOTS",
-    "restore_rng",
-    "rng_state",
-]
+__all__ = ["CHECKPOINT_ROOTS", "SnapshotError", "restore_rng", "rng_state"]
 
 
 #: The classes checkpoints are rooted at, as ``root_id: "module:Class"``.
@@ -66,19 +60,6 @@ CHECKPOINT_ROOTS: Dict[str, str] = {
     "arrivals.mixed": "repro.workload.loadgen:MixedArrivals",
     "batching.pull": "repro.core.batching:PullBatching",
     "serve.router": "repro.serve.router:FleetRouter",
-    "capture": "repro.eval.runner:ExperimentCapture",
-    "sketch.quantile": "repro.obs.sketch:QuantileSketch",
-    "fault.counters": "repro.faults.counters:FaultCounters",
-}
-
-
-#: The metric roots the sharded executor folds across window boundaries
-#: (``repro.exec.shard``'s ordered merge). Parsed statically by the
-#: EQX40x window-merge rule: each must carry ``merge_state(state)``
-#: alongside the symmetric snapshot pair, and the fold must be
-#: *order-preserving-exact* — merging per-window ``to_state`` snapshots
-#: in boundary order reproduces the serial run's object bit for bit.
-WINDOW_MERGE_ROOTS: Dict[str, str] = {
     "capture": "repro.eval.runner:ExperimentCapture",
     "sketch.quantile": "repro.obs.sketch:QuantileSketch",
     "fault.counters": "repro.faults.counters:FaultCounters",

@@ -39,9 +39,8 @@ def classification_setup(
     """Build the Figure 2a trainer and data splits for one encoding.
 
     Dataset generation and model initialization are both functions of
-    ``seed`` alone, so every caller — the serial experiment, a forward
-    shard, a replay worker — reconstructs bit-identical starting state
-    from pure parameters. Returns ``(trainer, train, valid)``.
+    ``seed`` alone, so every caller reconstructs bit-identical starting
+    state from pure parameters. Returns ``(trainer, train, valid)``.
     """
     x, y = synthetic_image_classes(samples=samples, classes=classes, seed=seed)
     split = int(0.8 * samples)
@@ -107,9 +106,8 @@ def language_model_setup(
 ) -> "Tuple[Trainer, Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]":
     """Build the Figure 2b trainer and data splits for one encoding.
 
-    Pure function of its parameters (see :func:`classification_setup`);
-    the sharded executor relies on this to reconstruct identical state
-    in every worker. Returns ``(trainer, train, valid)``.
+    Pure function of its parameters (see :func:`classification_setup`).
+    Returns ``(trainer, train, valid)``.
     """
     corpus = synthetic_char_corpus(length=corpus_length, vocab=vocab, seed=seed)
     x, y = _char_lm_dataset(corpus, vocab, context)

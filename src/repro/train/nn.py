@@ -8,7 +8,7 @@ them; elementwise work runs in bfloat16 when the encoding is hbfp8
 the HBFP training recipe.
 """
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -92,28 +92,6 @@ class Linear(Module):
     def gradients(self) -> List[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
 
-    def to_state(self) -> Dict[str, Any]:
-        """The fp32 masters as JSON-able state, exactly (Python floats
-        are binary64, a superset of binary32 — the round trip is
-        bit-exact). Gradients and the forward cache are transient:
-        both are fully overwritten before their next use, so an
-        epoch-boundary snapshot omits them."""
-        return {"weight": self.weight.tolist(), "bias": self.bias.tolist()}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`to_state` on a same-shape layer."""
-        weight = np.asarray(state["weight"], dtype=np.float32)
-        bias = np.asarray(state["bias"], dtype=np.float32)
-        if weight.shape != self.weight.shape or bias.shape != self.bias.shape:
-            raise ValueError(
-                f"layer shape mismatch: snapshot {weight.shape}/"
-                f"{bias.shape} vs layer {self.weight.shape}/{self.bias.shape}"
-            )
-        self.weight = weight
-        self.bias = bias
-        self.grad_weight = np.zeros_like(weight)
-        self.grad_bias = np.zeros_like(bias)
-
 
 class ReLU(Module):
     def __init__(self) -> None:
@@ -166,31 +144,6 @@ class Sequential(Module):
 
     def gradients(self) -> List[np.ndarray]:
         return [g for layer in self.layers for g in layer.gradients()]
-
-    def to_state(self) -> Dict[str, Any]:
-        """Positional layer states (``None`` for stateless layers)."""
-        return {
-            "layers": [
-                layer.to_state() if hasattr(layer, "to_state") else None
-                for layer in self.layers
-            ]
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Restore onto an identically constructed chain."""
-        entries = state["layers"]
-        if len(entries) != len(self.layers):
-            raise ValueError(
-                f"layer count mismatch: snapshot has {len(entries)}, "
-                f"chain has {len(self.layers)}"
-            )
-        for layer, entry in zip(self.layers, entries):
-            if (entry is not None) != hasattr(layer, "from_state"):
-                raise ValueError(
-                    "snapshot layer kinds do not match the chain"
-                )
-            if entry is not None:
-                layer.from_state(entry)
 
 
 def softmax_cross_entropy(

@@ -5,7 +5,7 @@ keeps in full precision (only GEMMs are block floating point). Updates
 happen in place so layers keep referencing the same arrays.
 """
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -56,27 +56,3 @@ class SGD:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-
-    def to_state(self) -> Dict[str, Any]:
-        """Hyperparameters plus the exact fp32 momentum buffers
-        (``None`` before the first step, like the live attribute)."""
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "velocity": (
-                None if self._velocity is None
-                else [v.tolist() for v in self._velocity]
-            ),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`to_state`."""
-        self.lr = float(state["lr"])
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        velocity = state["velocity"]
-        self._velocity = (
-            None if velocity is None
-            else [np.asarray(v, dtype=np.float32) for v in velocity]
-        )

@@ -1,7 +1,7 @@
 """Training loop and validation-curve collection."""
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -101,36 +101,9 @@ class Trainer:
         """Train for ``epochs`` epochs, recording the validation curve."""
         if epochs < 1:
             raise ValueError("need at least one epoch")
-        return self.run_epochs(train, valid, 1, epochs, encoding_label)
-
-    def run_epochs(
-        self,
-        train: Tuple[np.ndarray, np.ndarray],
-        valid: Tuple[np.ndarray, np.ndarray],
-        first_epoch: int,
-        last_epoch: int,
-        encoding_label: str = "fp32",
-        evaluate: bool = True,
-    ) -> TrainingCurve:
-        """Train epochs ``[first_epoch, last_epoch]``, inclusive.
-
-        The batch order is seeded per epoch (``seed + epoch``) and the
-        model/optimizer state round-trips exactly through
-        ``to_state``/``from_state``, so a run split into epoch windows
-        — with or without per-epoch evaluation, which only touches
-        transient forward caches — produces bit-identical parameters
-        and curve segments to one uninterrupted :meth:`fit`. This is
-        the window unit :mod:`repro.exec.shard` replays in parallel.
-        """
-        if first_epoch < 1 or last_epoch < first_epoch:
-            raise ValueError(
-                f"bad epoch range [{first_epoch}, {last_epoch}]"
-            )
         curve = TrainingCurve(encoding=encoding_label)
-        for epoch in range(first_epoch, last_epoch + 1):
+        for epoch in range(1, epochs + 1):
             self.train_epoch(train[0], train[1], epoch)
-            if not evaluate:
-                continue
             error, loss = self.evaluate(valid[0], valid[1])
             curve.epochs.append(epoch)
             curve.validation_error.append(error)
@@ -139,17 +112,3 @@ class Trainer:
                 self.registry.gauge("train.validation_error").set(error)
                 self.registry.gauge("train.validation_loss").set(loss)
         return curve
-
-    def to_state(self) -> Dict[str, Any]:
-        """The resumable training state at an epoch boundary: model
-        masters and optimizer momentum (batch/seed are construction
-        parameters, not state)."""
-        return {
-            "model": self.model.to_state(),
-            "optimizer": self.optimizer.to_state(),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`to_state` on an identically built trainer."""
-        self.model.from_state(state["model"])
-        self.optimizer.from_state(state["optimizer"])

@@ -18,7 +18,6 @@ BROKEN = [
     ("eqx404_unregistered", "EQX404"),
     ("eqx405_impure_merge", "EQX405"),
     ("eqx406_asymmetric_snapshot", "EQX406"),
-    ("eqx407_unmergeable_metric", "EQX407"),
 ]
 
 
@@ -78,16 +77,6 @@ class TestBrokenFixtures:
         assert "self.count" in missing[0].message
         assert "bump()" in missing[0].message
 
-    def test_eqx407_names_only_the_missing_fold(self):
-        """The root with merge_state and the suppressed root stay
-        quiet; the fold-less root is named with what it lacks."""
-        report = analyze_tree(FIXTURES / "eqx407_unmergeable_metric")
-        (diag,) = report.diagnostics
-        assert "Tally" in diag.message
-        assert "merge_state" in diag.message
-        assert "Histogram" not in diag.message
-        assert "Exempt" not in diag.message
-
     def test_diagnostics_are_errors(self):
         for package, _ in BROKEN:
             report = analyze_tree(FIXTURES / package)
@@ -140,25 +129,11 @@ class TestRealTree:
         assert roots["simulator"] == "repro.sim.engine.Simulator"
         assert roots["accelerator"] == "repro.core.equinox.EquinoxAccelerator"
 
-    def test_window_merge_roots_fully_covered(self, report):
-        """Every WINDOW_MERGE_ROOTS entry resolves to an indexed class
-        carrying merge_state — the sharded executor's fold targets."""
-        coverage = report.coverage()
-        roots = coverage["window_merge_roots"]
-        assert coverage["window_merge_roots_covered"] == len(roots)
-        assert coverage["window_merge_roots_covered"] >= 3
-        assert roots["capture"] == "repro.eval.runner.ExperimentCapture"
-        assert roots["sketch.quantile"] == "repro.obs.sketch.QuantileSketch"
-        assert roots["fault.counters"] == (
-            "repro.faults.counters.FaultCounters"
-        )
-
     def test_coverage_lines_render(self, report):
         lines = coverage_lines(report.coverage())
         assert any("jobs covered" in line for line in lines)
         assert any("kernel pairs covered" in line for line in lines)
         assert any("checkpoint roots covered" in line for line in lines)
-        assert any("window-merge roots covered" in line for line in lines)
 
 
 class TestCallGraphCache:

@@ -112,39 +112,6 @@ class TestSimDrainPair:
         assert bench.validate_bench(doc) == []
 
 
-class TestSimShardPair:
-    """The sharded-execution bench: serial replay vs critical-path
-    makespan at W=8 — the headline the tentpole claims."""
-
-    def test_both_arms_pinned(self):
-        suite = bench.pinned_kernels()
-        assert "sim.shard.reference" in suite
-        assert "sim.shard.fast" in suite
-
-    def test_work_proofs_identical(self):
-        """Both arms fold byte-identical window results through the
-        same ordered merge; the artifact checksums must agree."""
-        suite = bench.pinned_kernels()
-        _, reference = suite["sim.shard.reference"]
-        _, fast = suite["sim.shard.fast"]
-        assert reference() == fast()
-
-    def test_critical_path_beats_serial_replay(self):
-        """The headline: at 8 shards the critical-path makespan is at
-        least 3x faster than replaying every window serially. Both
-        arms run in this process with warm caches, so the ratio is
-        pure replay-work — far above 3x in practice (the gate is
-        deliberately below the ~W-proportional expectation to absorb
-        CI noise, while still failing if sharding stops paying)."""
-        doc = bench.run_suite(
-            repeats=2,
-            kernels=["sim.shard.reference", "sim.shard.fast"],
-        )
-        record = doc["speedups"]["sim.shard"]
-        assert record["speedup"] >= 3.0
-        assert bench.validate_bench(doc) == []
-
-
 def _synthetic_doc(times, created=1000, work=None):
     """A minimal valid BENCH document with the given kernel min times."""
     kernels = {}

@@ -1,6 +1,7 @@
-"""End-to-end crash recovery: a sweep interrupted at a job boundary
-(graceful signal or SIGKILL drill) and restarted with ``--resume``
-converges to the byte-identical artifact of an uninterrupted run."""
+"""End-to-end crash recovery: a sweep or a paper experiment
+interrupted at a job boundary (graceful signal or SIGKILL drill) and
+restarted with ``--resume`` converges to the byte-identical artifact of
+an uninterrupted run."""
 
 import argparse
 import json
@@ -41,6 +42,18 @@ def _repro(extra, **kwargs):
         [sys.executable, "-m", "repro", "sweep"] + SWEEP_FLAGS
         + [str(a) for a in extra],
         capture_output=True, text=True, env=_env(), **kwargs,
+    )
+
+
+#: Figure 9 at one load: one ``eval.load_point`` job per latency
+#: class, so four journaled jobs.
+FIG9_FLAGS = ["fig9", "--loads", "0.6"]
+
+
+def _fig9(extra):
+    return subprocess.run(
+        [sys.executable, "-m", "repro"] + FIG9_FLAGS + [str(a) for a in extra],
+        capture_output=True, text=True, env=_env(),
     )
 
 
@@ -128,6 +141,31 @@ class TestKillNineDrill:
         assert "journal_hits=3" in resumed.stderr
         assert (out_dir / "sweep.json").read_bytes() == (
             (ref_dir / "sweep.json").read_bytes()
+        )
+
+
+class TestExperimentDrill:
+    def test_fig9_sigkill_then_resume(self, tmp_path):
+        """The same drill on a paper experiment: fig9's four load-point
+        jobs, SIGKILLed after the second journal append, resume to the
+        bytes of a plain in-process run."""
+        ref_dir = tmp_path / "reference"
+        out_dir = tmp_path / "resumed"
+        ckpt = tmp_path / "ckpt"
+
+        reference = _fig9(["--report-dir", ref_dir])
+        assert reference.returncode == 0, reference.stderr
+
+        drill = ["--jobs", 1, "--checkpoint-dir", ckpt]
+        killed = _fig9(drill + ["--kill-after", 2, "--report-dir", out_dir])
+        assert killed.returncode == -signal.SIGKILL
+        assert len((ckpt / "journal.jsonl").read_text().splitlines()) == 2
+        assert not (out_dir / "fig9.json").exists()
+
+        resumed = _fig9(drill + ["--resume", "--report-dir", out_dir])
+        assert resumed.returncode == 0, resumed.stderr
+        assert (out_dir / "fig9.json").read_bytes() == (
+            (ref_dir / "fig9.json").read_bytes()
         )
 
 
