@@ -20,7 +20,7 @@ from repro.analysis import rules
 from repro.analysis.diagnostics import Diagnostic, errors, render_text
 from repro.hw.config import AcceleratorConfig
 from repro.hw.instructions import InstructionImage, Opcode
-from repro.hw.isa import Program, StepProgram
+from repro.hw.isa import Program
 
 #: Default utilization floor below which a job draws a tiling-waste
 #: warning (Figure 8's "other" stalls).
@@ -71,14 +71,6 @@ def raise_on_errors(diagnostics: Iterable[Diagnostic]) -> None:
 # ----------------------------------------------------------------------
 # Job-level verification (the install-time gate)
 # ----------------------------------------------------------------------
-
-
-def _step_stream_bytes(step: StepProgram) -> float:
-    """Bytes the dispatcher stages ahead of this step's jobs: the
-    weight stream plus stashed-operand reloads (mirrors
-    ``TrainingEngine._step_stream_bytes``)."""
-    stash_in = sum(r.bytes for r in step.dram if r.kind == "stash_in")
-    return step.weight_bytes + stash_in
 
 
 def _verify_job(
@@ -194,7 +186,7 @@ def verify_program(
                 ))
         # Staging budget: the dispatcher stages one job's stream share
         # at a time, so the per-job share is what the < 2 % cap bounds.
-        stream = _step_stream_bytes(step)
+        stream = step.stream_bytes
         if stream > 0 and step.mmu_jobs:
             per_job = stream / len(step.mmu_jobs)
             if per_job > staging:

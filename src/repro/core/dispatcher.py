@@ -692,6 +692,9 @@ class InferenceEngine:
         self.max_inflight = max_inflight
         self.spans = spans
         self._queue: Deque[Batch] = deque()
+        # Running total of ``real_count`` over ``_queue``: the arbiter
+        # reads it at every grant through the spike-guard signal.
+        self._backlog = 0
         self._inflight = 0
         self.latency = LatencyStats()
         self.batches_completed = 0
@@ -706,16 +709,18 @@ class InferenceEngine:
     @property
     def backlog_requests(self) -> int:
         """Real requests batched but not yet started."""
-        return sum(batch.real_count for batch in self._queue)
+        return self._backlog
 
     def enqueue(self, batch: Batch) -> None:
         self.scheduler.note_inference_activity(self.sim.now)
         self._queue.append(batch)
+        self._backlog += batch.real_count
         self._try_start()
 
     def _try_start(self) -> None:
         while self._inflight < self.max_inflight and self._queue:
             batch = self._queue.popleft()
+            self._backlog -= batch.real_count
             batch.started_cycle = self.sim.now
             self._inflight += 1
             self._run_step(batch, 0)
@@ -842,6 +847,15 @@ class TrainingEngine:
         self.scheduler = scheduler
         self.inference_queue_size = inference_queue_size
         self.spans = spans
+        # ``Program`` is frozen, so every job's operand stream is fixed
+        # at install time: each job of a step stages an equal share of
+        # the step's stream. The pipeline only indexes into this list.
+        self._job_stream_bytes: List[float] = [
+            step.stream_bytes / len(step.mmu_jobs) if step.mmu_jobs else 0.0
+            for step in program.steps
+        ]
+        self._staging_bytes = config.staging_bytes
+        self._useful_ops = program.total_useful_ops
         self.iterations: List[TrainingIterationRecord] = []
         self.jobs_issued = 0
         self._started = False
@@ -906,23 +920,6 @@ class TrainingEngine:
         return len(self.iterations)
 
     # ------------------------------------------------------------------
-    # Per-job stream sizing
-    # ------------------------------------------------------------------
-
-    def _step_stream_bytes(self, step_index: int) -> float:
-        """Bytes that must be staged ahead of this step's jobs: the
-        weight stream plus any stashed-operand reloads."""
-        step = self.program.steps[step_index]
-        stash_in = sum(r.bytes for r in step.dram if r.kind == "stash_in")
-        return step.weight_bytes + stash_in
-
-    def _job_stream_bytes(self, step_index: int, job_index: int) -> float:
-        step = self.program.steps[step_index]
-        if not step.mmu_jobs:
-            return 0.0
-        return self._step_stream_bytes(step_index) / len(step.mmu_jobs)
-
-    # ------------------------------------------------------------------
     # Prefetch stage
     # ------------------------------------------------------------------
 
@@ -944,13 +941,13 @@ class TrainingEngine:
         if position is None:
             return
         step_idx, job_idx = position
-        stream = self._job_stream_bytes(step_idx, job_idx)
+        stream = self._job_stream_bytes[step_idx]
         outstanding = self._staged_bytes + self._inflight_prefetch_bytes
         # Always allow one stream in flight even if it alone exceeds the
         # staging slice (it passes through); otherwise respect capacity.
         if (
             self._prefetch_outstanding > 0
-            and outstanding + stream > self.config.staging_bytes
+            and outstanding + stream > self._staging_bytes
         ):
             return
         self._prefetch_cursor = (step_idx, job_idx + 1)
@@ -1009,7 +1006,7 @@ class TrainingEngine:
     def _issue_job(self, step_idx: int, job_idx: int) -> None:
         step = self.program.steps[step_idx]
         job = step.mmu_jobs[job_idx]
-        stream = self._job_stream_bytes(step_idx, job_idx)
+        stream = self._job_stream_bytes[step_idx]
         # Software-committed blocks enter the inference FIFO (they are
         # not revocable); hardware policies use the training queue.
         queue = (
@@ -1103,7 +1100,7 @@ class TrainingEngine:
             iteration_id=len(self.iterations),
             start_cycle=self._iteration_start,
             completion_cycle=self.sim.now,
-            useful_ops=self.program.total_useful_ops,
+            useful_ops=self._useful_ops,
         )
         self.iterations.append(record)
         if self.spans is not None:

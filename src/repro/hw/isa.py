@@ -114,6 +114,15 @@ class StepProgram:
         return sum(job.weight_bytes for job in self.mmu_jobs)
 
     @property
+    def stream_bytes(self) -> float:
+        """Bytes staged from DRAM ahead of this step's jobs: the weight
+        stream plus any stashed-operand (``stash_in``) reloads. The
+        training dispatcher splits it evenly across the step's jobs, and
+        the program verifier bounds that share by the staging slice."""
+        stash_in = sum(r.bytes for r in self.dram if r.kind == "stash_in")
+        return self.weight_bytes + stash_in
+
+    @property
     def dram_bytes(self) -> float:
         return sum(req.bytes for req in self.dram)
 

@@ -58,6 +58,7 @@ class MatrixMultiplyUnit:
     def __init__(self, sim: Simulator, config: AcceleratorConfig):
         self.sim = sim
         self.config = config
+        self._drain_cycles = config.pipeline_drain_cycles
         self._queues: Dict[str, Deque[_QueuedJob]] = {
             INFERENCE: deque(),
             TRAINING: deque(),
@@ -230,16 +231,16 @@ class MatrixMultiplyUnit:
             self.accounting.add("dummy", dummy)
             self.accounting.add("other", other)
             self.throughput.record(useful_ops, self.sim.now)
-            meter = self.throughput_by_context.setdefault(
-                entry.context, ThroughputMeter()
-            )
+            meter = self.throughput_by_context.get(entry.context)
+            if meter is None:
+                meter = self.throughput_by_context[entry.context] = (
+                    ThroughputMeter()
+                )
             meter.record(useful_ops, self.sim.now)
             if entry.on_done is not None:
                 # Results drain through the array after the last row
                 # enters; the unit itself is free for the next job.
-                self.sim.after_call(
-                    self.config.pipeline_drain_cycles, entry.on_done
-                )
+                self.sim.after_call(self._drain_cycles, entry.on_done)
             self.pump()
 
         # A granted job is never revoked (the arbiter commits at grant),

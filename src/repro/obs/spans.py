@@ -31,7 +31,7 @@ timeline) works on spans unchanged.
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.engine import Simulator, SnapshotError
 from repro.sim.trace import Tracer
 
@@ -90,6 +90,9 @@ class SpanTracer:
         self._open: Dict[int, Span] = {}
         #: name -> [count, total_cycles, max_cycles]
         self._aggregate: Dict[str, list] = {}
+        #: name -> the registry's ``span.<name>.cycles`` histogram,
+        #: claimed through ``registry.histogram`` on first use.
+        self._histograms: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
     # Live spans
@@ -119,7 +122,10 @@ class SpanTracer:
         span.end_cycle = self.sim.now
         span.attrs.update(attrs)
         self._open.pop(span.span_id, None)
-        self._finish(span)
+        self._finish(
+            span.name, span.span_id, span.parent_id,
+            span.start_cycle, span.end_cycle, span.attrs,
+        )
         return span
 
     # ------------------------------------------------------------------
@@ -133,52 +139,63 @@ class SpanTracer:
         end_cycle: float,
         parent: Optional[Span] = None,
         **attrs: Any,
-    ) -> Span:
+    ) -> None:
         """Record a span whose endpoints were stamped elsewhere (the
-        dispatcher's request records already carry lifecycle cycles)."""
+        dispatcher's request records already carry lifecycle cycles).
+
+        Aggregation-first: no :class:`Span` is built; the span only
+        takes an id, and becomes a trace record under ``keep_records``.
+        """
         if end_cycle < start_cycle:
             raise ValueError(
                 f"span {name!r} ends before it starts "
                 f"({end_cycle} < {start_cycle})"
             )
-        span = Span(
-            span_id=self._new_id(),
-            name=name,
-            start_cycle=start_cycle,
-            parent_id=parent.span_id if parent is not None else None,
-            end_cycle=end_cycle,
-            attrs=dict(attrs),
+        self._finish(
+            name, self._new_id(),
+            parent.span_id if parent is not None else None,
+            start_cycle, end_cycle, attrs,
         )
-        self._finish(span)
-        return span
 
     # ------------------------------------------------------------------
     # Internals + export
     # ------------------------------------------------------------------
 
-    def _finish(self, span: Span) -> None:
-        duration = span.duration_cycles
-        entry = self._aggregate.get(span.name)
+    def _finish(
+        self,
+        name: str,
+        span_id: int,
+        parent_id: Optional[int],
+        start_cycle: float,
+        end_cycle: float,
+        attrs: Dict[str, Any],
+    ) -> None:
+        duration = end_cycle - start_cycle
+        entry = self._aggregate.get(name)
         if entry is None:
-            self._aggregate[span.name] = [1, duration, duration]
+            self._aggregate[name] = [1, duration, duration]
         else:
             entry[0] += 1
             entry[1] += duration
-            entry[2] = max(entry[2], duration)
+            if duration > entry[2]:
+                entry[2] = duration
         if self.registry is not None:
-            self.registry.histogram(
-                f"span.{span.name}.cycles"
-            ).observe(duration)
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = self.registry.histogram(
+                    f"span.{name}.cycles"
+                )
+            histogram.observe(duration)
         if self.keep_records:
             self.tracer.emit(
-                span.start_cycle,
+                start_cycle,
                 SPAN_COMPONENT,
-                span.name,
+                name,
                 payload={
-                    "span_id": span.span_id,
-                    "parent_id": span.parent_id,
-                    "end_cycle": span.end_cycle,
-                    **span.attrs,
+                    "span_id": span_id,
+                    "parent_id": parent_id,
+                    "end_cycle": end_cycle,
+                    **attrs,
                 },
             )
 

@@ -63,10 +63,8 @@ class SerialResource:
         self._pump()
 
     def _pump(self) -> None:
+        # While busy, the in-service request's completion re-pumps.
         if not self._queue or self._busy_until > self.sim.now:
-            if self._queue and self._busy_until > self.sim.now:
-                # A completion event will re-pump; nothing to do now.
-                pass
             return
         priority, _seq, duration, on_grant, on_done, tag = heapq.heappop(self._queue)
         self._busy_until = self.sim.now + duration

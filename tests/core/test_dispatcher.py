@@ -11,12 +11,17 @@ from repro.core.dispatcher import (
     TrainingEngine,
 )
 from repro.core.scheduler import InferenceOnlyScheduler, PriorityScheduler
+from repro.eval.runner import build_accelerator, simulate_load_point
 from repro.faults.admission import AdmissionControl
 from repro.sim.engine import SnapshotError
 from repro.hw.dram import HBMInterface
+from repro.hw.isa import StepProgram
 from repro.hw.mmu import MatrixMultiplyUnit
 from repro.hw.simd import SIMDUnit
 from repro.models.compiler import TileCompiler
+from repro.models.gru import deepbench_gru
+from repro.models.lstm import deepbench_lstm
+from repro.models.resnet import resnet50
 
 
 class TestRequestDispatcher:
@@ -346,6 +351,20 @@ class TestInferenceEngine:
         )
         assert bench.engine.latency.max() == pytest.approx(expected, rel=0.01)
 
+    def test_backlog_counts_real_requests_of_queued_batches(
+        self, sim, small_config, tiny_model
+    ):
+        bench = _Bench(sim, small_config, tiny_model, InferenceOnlyScheduler())
+        for _ in range(4 * bench.program.rows):
+            bench.dispatcher.submit()
+        queued = list(bench.engine._queue)
+        assert queued  # two batches run, the rest wait
+        assert bench.engine.backlog_requests == sum(
+            batch.real_count for batch in queued
+        )
+        sim.run()
+        assert bench.engine.backlog_requests == 0
+
 
 class TestTrainingEngine:
     def test_completes_iterations_on_idle_machine(self, sim, small_config, tiny_model):
@@ -395,3 +414,49 @@ class TestTrainingEngine:
         assert all(
             record.duration_cycles > 0 for record in bench.training.iterations
         )
+
+
+class TestTrainingStreamSizing:
+    """Stream shares are fixed at install time, not re-derived per
+    prefetch."""
+
+    def test_weight_bytes_not_resummed_per_prefetch(self, monkeypatch):
+        accelerator = build_accelerator("500us", training_model=deepbench_lstm())
+        original = StepProgram.weight_bytes
+        evaluations = [0]
+
+        def counting(step):
+            evaluations[0] += 1
+            return original.fget(step)
+
+        monkeypatch.setattr(StepProgram, "weight_bytes", property(counting))
+        simulate_load_point(accelerator, 0.2, batches=1, seed=0)
+        prefetches = accelerator.spans.summary()["train.prefetch"]["count"]
+        assert prefetches > accelerator.training_program.step_count
+        assert evaluations[0] <= accelerator.training_program.step_count
+
+    @pytest.mark.parametrize(
+        "model, chunk_us",
+        [
+            (deepbench_lstm, 2.0),
+            (lambda: deepbench_gru(steps=60), 20.0),
+            (resnet50, 4.0),
+        ],
+        ids=["lstm", "gru", "resnet50"],
+    )
+    def test_job_shares_match_the_verifier_exactly(self, model, chunk_us):
+        accelerator = build_accelerator(
+            "500us", training_model=model(), chunk_us=chunk_us
+        )
+        program = accelerator.training_program
+        shares = accelerator.training_engine._job_stream_bytes
+        assert len(shares) == program.step_count
+        for step, share in zip(program.steps, shares):
+            if not step.mmu_jobs:
+                assert share == 0.0
+                continue
+            stream = sum(job.weight_bytes for job in step.mmu_jobs) + sum(
+                r.bytes for r in step.dram if r.kind == "stash_in"
+            )
+            assert step.stream_bytes == stream
+            assert share == stream / len(step.mmu_jobs)

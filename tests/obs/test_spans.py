@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sketch import QuantileSketch
 from repro.obs.spans import SpanTracer
 from repro.sim.trace import Tracer
 
@@ -95,3 +96,95 @@ class TestAggregation:
         assert records[0].component == "span"
         assert records[0].payload["end_cycle"] == 3.0
         assert records[0].payload["batch"] == 2
+
+
+class TestRecordPath:
+    """``begin``/``end`` and ``record`` share one aggregation path: the
+    same summaries, histograms, id sequence and trace payloads whether a
+    span was live or retroactive."""
+
+    #: (name, duration) in finishing order for :meth:`_drive`.
+    DURATIONS = [
+        ("request.queue", 4.0),
+        ("train.prefetch", 2.5),
+        ("train.prefetch", 0.0),
+        ("request.execute", 3.0),
+        ("request.queue", 7.0),
+        ("request", 12.0),
+    ]
+
+    @staticmethod
+    def _drive(sim, keep_records):
+        registry = MetricsRegistry()
+        storage = Tracer(enabled=keep_records)
+        tracer = SpanTracer(
+            sim, registry=registry, tracer=storage, keep_records=keep_records
+        )
+        root = tracer.begin("request")  # id 0 at cycle 0
+        tracer.record("request.queue", 0.0, 4.0, parent=root, batch=1)  # 1
+        sim.now = 6.0
+        child = tracer.begin("request.execute", parent=root, lane=2)  # 2
+        tracer.record("train.prefetch", 1.0, 3.5)  # 3
+        tracer.record("train.prefetch", 2.0, 2.0)  # 4
+        sim.now = 9.0
+        tracer.end(child, rows=8)
+        tracer.record("request.queue", 5.0, 12.0, parent=root)  # 5
+        sim.now = 12.0
+        tracer.end(root)
+        return tracer, registry, storage
+
+    @pytest.mark.parametrize("keep_records", [False, True])
+    def test_mixed_sequence_aggregates(self, sim, keep_records):
+        tracer, registry, storage = self._drive(sim, keep_records)
+        durations = {}
+        for name, duration in self.DURATIONS:
+            durations.setdefault(name, []).append(duration)
+        assert tracer.summary() == {
+            name: {
+                "count": float(len(values)),
+                "total_cycles": sum(values),
+                "mean_cycles": sum(values) / len(values),
+                "max_cycles": max(values),
+            }
+            for name, values in sorted(durations.items())
+        }
+        for name, values in durations.items():
+            sketch = QuantileSketch()
+            for value in values:
+                sketch.observe(value)
+            histogram = registry.histogram(f"span.{name}.cycles")
+            assert histogram.to_dict() == sketch.to_dict()
+        assert tracer._next_id == 6
+        if not keep_records:
+            assert tracer.to_state()["next_id"] == 6
+            assert storage.records == []
+
+    def test_mixed_sequence_payloads(self, sim):
+        _, _, storage = self._drive(sim, keep_records=True)
+        assert [
+            (r.cycle, r.component, r.event, r.payload) for r in storage.records
+        ] == [
+            (0.0, "span", "request.queue",
+             {"span_id": 1, "parent_id": 0, "end_cycle": 4.0, "batch": 1}),
+            (1.0, "span", "train.prefetch",
+             {"span_id": 3, "parent_id": None, "end_cycle": 3.5}),
+            (2.0, "span", "train.prefetch",
+             {"span_id": 4, "parent_id": None, "end_cycle": 2.0}),
+            (6.0, "span", "request.execute",
+             {"span_id": 2, "parent_id": 0, "end_cycle": 9.0,
+              "lane": 2, "rows": 8}),
+            (5.0, "span", "request.queue",
+             {"span_id": 5, "parent_id": 0, "end_cycle": 12.0}),
+            (0.0, "span", "request",
+             {"span_id": 0, "parent_id": None, "end_cycle": 12.0}),
+        ]
+
+    def test_record_returns_nothing(self, sim):
+        assert SpanTracer(sim).record("request", 0.0, 1.0) is None
+
+    def test_histogram_kind_claim_still_enforced(self, sim):
+        registry = MetricsRegistry()
+        registry.counter("span.x.cycles")
+        tracer = SpanTracer(sim, registry=registry)
+        with pytest.raises(ValueError, match="already registered"):
+            tracer.record("x", 0.0, 1.0)
