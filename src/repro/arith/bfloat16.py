@@ -14,14 +14,19 @@ def to_bfloat16(values: np.ndarray) -> np.ndarray:
 
     Uses round-to-nearest-even on the 16 truncated mantissa bits, the
     rounding mode hardware bfloat16 converters implement. NaN and inf
-    are preserved.
+    are preserved: like hardware converters, NaNs are quieted (bit 22
+    set) before truncation, so a payload held only in the dropped low
+    bits cannot turn into infinity.
     """
     x = np.asarray(values, dtype=np.float32)
     bits = x.view(np.uint32)
     # Round to nearest even: add 0x7FFF plus the LSB of the surviving
     # mantissa, then truncate.
-    rounding_bias = 0x7FFF + ((bits >> 16) & 1)
-    rounded = np.where(np.isnan(x), bits, bits + rounding_bias)
+    rounded = np.right_shift(bits, 16, out=np.empty_like(bits))
+    rounded &= 1
+    rounded += 0x7FFF
+    rounded += bits
+    np.bitwise_or(bits, np.uint32(0x00400000), out=rounded, where=np.isnan(x))
     return (rounded & np.uint32(0xFFFF0000)).view(np.float32)
 
 

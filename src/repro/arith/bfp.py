@@ -14,9 +14,8 @@ call, or use :func:`repro.kernels.set_backend` for the ambient default
 (the two are bit-identical by contract, so this only changes speed).
 """
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +41,8 @@ class BFPFormat:
     def __post_init__(self) -> None:
         if self.mantissa_bits < 2:
             raise ValueError("mantissa needs at least 2 bits")
+        if self.exponent_bits < 1:
+            raise ValueError("shared exponent needs at least 1 bit")
         if self.block_rows < 1 or self.block_cols < 1:
             raise ValueError("block dimensions must be positive")
 
@@ -67,30 +68,6 @@ class BFPFormat:
 
 
 BFP8 = BFPFormat(mantissa_bits=8, exponent_bits=12)
-
-
-@lru_cache(maxsize=None)
-def saturation_bounds(accumulator_bits: int) -> Tuple[int, int]:
-    """(lo, hi) clamp range of a signed saturating accumulator."""
-    return -(2 ** (accumulator_bits - 1)), 2 ** (accumulator_bits - 1) - 1
-
-
-@lru_cache(maxsize=512)
-def pow2_table(lo: int, hi: int) -> np.ndarray:
-    """Read-only float64 table of ``2.0**k`` for ``k`` in [lo, hi].
-
-    ``np.ldexp(1.0, k)`` equals Python's ``2.0**k`` bit for bit across
-    the representable range (exact powers of two, subnormals included;
-    underflow gives 0.0 either way), so kernels can replace per-tile
-    scalar powers with one memoized table lookup.
-    """
-    table = np.ldexp(1.0, np.arange(lo, hi + 1, dtype=np.int32))
-    table.setflags(write=False)
-    return table
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 class BlockFloatTensor:
@@ -127,6 +104,23 @@ class BlockFloatTensor:
     def tile_grid(self) -> tuple:
         """Number of tiles along each axis."""
         return self.exponents.shape
+
+    @property
+    def T(self) -> "BlockFloatTensor":
+        """The transpose, as views of the same mantissas and exponents.
+
+        Quantizing ``x.T`` gives exactly this tensor: each tile of the
+        transpose holds the same values, so it gets the same exponent
+        and the same (elementwise) rounding — for square tiles under
+        the same format, otherwise under the one with tile sides
+        swapped.
+        """
+        fmt = self.fmt
+        if fmt.block_rows != fmt.block_cols:
+            fmt = replace(fmt, block_rows=fmt.block_cols, block_cols=fmt.block_rows)
+        return BlockFloatTensor(
+            fmt, self.mantissas.T, self.exponents.T, self._logical_shape[::-1]
+        )
 
     @classmethod
     def from_float(

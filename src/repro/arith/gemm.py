@@ -5,13 +5,23 @@ functional model of the requested datapath encoding. The training
 substrate and the examples use this so that switching an experiment from
 fp32 to hbfp8 to bfloat16 is a one-argument change — exactly the
 comparison Figure 2 of the paper makes.
+
+Each encoding is one (encode, multiply) pair: :func:`encode` gives what
+the datapath stores for a tensor, :func:`multiply` multiplies two stored
+operands, and ``gemm(a, b)`` is ``multiply(encode(a), encode(b))``.
+Storing a tensor once lets a caller reuse it, and its transpose, in
+several products — the way :class:`repro.train.nn.Linear` reuses its
+forward operands in backward.
 """
+
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.arith.bfloat16 import to_bfloat16
+from repro.arith.bfp import BlockFloatTensor
 from repro.arith.fixed_point import FixedPointFormat, quantize_fixed_point
-from repro.arith.hbfp import HBFP8, HBFPConfig, hbfp_gemm
+from repro.arith.hbfp import HBFP8, HBFPConfig, hbfp_multiply
 
 
 def reference_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -21,37 +31,84 @@ def reference_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ).astype(np.float32)
 
 
-def bfloat16_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GEMM with bfloat16 operands and fp32 accumulation.
-
-    This is the TPU-style reference datapath the paper compares hbfp8
-    against: operands are rounded to bfloat16 before the multiply, and
-    products accumulate in fp32.
-    """
-    return reference_gemm(to_bfloat16(a), to_bfloat16(b))
+def _fp32(x: np.ndarray, config: HBFPConfig, backend: "str | None") -> np.ndarray:
+    return np.asarray(x, dtype=np.float32)
 
 
-def fixed8_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GEMM with per-tensor 8-bit fixed-point operands.
-
-    The inference-only baseline. Per-tensor (not per-tile) scaling makes
-    this encoding lose accuracy under the shifting value distributions of
-    training — the property that motivates HBFP.
-    """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    fmt_a = FixedPointFormat.for_range(float(np.abs(a).max()), total_bits=8)
-    fmt_b = FixedPointFormat.for_range(float(np.abs(b).max()), total_bits=8)
-    return reference_gemm(
-        quantize_fixed_point(a, fmt_a), quantize_fixed_point(b, fmt_b)
-    )
+def _bfloat16(
+    x: np.ndarray, config: HBFPConfig, backend: "str | None"
+) -> np.ndarray:
+    """The TPU-style reference datapath the paper compares hbfp8 against:
+    bfloat16 operands, products accumulated in fp32."""
+    return to_bfloat16(x)
 
 
-_GEMMS = {
-    "fp32": reference_gemm,
-    "bfloat16": bfloat16_gemm,
-    "fixed8": fixed8_gemm,
+def _fixed8(x: np.ndarray, config: HBFPConfig, backend: "str | None") -> np.ndarray:
+    """The inference-only baseline: one 8-bit fixed-point format per
+    tensor. Per-tensor (not per-tile) scaling loses accuracy under the
+    shifting value distributions of training — the property that
+    motivates HBFP."""
+    x = np.asarray(x, dtype=np.float32)
+    fmt = FixedPointFormat.for_range(float(np.abs(x).max()), total_bits=8)
+    return quantize_fixed_point(x, fmt)
+
+
+def _hbfp8(
+    x: np.ndarray, config: HBFPConfig, backend: "str | None"
+) -> BlockFloatTensor:
+    return BlockFloatTensor.from_float(x, config.bfp, backend=backend)
+
+
+def _fp32_multiply(
+    a: np.ndarray, b: np.ndarray, config: HBFPConfig, backend: "str | None"
+) -> np.ndarray:
+    return reference_gemm(a, b)
+
+
+_DATAPATHS: Dict[str, Tuple[Callable[..., Any], Callable[..., np.ndarray]]] = {
+    "fp32": (_fp32, _fp32_multiply),
+    "bfloat16": (_bfloat16, _fp32_multiply),
+    "fixed8": (_fixed8, _fp32_multiply),
+    "hbfp8": (_hbfp8, hbfp_multiply),
 }
+
+
+def _datapath(
+    encoding: str,
+) -> Tuple[Callable[..., Any], Callable[..., np.ndarray]]:
+    try:
+        return _DATAPATHS[encoding]
+    except KeyError:
+        raise KeyError(
+            f"unknown GEMM encoding {encoding!r}; choose from {sorted(_DATAPATHS)}"
+        ) from None
+
+
+def encode(
+    x: np.ndarray,
+    encoding: str = "fp32",
+    hbfp_config: HBFPConfig = HBFP8,
+    backend: "str | None" = None,
+) -> Any:
+    """What the ``encoding`` datapath stores for ``x``.
+
+    An fp32 array, a bfloat16-rounded array, a per-tensor fixed8 array,
+    or (``hbfp8``) a :class:`BlockFloatTensor` in ``hbfp_config.bfp``.
+    Every encoding commutes with transposition: ``encode(x).T`` is
+    ``encode(x.T)`` bit for bit.
+    """
+    return _datapath(encoding)[0](x, hbfp_config, backend)
+
+
+def multiply(
+    a: Any,
+    b: Any,
+    encoding: str = "fp32",
+    hbfp_config: HBFPConfig = HBFP8,
+    backend: "str | None" = None,
+) -> np.ndarray:
+    """The float32 product of two operands stored by :func:`encode`."""
+    return _datapath(encoding)[1](a, b, hbfp_config, backend)
 
 
 def gemm(
@@ -74,13 +131,10 @@ def gemm(
     Returns:
         The float32 product as computed by that datapath.
     """
-    if encoding == "hbfp8":
-        return hbfp_gemm(a, b, hbfp_config, backend=backend)
-    try:
-        fn = _GEMMS[encoding]
-    except KeyError:
-        raise KeyError(
-            f"unknown GEMM encoding {encoding!r}; choose from "
-            f"{sorted(_GEMMS) + ['hbfp8']}"
-        ) from None
-    return fn(a, b)
+    encode_, multiply_ = _datapath(encoding)
+    return multiply_(
+        encode_(a, hbfp_config, backend),
+        encode_(b, hbfp_config, backend),
+        hbfp_config,
+        backend,
+    )

@@ -22,7 +22,9 @@ class HBFPConfig:
     """Configuration for an HBFP GEMM pipeline.
 
     Attributes:
-        bfp: Block format used for GEMM operands.
+        bfp: Block format of every GEMM operand. Its tiles must be
+            square, so a tensor's transpose is stored in the same
+            format and one encoding serves both sides of a product.
         accumulator_bits: Systolic-array accumulator width.
         simd_in_bfloat16: Whether GEMM outputs are rounded to bfloat16
             (as they are on their way to Equinox's SIMD unit).
@@ -32,10 +34,36 @@ class HBFPConfig:
     accumulator_bits: int = 25
     simd_in_bfloat16: bool = True
 
+    def __post_init__(self) -> None:
+        if self.bfp.block_rows != self.bfp.block_cols:
+            raise ValueError(
+                f"HBFP needs square tiles, got "
+                f"{self.bfp.block_rows}x{self.bfp.block_cols}"
+            )
+
 
 #: The paper's hbfp8 operating point: 8-bit mantissas, 12-bit shared
 #: exponents, 25-bit accumulators, bfloat16 SIMD.
 HBFP8 = HBFPConfig()
+
+
+def hbfp_multiply(
+    a: BlockFloatTensor,
+    b: BlockFloatTensor,
+    config: HBFPConfig = HBFP8,
+    backend: "str | None" = None,
+) -> np.ndarray:
+    """Multiply two BFP-encoded operands through the HBFP datapath.
+
+    Integer tile GEMMs in ``config.accumulator_bits``-wide accumulators,
+    then the bfloat16 SIMD hand-off when the config asks for it.
+    """
+    out = bfp_matmul(
+        a, b, accumulator_bits=config.accumulator_bits, backend=backend
+    )
+    if config.simd_in_bfloat16:
+        out = to_bfloat16(out)
+    return out
 
 
 def hbfp_gemm(
@@ -46,27 +74,16 @@ def hbfp_gemm(
 ) -> np.ndarray:
     """Compute ``a @ b`` through the HBFP datapath.
 
-    Both operands are quantized to block floating point, multiplied with
-    integer tile GEMMs, and the result is rounded to bfloat16 (the SIMD
-    hand-off) when the config asks for it. ``backend`` pins the kernel
-    backend for all three steps (``None`` = ambient).
+    Both operands are quantized to ``config.bfp`` and multiplied with
+    :func:`hbfp_multiply`. ``backend`` pins the kernel backend for all
+    three steps (``None`` = ambient).
     """
-    a_fmt = config.bfp
-    # The reduction dimension of ``b`` must match ``a``'s tile width.
-    b_fmt = BFPFormat(
-        mantissa_bits=a_fmt.mantissa_bits,
-        exponent_bits=a_fmt.exponent_bits,
-        block_rows=a_fmt.block_cols,
-        block_cols=a_fmt.block_cols,
+    return hbfp_multiply(
+        BlockFloatTensor.from_float(a, config.bfp, backend=backend),
+        BlockFloatTensor.from_float(b, config.bfp, backend=backend),
+        config,
+        backend=backend,
     )
-    a_bfp = BlockFloatTensor.from_float(a, a_fmt, backend=backend)
-    b_bfp = BlockFloatTensor.from_float(b, b_fmt, backend=backend)
-    out = bfp_matmul(
-        a_bfp, b_bfp, accumulator_bits=config.accumulator_bits, backend=backend
-    )
-    if config.simd_in_bfloat16:
-        out = to_bfloat16(out)
-    return out
 
 
 def hbfp_quantization_noise(

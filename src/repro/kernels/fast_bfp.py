@@ -2,23 +2,19 @@
 
 Same semantics as :mod:`repro.kernels.ref_bfp`, engineered for speed:
 
-* ``matmul`` replaces the reference's (grid_m, grid_k, grid_n) Python
-  triple loop with one BLAS GEMM per K-strip plus vectorized
-  clip/scale/accumulate over the whole tile lattice. The GEMM runs in
-  float64: integer tile products are exactly representable there
-  whenever every K-block dot fits well under 2^53, so dgemm — with
-  whatever blocking/FMA order BLAS picks — reproduces the int64 GEMM
-  bit for bit (guard below; int64 fallback otherwise).
-* ``quantize``/``dequantize`` skip the padding copy when the shape is
-  tile-aligned, avoid the |x| temporary (``max(max, -min)`` is bit-equal
-  to ``abs().max()`` including signed zeros), round with ``np.rint``
-  (== ``np.round`` for whole numbers), and take power-of-two scales
-  from the memoized tables in :mod:`repro.arith.bfp` / ``np.ldexp``
-  (``ldexp(1.0, k) == exp2(k) == 2.0**k`` bit for bit across the
-  representable range — verified by the parity suite).
-* The stochastic path consumes exactly one
-  ``rng.random(padded_tile_shape)`` draw, same as the reference, so the
-  RNG stream position after a call is identical.
+* ``matmul`` multiplies the decoded float64 operands (``mantissa ×
+  2^(e − (m − 1))`` per tile) as one GEMM wherever
+  :func:`_one_gemm_is_exact` proves from the tile exponents that every
+  partial sum is exact, so that any BLAS summation order equals the
+  reference's ascending-K tile sum bit for bit; other inputs run the
+  reference loop.
+* ``quantize`` skips the padding copy when the shape is tile-aligned,
+  folds tile maxima over the rows of each tile band before the small
+  fold over columns (2–3× cheaper than ``max(axis=(1, 3))``), and
+  rounds and clamps in place. ``np.rint`` equals ``np.round`` for whole
+  numbers and ``np.ldexp`` equals ``np.exp2`` for powers of two. The
+  stochastic path consumes exactly one ``rng.random(padded_tile_shape)``
+  draw, as the reference does, leaving the RNG stream in the same place.
 
 Do not import this module outside ``repro.kernels`` and tests — call
 sites go through :func:`repro.kernels.dispatch` (lint rule EQX308).
@@ -28,13 +24,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.arith.bfp import pow2_table, saturation_bounds
+from repro.kernels import ref_bfp
 
 __all__ = ["quantize", "dequantize", "matmul"]
 
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+#: OpenBLAS runs a GEMM of at most 2^18 multiply-adds on one thread.
+#: Training-sized GEMMs gain nothing from a second thread, whose idle
+#: worker then spins on its core, so ``matmul`` issues its one product
+#: in row blocks under that size (any block order is exact).
+_BLOCK_MACS = 2**18
 
 
 def quantize(
@@ -47,37 +45,52 @@ def quantize(
     x = np.asarray(values, dtype=np.float64)
     rows, cols = x.shape
     br, bc = fmt.block_rows, fmt.block_cols
-    pad_rows = _ceil_div(rows, br) * br
-    pad_cols = _ceil_div(cols, bc) * bc
-    if (pad_rows, pad_cols) == (rows, cols):
+    grid_r, grid_c = -(-rows // br), -(-cols // bc)
+    if grid_r * br == rows and grid_c * bc == cols:
         padded = x  # tile-aligned: no padding copy needed (read-only use)
     else:
-        padded = np.zeros((pad_rows, pad_cols), dtype=np.float64)
+        padded = np.zeros((grid_r * br, grid_c * bc))
         padded[:rows, :cols] = x
 
-    tiles = padded.reshape(pad_rows // br, br, pad_cols // bc, bc)
-    max_abs = np.maximum(tiles.max(axis=(1, 3)), -tiles.min(axis=(1, 3)))
-    with np.errstate(divide="ignore"):
-        exponents = np.where(
-            max_abs > 0, np.ceil(np.log2(max_abs)), fmt.exponent_min
-        ).astype(np.int64)
-    np.clip(exponents, fmt.exponent_min, fmt.exponent_max, out=exponents)
+    # Tile maxima: fold each band of tile rows elementwise first (long
+    # contiguous inner loops), then the tile columns of the small result.
+    bands = np.abs(padded).reshape(grid_r, br, grid_c * bc)
+    max_abs = bands.max(axis=1).reshape(grid_r, grid_c, bc).max(axis=2)
+    nonzero = max_abs > 0
+    log2 = np.full(max_abs.shape, float(fmt.exponent_min))
+    np.log2(max_abs, out=log2, where=nonzero)
+    exponents = np.ceil(log2, out=log2).astype(np.int32)
+    np.maximum(exponents, fmt.exponent_min, out=exponents)
+    np.minimum(exponents, fmt.exponent_max, out=exponents)
 
-    scale = np.ldexp(
-        1.0, (exponents - (fmt.mantissa_bits - 1)).astype(np.int32)
-    )
-    safe_scale = np.where(max_abs > 0, scale, 1.0)
-    scaled = tiles / safe_scale[:, None, :, None]
+    # All-zero tiles divide by 1.0: their minimum-exponent scale can
+    # underflow to 0.0.
+    scale = np.ones(max_abs.shape)
+    np.ldexp(scale, exponents - (fmt.mantissa_bits - 1), out=scale, where=nonzero)
+    scaled = padded.reshape(grid_r, br, grid_c, bc) / scale[:, None, :, None]
     if rounding == "stochastic":
         rng = rng or np.random.default_rng()
         mant = np.floor(scaled)
-        frac = scaled - mant
-        mant += rng.random(scaled.shape) < frac
+        scaled -= mant  # the fractional parts
+        mant += rng.random(scaled.shape) < scaled
     else:
-        mant = np.rint(scaled)
-    np.clip(mant, fmt.mantissa_min, fmt.mantissa_max, out=mant)
-    mantissas = mant.reshape(pad_rows, pad_cols).astype(np.int32)
-    return mantissas, exponents.astype(np.int32), (rows, cols)
+        mant = np.rint(scaled, out=scaled)
+    np.maximum(mant, fmt.mantissa_min, out=mant)
+    mantissas = np.empty((grid_r * br, grid_c * bc), dtype=np.int32)
+    np.minimum(
+        mant.reshape(mantissas.shape), fmt.mantissa_max,
+        out=mantissas, casting="unsafe",
+    )
+    return mantissas, exponents, (rows, cols)
+
+
+def _decode(mantissas: np.ndarray, exponents: np.ndarray, fmt) -> np.ndarray:
+    """Padded float64 values of BFP tiles (exact unless out of range)."""
+    br, bc = fmt.block_rows, fmt.block_cols
+    pad_rows, pad_cols = mantissas.shape
+    scale = np.ldexp(1.0, exponents - (fmt.mantissa_bits - 1))
+    tiles = mantissas.reshape(pad_rows // br, br, pad_cols // bc, bc)
+    return (tiles * scale[:, None, :, None]).reshape(pad_rows, pad_cols)
 
 
 def dequantize(
@@ -87,15 +100,45 @@ def dequantize(
     logical_shape: Tuple[int, int],
 ) -> np.ndarray:
     """Vectorized BFP decode; see ``ref_bfp.dequantize``."""
-    br, bc = fmt.block_rows, fmt.block_cols
-    pad_rows, pad_cols = mantissas.shape
-    tiles = mantissas.reshape(pad_rows // br, br, pad_cols // bc, bc)
-    scale = np.ldexp(
-        1.0, (exponents.astype(np.int64) - (fmt.mantissa_bits - 1)).astype(np.int32)
-    )
-    decoded = tiles * scale[:, None, :, None]
     rows, cols = logical_shape
-    return decoded.reshape(pad_rows, pad_cols)[:rows, :cols].astype(np.float32)
+    return _decode(mantissas, exponents, fmt)[:rows, :cols].astype(np.float32)
+
+
+def _span(exponents: np.ndarray, fmt) -> Tuple[int, int]:
+    """(lowest, highest) exponent of the tiles that may be nonzero
+    (lowest > highest if none may). With 12 or more exponent bits,
+    ``exponent_min`` lies below float64's 2^-1074, so quantize gives it
+    to all-zero tiles and only to them; they decode to 0.0."""
+    if not exponents.size:
+        return 0, -1
+    lo, hi = int(exponents.min()), int(exponents.max())
+    if lo == fmt.exponent_min < -1074:
+        nonzero = exponents[exponents != lo]
+        lo = int(nonzero.min()) if nonzero.size else hi + 1
+    return lo, hi
+
+
+def _one_gemm_is_exact(a_exp, b_exp, a_fmt, b_fmt, accumulator_bits) -> bool:
+    """Whether one float64 GEMM of the decoded operands equals the
+    reference's tile sum bit for bit (argued in DESIGN.md, "Kernel
+    backends"): no tile product saturates, every nonzero product lies
+    on one 53-bit grid, and nothing leaves float64's range."""
+    shift = a_fmt.mantissa_bits - 1
+    if (
+        b_fmt.mantissa_bits - 1 != shift
+        or a_fmt.block_cols * 4**shift > 2 ** (accumulator_bits - 1) - 1
+    ):
+        return False
+    (a_lo, a_hi), (b_lo, b_hi) = _span(a_exp, a_fmt), _span(b_exp, b_fmt)
+    if a_lo > a_hi or b_lo > b_hi:  # an all-zero operand: so is the product
+        return max(a_hi, b_hi) <= 1023
+    k_bits = (a_exp.shape[1] * a_fmt.block_cols).bit_length()
+    return (
+        k_bits + 2 * shift + (a_hi - a_lo) + (b_hi - b_lo) <= 53
+        and min(a_lo, b_lo, a_lo + b_lo - shift) - shift >= -1074
+        and max(a_hi, b_hi) <= 1023
+        and k_bits + a_hi + b_hi <= 1024
+    )
 
 
 def matmul(
@@ -109,68 +152,22 @@ def matmul(
     logical_cols: int,
     accumulator_bits: int = 25,
 ) -> np.ndarray:
-    """Batched tile-lattice BFP matmul; see ``ref_bfp.matmul``.
-
-    One GEMM per K-strip over the full (M, N) plane, vectorized
-    saturation, and a broadcast per-tile power-of-two scale. Partial
-    strips accumulate into the output in ascending-K order — the same
-    per-element addition sequence as the reference triple loop, so
-    float results match bit for bit.
-    """
-    mant_bits = a_fmt.mantissa_bits
-    frac = 2 * (mant_bits - 1)
-    sat_lo, sat_hi = saturation_bounds(accumulator_bits)
-
-    br_a, k_blk = a_fmt.block_rows, a_fmt.block_cols
-    bc_b = b_fmt.block_cols
-    grid_m, grid_k = a_exp.shape
-    grid_k2, grid_n = b_exp.shape
-    if grid_k != grid_k2:
+    """One-GEMM BFP matmul; see ``ref_bfp.matmul``. Inputs that fail
+    :func:`_one_gemm_is_exact` run the reference loop."""
+    if a_exp.shape[1] != b_exp.shape[0]:
         raise ValueError("tile grids do not align along K")
-
-    # Exactness guard for the float64 GEMM: every partial sum of a
-    # K-block dot is bounded by k_blk * (2^(mant_bits-1))^2; while that
-    # stays under 2^52 every intermediate is an exactly-representable
-    # integer, so any BLAS summation order gives the exact result. The
-    # saturation bounds must also compare exactly as float64.
-    exact_f64 = (
-        k_blk * 4 ** (mant_bits - 1) < 2**52 and accumulator_bits <= 50
-    )
-    if exact_f64:
-        a_m = a_mant.astype(np.float64)
-        b_m = b_mant.astype(np.float64)
-    else:
-        a_m = a_mant.astype(np.int64)
-        b_m = b_mant.astype(np.int64)
-
-    out = np.zeros((grid_m * br_a, grid_n * bc_b), dtype=np.float64)
-    out_tiles = out.reshape(grid_m, br_a, grid_n, bc_b)
-    if min(grid_m, grid_k, grid_n) == 0:
-        return out[:logical_rows, :logical_cols].astype(np.float32)
-
-    # Memoized 2.0**k table spanning the exponent sums actually present
-    # (keyed on the span, so steady-state workloads hit the cache). The
-    # reference's Python ``2.0 ** e`` raises OverflowError past float64
-    # range; mirror that here (unreachable for data that came through
-    # quantize, but keeps the backends aligned).
-    a_e = a_exp.astype(np.int64)
-    b_e = b_exp.astype(np.int64)
-    s_min = int(a_e.min()) + int(b_e.min()) - frac
-    s_max = int(a_e.max()) + int(b_e.max()) - frac
-    if s_max > 1023:
-        raise OverflowError("tile exponent sum exceeds float64 range")
-    table = pow2_table(s_min, s_max)
-    for km in range(grid_k):
-        prods = (
-            a_m[:, km * k_blk : (km + 1) * k_blk]
-            @ b_m[km * k_blk : (km + 1) * k_blk, :]
+    if not _one_gemm_is_exact(a_exp, b_exp, a_fmt, b_fmt, accumulator_bits):
+        return ref_bfp.matmul(
+            a_mant, a_exp, b_mant, b_exp, a_fmt, b_fmt,
+            logical_rows, logical_cols, accumulator_bits=accumulator_bits,
         )
-        np.clip(prods, sat_lo, sat_hi, out=prods)
-        exp_sum = a_e[:, km][:, None] + b_e[km, :][None, :] - frac
-        scale = table[exp_sum - s_min]
-        out_tiles += (
-            prods.reshape(grid_m, br_a, grid_n, bc_b)
-            * scale[:, None, :, None]
-        )
-
-    return out[:logical_rows, :logical_cols].astype(np.float32)
+    a = _decode(a_mant, a_exp, a_fmt)[:logical_rows]
+    b = _decode(b_mant, b_exp, b_fmt)[:, :logical_cols]
+    product = np.empty((logical_rows, logical_cols))
+    rows = max(1, _BLOCK_MACS // max(1, a.shape[1] * logical_cols))
+    for i in range(0, logical_rows, rows):
+        np.matmul(a[i : i + rows], b, out=product[i : i + rows])
+    # Adding +0.0 turns -0.0, which a GEMM can return for all -0.0
+    # products, into the +0.0 the reference (summing from +0.0) gives.
+    out = np.empty((logical_rows, logical_cols), dtype=np.float32)
+    return np.add(product, 0.0, out=out, casting="same_kind")

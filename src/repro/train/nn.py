@@ -1,19 +1,25 @@
 """Minimal neural-network layers over encoding-dispatched GEMM.
 
 Every matrix multiplication — forward activations, input gradients,
-weight gradients — goes through :func:`repro.arith.gemm.gemm` under the
-layer's configured encoding, mirroring how Equinox's MMU would execute
+weight gradients — runs under the layer's configured encoding through
+:mod:`repro.arith.gemm`, mirroring how Equinox's MMU would execute
 them; elementwise work runs in bfloat16 when the encoding is hbfp8
 (the SIMD unit's precision) and master weights stay in fp32, exactly
 the HBFP training recipe.
+
+Each GEMM operand is encoded once per step, as the datapath stores it:
+:class:`Linear` encodes X and W in forward and dY in backward, and
+backward multiplies the forward encodings (and their transposes). The
+weights must therefore not change between a forward and its backward;
+:class:`repro.train.trainer.Trainer` updates them only after backward.
 """
 
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arith.bfloat16 import to_bfloat16
-from repro.arith.gemm import gemm
+from repro.arith.gemm import encode, multiply
 
 
 def _simd_round(x: np.ndarray, encoding: str) -> np.ndarray:
@@ -69,22 +75,27 @@ class Linear(Module):
         self.encoding = encoding
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
-        self._input: Optional[np.ndarray] = None
+        # Forward's encoded X and W, reused by backward.
+        self._operands: Optional[Tuple[Any, Any]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input = np.asarray(x, dtype=np.float32)
-        out = gemm(self._input, self.weight, self.encoding) + self.bias
+        x_enc = encode(np.asarray(x, dtype=np.float32), self.encoding)
+        w_enc = encode(self.weight, self.encoding)
+        self._operands = (x_enc, w_enc)
+        out = multiply(x_enc, w_enc, self.encoding) + self.bias
         return _simd_round(out, self.encoding)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._input is None:
+        if self._operands is None:
             raise RuntimeError("backward before forward")
+        x_enc, w_enc = self._operands
         grad = np.asarray(grad, dtype=np.float32)
+        dy_enc = encode(grad, self.encoding)
         # Weight gradient: X^T @ dY through the quantized datapath.
-        self.grad_weight = gemm(self._input.T, grad, self.encoding)
+        self.grad_weight = multiply(x_enc.T, dy_enc, self.encoding)
         self.grad_bias = grad.sum(axis=0)
         # Input gradient: dY @ W^T through the quantized datapath.
-        return gemm(grad, self.weight.T, self.encoding)
+        return multiply(dy_enc, w_enc.T, self.encoding)
 
     def parameters(self) -> List[np.ndarray]:
         return [self.weight, self.bias]

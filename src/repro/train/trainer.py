@@ -40,6 +40,10 @@ class TrainingCurve:
 class Trainer:
     """SGD classification trainer over the quantized-GEMM layers.
 
+    Each step runs forward, backward, then the optimizer: the weights
+    change only after backward, which multiplies the operands its
+    forward encoded (see :mod:`repro.train.nn`).
+
     Args:
         model: The network (built with the desired GEMM encoding).
         optimizer: Parameter updater (fp32 masters).

@@ -30,6 +30,22 @@ class TestToBfloat16:
     def test_preserves_nan(self):
         assert np.isnan(to_bfloat16(np.float32(np.nan)))
 
+    @pytest.mark.parametrize(
+        "bits, expected",
+        [
+            (0x7F800001, 0x7FC00000),  # payload only in the dropped bits
+            (0xFF800001, 0xFFC00000),
+            (0x7F80FFFF, 0x7FC00000),
+            (0x7FC00000, 0x7FC00000),  # np.nan itself is unchanged
+        ],
+        ids=lambda bits: f"{bits:#010x}",
+    )
+    def test_quiets_nan_instead_of_truncating_to_infinity(self, bits, expected):
+        x = np.array([bits], dtype=np.uint32).view(np.float32)
+        out = to_bfloat16(x)
+        assert np.isnan(out[0])
+        assert out.view(np.uint32)[0] == expected
+
     def test_preserves_infinities(self):
         assert to_bfloat16(np.float32(np.inf)) == np.inf
         assert to_bfloat16(np.float32(-np.inf)) == -np.inf

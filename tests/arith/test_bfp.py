@@ -36,6 +36,11 @@ class TestBFPFormat:
         with pytest.raises(ValueError):
             BFPFormat(block_rows=0)
 
+    @pytest.mark.parametrize("exponent_bits", [0, -3])
+    def test_rejects_exponent_without_bits(self, exponent_bits):
+        with pytest.raises(ValueError):
+            BFPFormat(exponent_bits=exponent_bits)
+
 
 class TestEncodeDecode:
     def test_zero_tensor_roundtrips_exactly(self):
@@ -57,6 +62,27 @@ class TestEncodeDecode:
         bfp = BlockFloatTensor.from_float(x, BFPFormat(block_rows=4, block_cols=4))
         assert bfp.shape == (5, 7)
         assert bfp.to_float().shape == (5, 7)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (17, 23), (33, 18), (16, 48)])
+    @pytest.mark.parametrize(
+        "fmt", [BFPFormat(), BFPFormat(block_rows=4, block_cols=4),
+                BFPFormat(mantissa_bits=5, block_rows=3, block_cols=2)],
+        ids=["16x16", "4x4", "3x2"],
+    )
+    def test_transpose_equals_quantized_transpose(self, shape, fmt):
+        x = np.random.default_rng(9).standard_normal(shape)
+        x[: shape[0] // 2] = 0.0  # whole tiles of zeros
+        x[:, -1] *= 1e3  # tiles of very different scale
+        t = BlockFloatTensor.from_float(x, fmt).T
+        direct = BlockFloatTensor.from_float(
+            x.T, BFPFormat(fmt.mantissa_bits, fmt.exponent_bits,
+                           fmt.block_cols, fmt.block_rows),
+        )
+        assert t.shape == direct.shape == shape[::-1]
+        assert t.fmt == direct.fmt
+        np.testing.assert_array_equal(t.mantissas, direct.mantissas)
+        np.testing.assert_array_equal(t.exponents, direct.exponents)
+        np.testing.assert_array_equal(t.to_float(), direct.to_float())
 
     def test_tile_grid_dimensions(self):
         x = np.zeros((9, 5), dtype=np.float32)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.arith.gemm import bfloat16_gemm, fixed8_gemm, gemm, reference_gemm
+from repro.arith.gemm import encode, gemm, multiply, reference_gemm
+
+ENCODINGS = ["fp32", "bfloat16", "fixed8", "hbfp8"]
 
 
 @pytest.fixture
@@ -39,6 +41,33 @@ class TestDispatch:
             assert gemm(a, b, encoding).dtype == np.float32
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float32).view(np.uint32)
+
+
+class TestEncodeMultiply:
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_gemm_multiplies_the_encoded_operands(self, operands, encoding):
+        a, b = operands
+        stored = multiply(encode(a, encoding), encode(b, encoding), encoding)
+        np.testing.assert_array_equal(_bits(gemm(a, b, encoding)), _bits(stored))
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_transposed_encoding_equals_encoded_transpose(self, operands, encoding):
+        a, _ = operands
+        a = a.copy()
+        a[:16, :16] = 0.0  # a whole zero tile under hbfp8
+        a_enc = encode(a, encoding)
+        np.testing.assert_array_equal(
+            _bits(multiply(a_enc.T, a_enc, encoding)),
+            _bits(gemm(a.T, a, encoding)),
+        )
+
+    def test_unknown_encoding_raises_on_encode(self, operands):
+        with pytest.raises(KeyError, match="fixed8"):
+            encode(operands[0], "int4")
+
+
 class TestEncodingAccuracyOrdering:
     def test_hbfp8_beats_fixed8_on_mixed_scales(self):
         """HBFP's per-tile exponents absorb dynamic range that a single
@@ -53,7 +82,7 @@ class TestEncodingAccuracyOrdering:
         exact = reference_gemm(a, b)
         clean = slice(16, None)  # rows whose tiles exclude the outlier
         err_hbfp = np.abs(gemm(a, b, "hbfp8")[clean] - exact[clean]).max()
-        err_fixed = np.abs(fixed8_gemm(a, b)[clean] - exact[clean]).max()
+        err_fixed = np.abs(gemm(a, b, "fixed8")[clean] - exact[clean]).max()
         assert err_hbfp < err_fixed / 5
 
     def test_bfloat16_error_bounded(self):
@@ -61,6 +90,6 @@ class TestEncodingAccuracyOrdering:
         a = rng.standard_normal((16, 64)).astype(np.float32)
         b = rng.standard_normal((64, 16)).astype(np.float32)
         exact = reference_gemm(a, b)
-        err = np.abs(bfloat16_gemm(a, b) - exact).max()
+        err = np.abs(gemm(a, b, "bfloat16") - exact).max()
         # Two operands at 2^-8 relative error over the reduction.
         assert err <= 3 * 2.0**-8 * 64 * np.abs(a).max() * np.abs(b).max() / 8

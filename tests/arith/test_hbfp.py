@@ -48,6 +48,10 @@ class TestHBFPGemm:
         # Smaller tiles -> tighter exponents -> at least as accurate.
         assert np.abs(out - exact).max() / np.abs(exact).max() < 0.05
 
+    def test_rejects_non_square_tiles(self):
+        with pytest.raises(ValueError, match="square"):
+            HBFPConfig(bfp=BFPFormat(block_rows=4, block_cols=8))
+
     def test_default_config_is_paper_operating_point(self):
         assert HBFP8.bfp.mantissa_bits == 8
         assert HBFP8.bfp.exponent_bits == 12

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.kernels import parity
+from repro.kernels import parity, ref_bfp
 
 _CASES = parity.corpus()
 
@@ -33,7 +33,7 @@ class TestCorpusShape:
             "quantize/unit-blocks/nearest",  # 1x1 blocks
             "quantize/ragged/stochastic",    # shape % block != 0
             "quantize/all-zero/nearest",     # all-zero tiles
-            "matmul/int64-fallback",         # off the float64 GEMM
+            "matmul/wide-mantissa",          # never one float64 GEMM
             "matmul/saturating",             # accumulator clamp
             "systolic/1x1",
             "im2col/1x1",
@@ -81,6 +81,50 @@ class TestDiffPrimitive:
         a = np.zeros((2, 3))
         assert any("shape" in p for p in parity._diff("x", a, a.T))
 
+    def test_sign_of_zero_counts(self):
+        assert parity._diff("x", np.array([0.0]), np.array([-0.0])) != []
+
+    def test_identical_nans_match(self):
+        nan = np.array([np.nan], dtype=np.float32)
+        assert parity._diff("x", nan, nan.copy()) == []
+
     def test_scalar_payloads_compare_by_equality(self):
         assert parity._diff("cycles", 7, 7) == []
         assert parity._diff("cycles", 7, 8) != []
+
+
+class TestSingleGemmEdges:
+    """The matmul cases at the edges of the fast arm's single float64
+    GEMM: pin which side of its exactness guard each one lands on, so
+    the corpus keeps exercising both the GEMM and the reference loop."""
+
+    @pytest.mark.parametrize(
+        "name, one_gemm",
+        [
+            ("matmul/fig2-ish", True),
+            ("matmul/spread-under-budget", True),
+            ("matmul/spread-at-budget", True),
+            ("matmul/spread-over-budget", False),
+            ("matmul/zero-row-negative-column", True),
+            ("matmul/subnormal", False),
+            ("matmul/subnormal-times-huge", True),
+            ("matmul/ragged-k", True),
+            ("matmul/narrow-exponent-zero-blocks", False),
+            ("matmul/saturating", False),
+            ("matmul/wide-mantissa", False),
+        ],
+    )
+    def test_path(self, name, one_gemm, monkeypatch):
+        fallbacks = []
+        reference_matmul = ref_bfp.matmul
+
+        def counting(*args, **kwargs):
+            fallbacks.append(1)
+            return reference_matmul(*args, **kwargs)
+
+        monkeypatch.setattr(ref_bfp, "matmul", counting)
+        case = next(case for case in _CASES if case.name == name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            case.run("fast")
+        assert (fallbacks == []) == one_gemm
