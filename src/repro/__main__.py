@@ -9,8 +9,6 @@
     python -m repro chaos --seed 7 --jobs auto --report-dir artifacts
     python -m repro serve --fleet 16 --tenants 3 --report-dir artifacts
     python -m repro sweep --jobs 8 --report-dir artifacts
-    python -m repro bench --out-dir artifacts
-    python -m repro fig2 --kernel-backend reference
     python -m repro metrics smoke --out artifacts/smoke.json
     python -m repro metrics validate artifacts/smoke.json
 
@@ -26,11 +24,10 @@ codebase lint (see :mod:`repro.analysis`); ``chaos`` runs the seeded
 fault-injection scenario matrix (see :mod:`repro.faults.chaos`) and
 prints the degradation table with its determinism self-check; ``serve``
 runs the multi-tenant fleet-serving matrix (see :mod:`repro.serve`) and
-emits the ``repro.serve/fleet-report/v1`` artifact; ``sweep``
-and ``bench`` are the execution engine's own entry points (design-space
-sweep and the pinned perf-trajectory suite, see :mod:`repro.exec.cli`);
-``metrics`` dumps, validates and diffs run artifacts (see
-:mod:`repro.obs.cli`).
+emits the ``repro.serve/fleet-report/v1`` artifact; ``sweep`` is the
+execution engine's own entry point (the design-space sweep, see
+:mod:`repro.exec.cli`); ``metrics`` dumps, validates and diffs run
+artifacts (see :mod:`repro.obs.cli`).
 """
 
 import argparse
@@ -240,15 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exec_cli.add_sweep_arguments(sweep)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="pinned perf-trajectory benchmark suite",
-        description="Time the pinned kernel suite and write a "
-        "schema-validated BENCH_<rev>.json artifact for "
-        "revision-over-revision performance tracking.",
-    )
-    exec_cli.add_bench_arguments(bench)
-
     metrics = subparsers.add_parser(
         "metrics",
         help="dump, validate and diff structured run artifacts",
@@ -264,13 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-
-    # --kernel-backend (on every subcommand that takes executor flags)
-    # pins the repro.kernels backend process-wide before any experiment
-    # code runs; backends are bit-identical, so artifacts cannot differ.
-    from repro.exec import cli as exec_cli
-
-    exec_cli.apply_kernel_backend(args)
 
     # SIGINT/SIGTERM unwind through ShutdownRequested at the next job
     # boundary (after its journal append): final checkpoint + partial
@@ -309,8 +290,6 @@ def _dispatch(args, shutdown) -> int:
         return analysis_cli.run(args)
     if args.command == "sweep":
         return exec_cli.run_sweep(args, shutdown=shutdown)
-    if args.command == "bench":
-        return exec_cli.run_bench(args)
     if args.command == "chaos":
         # Imported lazily: chaos pulls in the cluster layer, which the
         # experiment subcommands never need.

@@ -2,9 +2,9 @@
 
 The interprocedural effect analysis (:mod:`repro.analysis.effects`)
 propagates nondeterminism and I/O effects through the call graph; some
-effects are *deliberate* — the bench harness times kernels against the
-wall clock, the scheduler probe crashes workers on purpose, the result
-cache writes files atomically. Blanket suppression comments would hide
+effects are *deliberate* — the scheduler probe sleeps and crashes
+workers on purpose, the kill-switch drill SIGKILLs its own process, a
+memo keys its slots by ``id()``. Blanket suppression comments would hide
 future regressions in the same function, so the escape hatch is
 declarative and effect-scoped instead:
 
@@ -24,8 +24,8 @@ module — so annotated code pays nothing at call time and the analyzer
 never has to import the code under analysis.
 
 This module must stay import-free of the rest of ``repro``: audited
-modules live in ``repro.exec``, ``repro.obs`` and ``repro.kernels``,
-and the annotation import must never create a cycle.
+modules live across the package, and the annotation import must never
+create a cycle.
 
 Effect names are validated against :data:`KNOWN_EFFECTS` (mirrored by
 ``repro.analysis.effects.EFFECTS``) so a typo like ``"wallclock"``

@@ -15,8 +15,7 @@ parsed module. Shipping rules:
   ``repro.core``, which must stay bit-reproducible (errors). Outside
   those packages, wall-clock and ``uuid4``/``uuid1`` calls are still
   reported as warnings unless the module is on the audited timing
-  allowlist (``exec.bench``, ``obs.profile``, ``exec.tasks``,
-  ``__main__``).
+  allowlist (``obs.profile``, ``exec.tasks``, ``__main__``).
 * **EQX303 swallowed-exception** — bare ``except:`` and
   ``except Exception: pass`` handlers.
 * **EQX304 unused-import** — imports never referenced in the module.
@@ -39,9 +38,8 @@ parsed module. Shipping rules:
   ``repro.kernels.ref_*`` / ``fast_*`` implementation modules outside
   the kernels package (and its tests). The dispatch registry is the
   only sanctioned entry point: a direct import pins one backend
-  forever, skipping ``set_backend``/``REPRO_KERNEL_BACKEND``, the
-  per-call ``backend=`` opt-out and the dispatch counters that run
-  artifacts embed.
+  forever, skipping ``use_backend`` and the dispatch counters that the
+  end-to-end benchmark reads.
 * **EQX309 direct-heapq** — ``heapq`` imported outside ``repro.sim``
   (and tests). The simulator owns the event heap; a second heap
   elsewhere schedules work the engine cannot order, cancel, count in
@@ -182,9 +180,9 @@ class NondeterminismRule(LintRule):
     Inside the deterministic packages (``repro.sim``/``hw``/``core``)
     every wall-clock read and unseeded-RNG draw is an **error**. Outside
     them, wall-clock and uuid calls still surface — as **warnings** —
-    unless the module is on the audited allowlist (the bench timing
-    harness, the profiler whose clock is injectable, the deliberately
-    impure exec probe, and the CLI's progress timers).
+    unless the module is on the audited allowlist (the profiler whose
+    clock is injectable, the deliberately impure exec probe, and the
+    CLI's progress timers).
     """
 
     rule = rules.NONDETERMINISM
@@ -205,7 +203,6 @@ class NondeterminismRule(LintRule):
     }
     #: Modules audited to read the wall clock: measurement is their job.
     _AUDITED_MODULES = (
-        "repro/exec/bench.py",    # kernel timing harness
         "repro/obs/profile.py",   # profiler (clock is an injectable arg)
         "repro/exec/tasks.py",    # exec_probe sleeps on request
         "repro/__main__.py",      # CLI progress timers
@@ -239,8 +236,8 @@ class NondeterminismRule(LintRule):
                         self.rule,
                         f"{name}() reads the wall clock outside the "
                         "audited timing modules — route timing through "
-                        "repro.obs.profile or repro.exec.bench, or add "
-                        "the module to the audited allowlist",
+                        "repro.obs.profile, or add the module to the "
+                        "audited allowlist",
                         file=context.path, line=node.lineno,
                         severity=Severity.WARNING,
                     ))
@@ -563,9 +560,9 @@ class KernelImplImportRule(LintRule):
                 diags.append(rules.diagnostic(
                     self.rule,
                     f"direct import of {dotted} bypasses the kernel "
-                    "dispatch registry (backend pin, per-call opt-out "
-                    "and dispatch counters stop applying) — use the "
-                    "public wrappers or repro.kernels.dispatch()",
+                    "dispatch registry (use_backend and the dispatch "
+                    "counters stop applying) — use the public wrappers "
+                    "or repro.kernels.dispatch()",
                     file=context.path, line=node.lineno,
                 ))
         return diags

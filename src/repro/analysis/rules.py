@@ -149,10 +149,10 @@ ADHOC_CONFIG_DUMP = _register(Rule(
 KERNEL_IMPL_IMPORT = _register(Rule(
     "EQX308", "kernel-impl-import", Severity.ERROR,
     "Importing repro.kernels.ref_* / fast_* implementation modules "
-    "outside the kernels package bypasses the dispatch registry: the "
-    "backend pin, the per-call opt-out and the dispatch counters all "
-    "stop applying — call the public wrappers (bfp_matmul, im2col, "
-    "SystolicArray.run...) or kernels.dispatch() instead.",
+    "outside the kernels package bypasses the dispatch registry: "
+    "use_backend and the dispatch counters stop applying — call the "
+    "public wrappers (BlockFloatTensor.from_float, bfp_matmul) or "
+    "kernels.dispatch() instead.",
 ))
 DIRECT_HEAPQ = _register(Rule(
     "EQX309", "direct-heapq", Severity.ERROR,

@@ -7,11 +7,12 @@ datapath: 8-bit mantissas, a 12-bit exponent per tile, and tile-tile
 matrix multiplication performed as an integer GEMM plus an exponent add
 (paper §3.2).
 
-The numerical work lives in :mod:`repro.kernels` as reference/fast
-implementation pairs; the entry points here validate arguments and
-dispatch. Pass ``backend="reference"`` / ``backend="fast"`` to pin one
-call, or use :func:`repro.kernels.set_backend` for the ambient default
-(the two are bit-identical by contract, so this only changes speed).
+Quantization and the tile GEMM live in :mod:`repro.kernels` as
+reference/fast implementation pairs; the entry points here validate
+arguments and dispatch. :func:`repro.kernels.use_backend` picks the
+pair member for a scope (the two are bit-identical by contract, so it
+only changes speed). Decoding has one implementation,
+:func:`decode_tiles`, shared with the fast GEMM.
 """
 
 from dataclasses import dataclass, replace
@@ -68,6 +69,18 @@ class BFPFormat:
 
 
 BFP8 = BFPFormat(mantissa_bits=8, exponent_bits=12)
+
+
+def decode_tiles(
+    mantissas: np.ndarray, exponents: np.ndarray, fmt: BFPFormat
+) -> np.ndarray:
+    """Padded float64 values of BFP tiles: ``mantissa × 2^(e − (m − 1))``
+    per tile (exact unless out of float64's range)."""
+    br, bc = fmt.block_rows, fmt.block_cols
+    pad_rows, pad_cols = mantissas.shape
+    scale = np.ldexp(1.0, exponents - (fmt.mantissa_bits - 1))
+    tiles = mantissas.reshape(pad_rows // br, br, pad_cols // bc, bc)
+    return (tiles * scale[:, None, :, None]).reshape(pad_rows, pad_cols)
 
 
 class BlockFloatTensor:
@@ -129,7 +142,6 @@ class BlockFloatTensor:
         fmt: BFPFormat = BFP8,
         rounding: str = "nearest",
         rng: "np.random.Generator | None" = None,
-        backend: "str | None" = None,
     ) -> "BlockFloatTensor":
         """Quantize a float array into BFP.
 
@@ -148,8 +160,6 @@ class BlockFloatTensor:
             rng: Randomness source for stochastic rounding (a default
                 generator is created when omitted). Both kernel
                 backends consume the stream identically.
-            backend: Kernel backend override for this call
-                (``"reference"`` / ``"fast"``; ``None`` = ambient).
         """
         x = np.asarray(values, dtype=np.float64)
         if x.ndim != 2:
@@ -158,20 +168,17 @@ class BlockFloatTensor:
             raise ValueError(f"unknown rounding mode {rounding!r}")
         from repro import kernels
 
-        quantize = kernels.dispatch("bfp.quantize", backend)
+        quantize = kernels.dispatch("bfp.quantize")
         mantissas, exponents, logical_shape = quantize(
             x, fmt, rounding=rounding, rng=rng
         )
         return cls(fmt, mantissas, exponents, logical_shape)
 
-    def to_float(self, backend: "str | None" = None) -> np.ndarray:
+    def to_float(self) -> np.ndarray:
         """Decode back to float32 (logical shape, padding stripped)."""
-        from repro import kernels
-
-        dequantize = kernels.dispatch("bfp.dequantize", backend)
-        return dequantize(
-            self.mantissas, self.exponents, self.fmt, self._logical_shape
-        )
+        rows, cols = self._logical_shape
+        decoded = decode_tiles(self.mantissas, self.exponents, self.fmt)
+        return decoded[:rows, :cols].astype(np.float32)
 
     def storage_bits(self) -> int:
         """Total storage footprint in bits (mantissas + shared exponents)."""
@@ -186,20 +193,15 @@ class BlockFloatTensor:
         return float(np.abs(self.to_float() - np.asarray(reference, np.float32)).max())
 
 
-def quantize_bfp(
-    values: np.ndarray, fmt: BFPFormat = BFP8, backend: "str | None" = None
-) -> np.ndarray:
+def quantize_bfp(values: np.ndarray, fmt: BFPFormat = BFP8) -> np.ndarray:
     """Round-trip a float array through BFP (quantize-dequantize)."""
-    return BlockFloatTensor.from_float(values, fmt, backend=backend).to_float(
-        backend=backend
-    )
+    return BlockFloatTensor.from_float(values, fmt).to_float()
 
 
 def bfp_matmul(
     a: BlockFloatTensor,
     b: BlockFloatTensor,
     accumulator_bits: int = 25,
-    backend: "str | None" = None,
 ) -> np.ndarray:
     """Multiply two BFP tensors the way Equinox's systolic arrays do.
 
@@ -210,7 +212,8 @@ def bfp_matmul(
     accumulation after the exponent-synchronizing FIFO (paper §3.2).
 
     Requires ``a.fmt.block_cols == b.fmt.block_rows`` so tiles align
-    along the reduction dimension.
+    along the reduction dimension, and one mantissa width on both sides
+    (each tile product is scaled by ``2^(e_a + e_b − 2(m − 1))``).
 
     Returns the float32 product with logical shape (a.rows, b.cols).
     """
@@ -218,9 +221,14 @@ def bfp_matmul(
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     if a.fmt.block_cols != b.fmt.block_rows:
         raise ValueError("tile reduction dimensions must align")
+    if a.fmt.mantissa_bits != b.fmt.mantissa_bits:
+        raise ValueError(
+            f"mantissa widths differ: {a.fmt.mantissa_bits} @ "
+            f"{b.fmt.mantissa_bits} bits"
+        )
     from repro import kernels
 
-    matmul = kernels.dispatch("bfp.matmul", backend)
+    matmul = kernels.dispatch("bfp.matmul")
     return matmul(
         a.mantissas,
         a.exponents,

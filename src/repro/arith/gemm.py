@@ -31,19 +31,17 @@ def reference_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ).astype(np.float32)
 
 
-def _fp32(x: np.ndarray, config: HBFPConfig, backend: "str | None") -> np.ndarray:
+def _fp32(x: np.ndarray, config: HBFPConfig) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
 
 
-def _bfloat16(
-    x: np.ndarray, config: HBFPConfig, backend: "str | None"
-) -> np.ndarray:
+def _bfloat16(x: np.ndarray, config: HBFPConfig) -> np.ndarray:
     """The TPU-style reference datapath the paper compares hbfp8 against:
     bfloat16 operands, products accumulated in fp32."""
     return to_bfloat16(x)
 
 
-def _fixed8(x: np.ndarray, config: HBFPConfig, backend: "str | None") -> np.ndarray:
+def _fixed8(x: np.ndarray, config: HBFPConfig) -> np.ndarray:
     """The inference-only baseline: one 8-bit fixed-point format per
     tensor. Per-tensor (not per-tile) scaling loses accuracy under the
     shifting value distributions of training — the property that
@@ -53,14 +51,12 @@ def _fixed8(x: np.ndarray, config: HBFPConfig, backend: "str | None") -> np.ndar
     return quantize_fixed_point(x, fmt)
 
 
-def _hbfp8(
-    x: np.ndarray, config: HBFPConfig, backend: "str | None"
-) -> BlockFloatTensor:
-    return BlockFloatTensor.from_float(x, config.bfp, backend=backend)
+def _hbfp8(x: np.ndarray, config: HBFPConfig) -> BlockFloatTensor:
+    return BlockFloatTensor.from_float(x, config.bfp)
 
 
 def _fp32_multiply(
-    a: np.ndarray, b: np.ndarray, config: HBFPConfig, backend: "str | None"
+    a: np.ndarray, b: np.ndarray, config: HBFPConfig
 ) -> np.ndarray:
     return reference_gemm(a, b)
 
@@ -85,10 +81,7 @@ def _datapath(
 
 
 def encode(
-    x: np.ndarray,
-    encoding: str = "fp32",
-    hbfp_config: HBFPConfig = HBFP8,
-    backend: "str | None" = None,
+    x: np.ndarray, encoding: str = "fp32", hbfp_config: HBFPConfig = HBFP8
 ) -> Any:
     """What the ``encoding`` datapath stores for ``x``.
 
@@ -97,7 +90,7 @@ def encode(
     Every encoding commutes with transposition: ``encode(x).T`` is
     ``encode(x.T)`` bit for bit.
     """
-    return _datapath(encoding)[0](x, hbfp_config, backend)
+    return _datapath(encoding)[0](x, hbfp_config)
 
 
 def multiply(
@@ -105,10 +98,9 @@ def multiply(
     b: Any,
     encoding: str = "fp32",
     hbfp_config: HBFPConfig = HBFP8,
-    backend: "str | None" = None,
 ) -> np.ndarray:
     """The float32 product of two operands stored by :func:`encode`."""
-    return _datapath(encoding)[1](a, b, hbfp_config, backend)
+    return _datapath(encoding)[1](a, b, hbfp_config)
 
 
 def gemm(
@@ -116,7 +108,6 @@ def gemm(
     b: np.ndarray,
     encoding: str = "fp32",
     hbfp_config: HBFPConfig = HBFP8,
-    backend: "str | None" = None,
 ) -> np.ndarray:
     """Compute ``a @ b`` under the named datapath encoding.
 
@@ -125,16 +116,11 @@ def gemm(
         b: Right operand, shape (K, N).
         encoding: One of ``fp32``, ``bfloat16``, ``fixed8``, ``hbfp8``.
         hbfp_config: Block format used when ``encoding == "hbfp8"``.
-        backend: Kernel backend override, honored by the ``hbfp8``
-            datapath (the other encodings have no kernel pairs).
 
     Returns:
         The float32 product as computed by that datapath.
     """
     encode_, multiply_ = _datapath(encoding)
     return multiply_(
-        encode_(a, hbfp_config, backend),
-        encode_(b, hbfp_config, backend),
-        hbfp_config,
-        backend,
+        encode_(a, hbfp_config), encode_(b, hbfp_config), hbfp_config
     )

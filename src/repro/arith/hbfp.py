@@ -48,41 +48,31 @@ HBFP8 = HBFPConfig()
 
 
 def hbfp_multiply(
-    a: BlockFloatTensor,
-    b: BlockFloatTensor,
-    config: HBFPConfig = HBFP8,
-    backend: "str | None" = None,
+    a: BlockFloatTensor, b: BlockFloatTensor, config: HBFPConfig = HBFP8
 ) -> np.ndarray:
     """Multiply two BFP-encoded operands through the HBFP datapath.
 
     Integer tile GEMMs in ``config.accumulator_bits``-wide accumulators,
     then the bfloat16 SIMD hand-off when the config asks for it.
     """
-    out = bfp_matmul(
-        a, b, accumulator_bits=config.accumulator_bits, backend=backend
-    )
+    out = bfp_matmul(a, b, accumulator_bits=config.accumulator_bits)
     if config.simd_in_bfloat16:
         out = to_bfloat16(out)
     return out
 
 
 def hbfp_gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    config: HBFPConfig = HBFP8,
-    backend: "str | None" = None,
+    a: np.ndarray, b: np.ndarray, config: HBFPConfig = HBFP8
 ) -> np.ndarray:
     """Compute ``a @ b`` through the HBFP datapath.
 
     Both operands are quantized to ``config.bfp`` and multiplied with
-    :func:`hbfp_multiply`. ``backend`` pins the kernel backend for all
-    three steps (``None`` = ambient).
+    :func:`hbfp_multiply`.
     """
     return hbfp_multiply(
-        BlockFloatTensor.from_float(a, config.bfp, backend=backend),
-        BlockFloatTensor.from_float(b, config.bfp, backend=backend),
+        BlockFloatTensor.from_float(a, config.bfp),
+        BlockFloatTensor.from_float(b, config.bfp),
         config,
-        backend=backend,
     )
 
 

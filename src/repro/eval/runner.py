@@ -10,10 +10,10 @@ experiment builds — that aggregate becomes the experiment's
 :class:`repro.obs.RunReport` artifact.
 """
 
+import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
-from repro.analysis.annotations import audited
 from repro.core.equinox import EquinoxAccelerator, SimulationReport
 from repro.dse.table1 import equinox_configuration
 from repro.hw.config import AcceleratorConfig
@@ -78,7 +78,10 @@ class ExperimentCapture:
     Accelerators are frequently reused across load points, so all
     cumulative collectors (latency samples, op meters, cycle
     accounting) are read as *deltas* keyed by accelerator identity —
-    observing the same accelerator twice never double-counts.
+    observing the same accelerator twice never double-counts. Identity
+    is a serial held in a weak map, not ``id()``: a freed accelerator's
+    address can be reused by the next one built, which must start from
+    zero deltas.
     """
 
     def __init__(self, name: str):
@@ -91,19 +94,19 @@ class ExperimentCapture:
             c: 0.0 for c in CYCLE_CATEGORIES if c != "idle"
         }
         self.windows = 0
+        self._serials: "weakref.WeakKeyDictionary[EquinoxAccelerator, int]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._accel_state: Dict[int, Dict[str, float]] = {}
         self._fault_totals: Dict[int, Dict[str, float]] = {}
         self._remote_serial = 0
 
-    @audited(
-        "id_value",
-        reason="id(accelerator) keys per-accelerator delta state only; "
-        "the identity never reaches captured values, so the fold is a "
-        "deterministic function of the observed accelerators",
-    )
     def observe(self, accelerator: EquinoxAccelerator) -> None:
         """Fold one accelerator's state since its last observation."""
-        state = self._accel_state.setdefault(id(accelerator), {})
+        serial = self._serials.get(accelerator)
+        if serial is None:
+            serial = self._serials[accelerator] = len(self._accel_state) + 1
+        state = self._accel_state.setdefault(serial, {})
         config = accelerator.config
 
         latency = accelerator.engine.latency
@@ -129,7 +132,7 @@ class ExperimentCapture:
             state[key] = cycles
 
         self.frequency_hz = config.frequency_hz
-        self._fault_totals[id(accelerator)] = {
+        self._fault_totals[serial] = {
             str(k): float(v)
             for k, v in accelerator.fault_counters.as_dict().items()
         }

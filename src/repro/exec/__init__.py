@@ -14,8 +14,8 @@ and a content-addressed on-disk result cache:
 * :mod:`repro.exec.scheduler` — :class:`ProcessPoolScheduler` (worker
   reuse, bounded in-flight window, per-job timeout, bounded crash
   retries) and the :class:`JobRunner` facade experiments accept;
-* :mod:`repro.exec.bench` — the pinned perf-trajectory suite behind
-  ``python -m repro bench`` and its ``BENCH_<rev>.json`` schema.
+* :mod:`repro.exec.cli` — the shared executor flags and the ``sweep``
+  subcommand.
 
 The determinism guarantee: for any job batch, results are aggregated
 in submission order and normalized through the canonical JSON round

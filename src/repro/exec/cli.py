@@ -1,15 +1,13 @@
 """CLI glue for the execution engine.
 
-Three pieces, all consumed by ``python -m repro``:
+Two pieces, both consumed by ``python -m repro``:
 
 * :func:`add_executor_arguments` / :func:`runner_from_args` — the
   shared ``--jobs N|auto`` / ``--cache-dir`` flags every experiment
   subcommand grows, resolved into one :class:`JobRunner`;
 * the ``sweep`` subcommand — the Figure 6 design-space sweep fanned
   out through the engine, with a byte-deterministic ``sweep.json``
-  RunReport artifact (identical for any ``--jobs`` value);
-* the ``bench`` subcommand — the pinned perf-trajectory suite writing
-  ``BENCH_<rev>.json`` (see :mod:`repro.exec.bench`).
+  RunReport artifact (identical for any ``--jobs`` value).
 """
 
 import argparse
@@ -21,19 +19,16 @@ from repro.exec.scheduler import JobRunner
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
-    "add_bench_arguments",
     "add_executor_arguments",
     "add_sweep_arguments",
-    "apply_kernel_backend",
-    "run_bench",
     "run_sweep",
     "runner_from_args",
 ]
 
 #: Default ``--checkpoint-every`` period (executed jobs between
 #: progress checkpoints). Chosen so checkpoint overhead stays well
-#: under the 5% budget the bench suite's ``checkpoint.overhead`` entry
-#: enforces, while a preempted sweep loses at most a few jobs' work.
+#: under the 5% budget that CI measures on a checkpointed fig7 load
+#: curve, while a preempted sweep loses at most a few jobs' work.
 DEFAULT_CHECKPOINT_EVERY = 8
 
 
@@ -52,12 +47,6 @@ def add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None, metavar="DIR",
         help="content-addressed result cache: identical (config, seed, "
         "code) jobs are replayed from disk instead of recomputed",
-    )
-    parser.add_argument(
-        "--kernel-backend", choices=("reference", "fast"), default=None,
-        help="pin the repro.kernels backend (default: fast, or "
-        "REPRO_KERNEL_BACKEND); backends are bit-identical by contract, "
-        "so this changes speed, never results",
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -85,21 +74,6 @@ def add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "N completed (journaled) jobs — CI uses it to prove --resume "
         "converges to the byte-identical artifact",
     )
-
-
-def apply_kernel_backend(args: argparse.Namespace) -> None:
-    """Make ``--kernel-backend`` the ambient backend for this process.
-
-    Worker processes spawned by the executor inherit it through the
-    job payload's environment, not this call — the engine re-imports
-    repro there — so experiments that must pin workers too should pass
-    ``kernel_backend=`` through their entry points instead.
-    """
-    backend = getattr(args, "kernel_backend", None)
-    if backend is not None:
-        from repro import kernels
-
-        kernels.set_backend(backend)
 
 
 def runner_from_args(
@@ -261,112 +235,3 @@ def _write_report(report, directory: str) -> None:
     with open(path, "w") as handle:
         handle.write(text + "\n")
     print(f"[artifact] {path}")
-
-
-# ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-
-
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="timed repeats per kernel (default 3, after one warmup)",
-    )
-    parser.add_argument(
-        "--kernels", nargs="+", default=None,
-        help="subset of pinned kernels to run (default: all)",
-    )
-    parser.add_argument(
-        "--out-dir", default=".",
-        help="directory for the BENCH_<rev>.json artifact",
-    )
-    parser.add_argument(
-        "--rev", default=None,
-        help="revision label in the filename (default: code fingerprint)",
-    )
-    parser.add_argument(
-        "--validate-only", default=None, metavar="PATH",
-        help="validate an existing BENCH file instead of running",
-    )
-    parser.add_argument(
-        "--kernel-backend", choices=("reference", "fast"), default=None,
-        help="ambient repro.kernels backend while benching (the "
-        "kernels.* pair entries pin their own backend regardless)",
-    )
-    parser.add_argument(
-        "--diff", default=None, metavar="DIR",
-        help="after benching, compare against the newest committed "
-        "BENCH_*.json in DIR and exit non-zero on any kernel slower "
-        "than the tolerance ratio",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help="--diff regression ratio (default 2.0: fail only when a "
-        "kernel doubles its best wall time — CI hosts are noisy)",
-    )
-
-
-def run_bench(args: argparse.Namespace) -> int:
-    from repro.exec import bench
-
-    if args.validate_only is not None:
-        with open(args.validate_only) as handle:
-            data = json.load(handle)
-        problems = bench.validate_bench(data)
-        for problem in problems:
-            print(f"invalid bench file: {problem}", file=sys.stderr)
-        print(
-            f"{args.validate_only}: "
-            + ("ok" if not problems else f"{len(problems)} problem(s)")
-        )
-        return 1 if problems else 0
-
-    apply_kernel_backend(args)
-    # Resolve the baseline BEFORE writing the new artifact, so a
-    # --diff directory that doubles as --out-dir never compares the
-    # fresh run against itself.
-    baseline_path = None
-    if args.diff is not None:
-        baseline_path = bench.latest_bench_path(args.diff)
-    repeats = args.repeats if args.repeats is not None else bench.DEFAULT_REPEATS
-    document = bench.run_suite(repeats=repeats, kernels=args.kernels)
-    print(bench.render_suite(document))
-    path = bench.default_bench_path(args.out_dir, rev=args.rev)
-    bench.write_bench(document, path)
-    print(f"\n[bench] {path}")
-    regressions = []
-    if args.diff is not None:
-        tolerance = (
-            args.tolerance if args.tolerance is not None
-            else bench.DEFAULT_DIFF_TOLERANCE
-        )
-        if baseline_path is None:
-            print(f"[bench-diff] no baseline BENCH_*.json in {args.diff}; "
-                  "nothing to gate against")
-        else:
-            with open(baseline_path) as handle:
-                baseline = json.load(handle)
-            regressions, notes = bench.diff_benches(
-                baseline, document, tolerance=tolerance
-            )
-            print(f"[bench-diff] baseline {baseline_path} "
-                  f"(tolerance {tolerance:.2f}x)")
-            for note in notes:
-                print(f"[bench-diff] note: {note}")
-            for regression in regressions:
-                print(f"[bench-diff] REGRESSION {regression}",
-                      file=sys.stderr)
-            if not regressions:
-                print("[bench-diff] ok: no kernel regressed past "
-                      "tolerance")
-    from repro.obs.profile import kernel_dispatch_summary
-
-    dispatches = kernel_dispatch_summary()
-    if dispatches:
-        summary = ", ".join(
-            f"{key.removeprefix('kernels.dispatch.')}={int(count)}"
-            for key, count in dispatches.items()
-        )
-        print(f"[kernels] {summary}", file=sys.stderr)
-    return 1 if regressions else 0

@@ -1,52 +1,30 @@
-"""repro.kernels: dual-backend numerical kernels with bit-exact parity.
+"""repro.kernels: dual-backend HBFP kernels with bit-exact parity.
 
-Every hot primitive in the reproduction exists twice:
+The two HBFP primitives that Figure 2's training curves spend their
+time in each exist twice:
 
-* ``reference`` — the readable tile-loop / per-cycle code that defines
-  the semantics (the former inline implementations, kept verbatim as
-  the oracle);
+* ``reference`` — the readable tile-loop code that defines the
+  semantics (the former inline implementations, kept as the oracle);
 * ``fast`` — a vectorized rewrite that must match the reference **bit
-  for bit**: values, shared exponents, RNG stream position, and
-  systolic cycle counts (:mod:`repro.kernels.parity` is the executable
-  contract).
+  for bit**: values, shared exponents and RNG stream position
+  (:mod:`repro.kernels.parity` is the executable contract).
 
 Call sites never import implementations directly (lint rule EQX308);
-they resolve through :func:`dispatch`, so the backend can be switched
-globally (:func:`set_backend`, ``REPRO_KERNEL_BACKEND``), per scope
-(:func:`use_backend`), or per call (the ``backend=`` argument threaded
-through ``BlockFloatTensor.from_float``, ``bfp_matmul``,
-``SystolicArray.run``, ``im2col``). The default is ``fast``.
-
-A third backend, ``compiled``, exists for the hottest pairs when numba
-is importable (:mod:`repro.kernels.compiled`): jitted mirrors of the
-reference loops, same parity contract. Pairs without a compiled mirror
-fall back to ``fast`` under that backend.
+they resolve through :func:`dispatch`. The default backend is ``fast``;
+:func:`use_backend` switches it for a scope.
 
 Registered pairs:
 
 ========================  ============================================
-``bfp.quantize``          ``BlockFloatTensor.from_float`` body (compiled*)
-``bfp.dequantize``        ``BlockFloatTensor.to_float`` body
-``bfp.matmul``            ``bfp_matmul`` tile-lattice GEMM (compiled*)
-``systolic.run``          ``SystolicArray.run`` register model (compiled*)
-``systolic.stream``       ``SystolicArray.run_stream`` tile stream
-``im2col.pack``           ``im2col`` convolution lowering (compiled*)
+``bfp.quantize``          ``BlockFloatTensor.from_float`` body
+``bfp.matmul``            ``bfp_matmul`` tile-lattice GEMM
 ========================  ============================================
 """
 
-from repro.kernels import (
-    compiled,
-    fast_bfp,
-    fast_im2col,
-    fast_systolic,
-    ref_bfp,
-    ref_im2col,
-    ref_systolic,
-)
+from repro.kernels import fast_bfp, ref_bfp
 from repro.kernels.registry import (
     BACKENDS,
     KernelPair,
-    compiled_available,
     dispatch,
     dispatch_counts,
     get_backend,
@@ -54,14 +32,12 @@ from repro.kernels.registry import (
     kernel_names,
     register_kernel,
     reset_dispatch_counts,
-    set_backend,
     use_backend,
 )
 
 __all__ = [
     "BACKENDS",
     "KernelPair",
-    "compiled_available",
     "dispatch",
     "dispatch_counts",
     "get_backend",
@@ -69,7 +45,6 @@ __all__ = [
     "kernel_names",
     "register_kernel",
     "reset_dispatch_counts",
-    "set_backend",
     "use_backend",
 ]
 
@@ -77,39 +52,11 @@ register_kernel(
     "bfp.quantize",
     ref_bfp.quantize,
     fast_bfp.quantize,
-    compiled=compiled.implementation("bfp.quantize"),
     doc="Block-floating-point encode (per-tile exponent + mantissas).",
-)
-register_kernel(
-    "bfp.dequantize",
-    ref_bfp.dequantize,
-    fast_bfp.dequantize,
-    doc="Block-floating-point decode back to float32.",
 )
 register_kernel(
     "bfp.matmul",
     ref_bfp.matmul,
     fast_bfp.matmul,
-    compiled=compiled.implementation("bfp.matmul"),
     doc="Tile-lattice integer GEMM with saturating accumulators.",
-)
-register_kernel(
-    "systolic.run",
-    ref_systolic.run,
-    fast_systolic.run,
-    compiled=compiled.implementation("systolic.run"),
-    doc="Weight-stationary systolic array (values + cycle counts).",
-)
-register_kernel(
-    "systolic.stream",
-    ref_systolic.run_stream,
-    fast_systolic.run_stream,
-    doc="A tile stream through one array: back-to-back, no reload.",
-)
-register_kernel(
-    "im2col.pack",
-    ref_im2col.pack,
-    fast_im2col.pack,
-    compiled=compiled.implementation("im2col.pack"),
-    doc="Convolution lowering to a GEMM activation matrix.",
 )

@@ -24,9 +24,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.arith.bfp import decode_tiles
 from repro.kernels import ref_bfp
 
-__all__ = ["quantize", "dequantize", "matmul"]
+__all__ = ["quantize", "matmul"]
 
 #: OpenBLAS runs a GEMM of at most 2^18 multiply-adds on one thread.
 #: Training-sized GEMMs gain nothing from a second thread, whose idle
@@ -84,26 +85,6 @@ def quantize(
     return mantissas, exponents, (rows, cols)
 
 
-def _decode(mantissas: np.ndarray, exponents: np.ndarray, fmt) -> np.ndarray:
-    """Padded float64 values of BFP tiles (exact unless out of range)."""
-    br, bc = fmt.block_rows, fmt.block_cols
-    pad_rows, pad_cols = mantissas.shape
-    scale = np.ldexp(1.0, exponents - (fmt.mantissa_bits - 1))
-    tiles = mantissas.reshape(pad_rows // br, br, pad_cols // bc, bc)
-    return (tiles * scale[:, None, :, None]).reshape(pad_rows, pad_cols)
-
-
-def dequantize(
-    mantissas: np.ndarray,
-    exponents: np.ndarray,
-    fmt,
-    logical_shape: Tuple[int, int],
-) -> np.ndarray:
-    """Vectorized BFP decode; see ``ref_bfp.dequantize``."""
-    rows, cols = logical_shape
-    return _decode(mantissas, exponents, fmt)[:rows, :cols].astype(np.float32)
-
-
 def _span(exponents: np.ndarray, fmt) -> Tuple[int, int]:
     """(lowest, highest) exponent of the tiles that may be nonzero
     (lowest > highest if none may). With 12 or more exponent bits,
@@ -122,12 +103,10 @@ def _one_gemm_is_exact(a_exp, b_exp, a_fmt, b_fmt, accumulator_bits) -> bool:
     """Whether one float64 GEMM of the decoded operands equals the
     reference's tile sum bit for bit (argued in DESIGN.md, "Kernel
     backends"): no tile product saturates, every nonzero product lies
-    on one 53-bit grid, and nothing leaves float64's range."""
+    on one 53-bit grid, and nothing leaves float64's range. Both
+    operands share one mantissa width (``bfp_matmul`` checks it)."""
     shift = a_fmt.mantissa_bits - 1
-    if (
-        b_fmt.mantissa_bits - 1 != shift
-        or a_fmt.block_cols * 4**shift > 2 ** (accumulator_bits - 1) - 1
-    ):
+    if a_fmt.block_cols * 4**shift > 2 ** (accumulator_bits - 1) - 1:
         return False
     (a_lo, a_hi), (b_lo, b_hi) = _span(a_exp, a_fmt), _span(b_exp, b_fmt)
     if a_lo > a_hi or b_lo > b_hi:  # an all-zero operand: so is the product
@@ -161,8 +140,8 @@ def matmul(
             a_mant, a_exp, b_mant, b_exp, a_fmt, b_fmt,
             logical_rows, logical_cols, accumulator_bits=accumulator_bits,
         )
-    a = _decode(a_mant, a_exp, a_fmt)[:logical_rows]
-    b = _decode(b_mant, b_exp, b_fmt)[:, :logical_cols]
+    a = decode_tiles(a_mant, a_exp, a_fmt)[:logical_rows]
+    b = decode_tiles(b_mant, b_exp, b_fmt)[:, :logical_cols]
     product = np.empty((logical_rows, logical_cols))
     rows = max(1, _BLOCK_MACS // max(1, a.shape[1] * logical_cols))
     for i in range(0, logical_rows, rows):

@@ -6,9 +6,7 @@ Every registered kernel pair must agree **bit for bit** between its
 * identical values (bit patterns, on identical dtypes/shapes),
 * identical shared exponents out of quantization,
 * identical RNG stream position after stochastic rounding (checked via
-  ``Generator.bit_generator.state``),
-* identical systolic cycle counts (``last_cycle`` and the full
-  per-output completion matrix).
+  ``Generator.bit_generator.state``).
 
 :func:`corpus` enumerates a deterministic, seeded case list spanning
 shapes × formats × rounding modes, deliberately including the
@@ -22,8 +20,7 @@ column (where a GEMM can return -0.0), subnormal decoded operands, a
 ragged K, zero tiles under narrow exponents, and the wide-mantissa /
 wide-accumulator corner that can never take the GEMM. Float payloads
 compare bitwise, so the sign of zero counts. Tier-1 runs the whole
-corpus (``tests/kernels/test_parity_fuzz.py``); the CI ``kernels`` job
-runs it under both ambient backends.
+corpus (``tests/kernels/test_parity_fuzz.py``).
 """
 
 from dataclasses import dataclass
@@ -32,7 +29,7 @@ from typing import Any, Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.arith.bfp import BFPFormat
-from repro.kernels.registry import dispatch
+from repro.kernels.registry import get_kernel
 
 __all__ = ["ParityCase", "check_case", "corpus", "run_suite"]
 
@@ -96,7 +93,7 @@ def _quantize_case(
         elif layout == "transposed":
             x = np.ascontiguousarray(x.T).T  # same values, column-major
         rng = np.random.default_rng(seed + 1)
-        impl = dispatch("bfp.quantize", backend)
+        impl = get_kernel("bfp.quantize").implementation(backend)
         mant, exp, logical = impl(x, fmt, rounding=rounding, rng=rng)
         # The stream position after the call is part of the contract:
         # a fast path that draws a different amount of randomness would
@@ -111,95 +108,23 @@ def _quantize_case(
     return ParityCase("bfp.quantize", name, run)
 
 
-def _dequantize_case(
-    name: str, seed: int, shape: Tuple[int, int], kind: str, fmt: BFPFormat
-) -> ParityCase:
-    def run(backend: str) -> Dict[str, Any]:
-        x = _values(seed, shape, kind)
-        mant, exp, logical = dispatch("bfp.quantize", "reference")(x, fmt)
-        decoded = dispatch("bfp.dequantize", backend)(mant, exp, fmt, logical)
-        return {"decoded": decoded}
-
-    return ParityCase("bfp.dequantize", name, run)
-
-
 def _matmul_case(
     name: str, seed: int, m: int, k: int, n: int,
     a_fmt: BFPFormat, b_fmt: BFPFormat,
     accumulator_bits: int, kind: str = "gaussian", b_kind: str = "",
 ) -> ParityCase:
     def run(backend: str) -> Dict[str, Any]:
-        quantize = dispatch("bfp.quantize", "reference")
+        quantize = get_kernel("bfp.quantize").reference
         a_mant, a_exp, _ = quantize(_values(seed, (m, k), kind), a_fmt)
         b_values = _values(seed + 7, (k, n), b_kind or kind)
         b_mant, b_exp, _ = quantize(b_values, b_fmt)
-        out = dispatch("bfp.matmul", backend)(
+        out = get_kernel("bfp.matmul").implementation(backend)(
             a_mant, a_exp, b_mant, b_exp, a_fmt, b_fmt, m, n,
             accumulator_bits=accumulator_bits,
         )
         return {"product": out}
 
     return ParityCase("bfp.matmul", name, run)
-
-
-def _systolic_case(
-    name: str, seed: int, rows: int, n: int, w: int
-) -> ParityCase:
-    def run(backend: str) -> Dict[str, Any]:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((rows, n * w))
-        weights = rng.standard_normal((n * w, n))
-        outputs, last_cycle, completion = dispatch("systolic.run", backend)(
-            x, weights, n, w
-        )
-        return {
-            "outputs": outputs,
-            "last_cycle": last_cycle,
-            "completion": completion,
-        }
-
-    return ParityCase("systolic.run", name, run)
-
-
-def _systolic_stream_case(
-    name: str, seed: int, tile_rows: Tuple[int, ...], n: int, w: int
-) -> ParityCase:
-    def run(backend: str) -> Dict[str, Any]:
-        rng = np.random.default_rng(seed)
-        weights = rng.standard_normal((n * w, n))
-        tiles = [rng.standard_normal((r, n * w)) for r in tile_rows]
-        outputs, last_cycle, completions = dispatch(
-            "systolic.stream", backend
-        )(tiles, weights, n, w)
-        # Per-tile keys so _diff compares ndarray to ndarray (the
-        # stream API returns lists).
-        payload: Dict[str, Any] = {
-            "last_cycle": last_cycle,
-            "tiles": len(outputs),
-        }
-        for k, (out, comp) in enumerate(zip(outputs, completions)):
-            payload[f"outputs/{k}"] = np.asarray(out)
-            payload[f"completion/{k}"] = np.asarray(comp)
-        return payload
-
-    return ParityCase("systolic.stream", name, run)
-
-
-def _im2col_case(
-    name: str, seed: int, shape: Tuple[int, int, int, int],
-    kernel: int, stride: int, padding: int, kind: str = "gaussian",
-) -> ParityCase:
-    def run(backend: str) -> Dict[str, Any]:
-        rng = np.random.default_rng(seed)
-        b, c, h, w = shape
-        if kind == "zeros":
-            x = np.zeros(shape, dtype=np.float32)
-        else:
-            x = rng.standard_normal(shape).astype(np.float32)
-        cols = dispatch("im2col.pack", backend)(x, kernel, stride, padding)
-        return {"cols": cols}
-
-    return ParityCase("im2col.pack", name, run)
 
 
 #: Formats spanning the degenerate corners. ``unit`` has 1×1 blocks
@@ -240,9 +165,6 @@ def corpus() -> List[ParityCase]:
                     fmt, rounding,
                 )
             )
-        cases.append(
-            _dequantize_case(f"dequantize/{label}", 100 + i, shape, kind, fmt)
-        )
     for i, layout in enumerate(("float32", "transposed")):
         for rounding in ("nearest", "stochastic"):
             cases.append(
@@ -293,51 +215,13 @@ def corpus() -> List[ParityCase]:
             )
         )
 
-    systolic_grid = [
-        ("1x1", 1, 1, 1),
-        ("tall-fifo", 3, 2, 8),
-        ("square", 9, 4, 4),
-        ("wide-pe", 5, 3, 1),
-        ("single-row", 1, 4, 2),
-        ("many-rows", 21, 2, 3),
-    ]
-    for i, (label, rows, n, w) in enumerate(systolic_grid):
-        cases.append(_systolic_case(f"systolic/{label}", 500 + i, rows, n, w))
-
-    stream_grid = [
-        ("single-tile", (9,), 4, 4),
-        ("ragged", (3, 1, 7, 2), 3, 2),
-        ("single-rows", (1, 1, 1), 2, 3),
-        ("bursty", (16, 1, 5), 2, 8),
-    ]
-    for i, (label, tile_rows, n, w) in enumerate(stream_grid):
-        cases.append(
-            _systolic_stream_case(
-                f"systolic-stream/{label}", 600 + i, tile_rows, n, w
-            )
-        )
-
-    im2col_grid = [
-        ("1x1", (1, 1, 1, 1), 1, 1, 0, "gaussian"),
-        ("resnet-like", (2, 3, 8, 8), 3, 1, 1, "gaussian"),
-        ("strided", (1, 2, 7, 5), 3, 2, 0, "gaussian"),
-        ("pad-heavy", (1, 1, 4, 4), 3, 1, 2, "gaussian"),
-        ("zeros", (2, 2, 6, 6), 2, 2, 1, "zeros"),
-    ]
-    for i, (label, shape, kk, ss, pp, kind) in enumerate(im2col_grid):
-        cases.append(
-            _im2col_case(f"im2col/{label}", 700 + i, shape, kk, ss, pp, kind)
-        )
-
     return cases
 
 
-def _diff(name: str, ref: Any, got: Any, backend: str = "fast") -> List[str]:
+def _diff(name: str, ref: Any, got: Any) -> List[str]:
     if isinstance(ref, np.ndarray):
         if not isinstance(got, np.ndarray):
-            return [
-                f"{name}: {backend} returned {type(got).__name__}, not ndarray"
-            ]
+            return [f"{name}: fast returned {type(got).__name__}, not ndarray"]
         if ref.dtype != got.dtype:
             return [f"{name}: dtype {got.dtype} != reference {ref.dtype}"]
         if ref.shape != got.shape:
@@ -348,43 +232,26 @@ def _diff(name: str, ref: Any, got: Any, backend: str = "fast") -> List[str]:
             ref, got = ref.view(uint), got.view(uint)
         if not np.array_equal(ref, got):
             bad = int(np.sum(ref != got))
-            return [
-                f"{name}: {bad}/{ref.size} elements differ bitwise ({backend})"
-            ]
+            return [f"{name}: {bad}/{ref.size} elements differ bitwise"]
         return []
     if ref != got:
-        return [f"{name}: {backend} {got!r} != reference {ref!r}"]
+        return [f"{name}: fast {got!r} != reference {ref!r}"]
     return []
 
 
-def _candidate_backends() -> List[str]:
-    """Backends checked against the reference: always ``fast``, plus
-    ``compiled`` when numba is importable (pairs without a compiled
-    mirror fall back to fast there, which re-checks fast harmlessly)."""
-    from repro.kernels.registry import compiled_available
-
-    backends = ["fast"]
-    if compiled_available():
-        backends.append("compiled")
-    return backends
-
-
 def check_case(case: ParityCase) -> List[str]:
-    """Run one case under every backend; return mismatch descriptions."""
+    """Run one case under both backends; return mismatch descriptions."""
     ref = case.run("reference")
+    got = case.run("fast")
     problems: List[str] = []
-    for backend in _candidate_backends():
-        got = case.run(backend)
-        for key in ref:
-            if key not in got:
-                problems.append(f"{key}: missing from {backend} payload")
-                continue
-            problems.extend(_diff(key, ref[key], got[key], backend))
-        for key in got:
-            if key not in ref:
-                problems.append(
-                    f"{key}: unexpected extra key in {backend} payload"
-                )
+    for key in ref:
+        if key not in got:
+            problems.append(f"{key}: missing from fast payload")
+            continue
+        problems.extend(_diff(key, ref[key], got[key]))
+    for key in got:
+        if key not in ref:
+            problems.append(f"{key}: unexpected extra key in fast payload")
     return [f"[{case.kernel}] {case.name} :: {p}" for p in problems]
 
 

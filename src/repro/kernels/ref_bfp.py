@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["quantize", "dequantize", "matmul"]
+__all__ = ["quantize", "matmul"]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -84,24 +84,6 @@ def quantize(
     mant = np.clip(mant, fmt.mantissa_min, fmt.mantissa_max)
     mantissas = mant.reshape(pad_rows, pad_cols).astype(np.int32)
     return mantissas, exponents.astype(np.int32), (rows, cols)
-
-
-def dequantize(
-    mantissas: np.ndarray,
-    exponents: np.ndarray,
-    fmt,
-    logical_shape: Tuple[int, int],
-) -> np.ndarray:
-    """Decode BFP tiles back to float32 (padding stripped)."""
-    br, bc = fmt.block_rows, fmt.block_cols
-    pad_rows, pad_cols = mantissas.shape
-    tiles = mantissas.reshape(pad_rows // br, br, pad_cols // bc, bc)
-    scale = np.exp2(
-        exponents.astype(np.float64) - (fmt.mantissa_bits - 1)
-    )
-    decoded = tiles * scale[:, None, :, None]
-    rows, cols = logical_shape
-    return decoded.reshape(pad_rows, pad_cols)[:rows, :cols].astype(np.float32)
 
 
 def matmul(

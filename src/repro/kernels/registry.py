@@ -1,41 +1,27 @@
 """Kernel-pair registry and backend selection.
 
-Every hot numerical primitive in the reproduction exists twice: a
+A kernel pair is one numerical primitive implemented twice: a
 ``reference`` implementation — the readable, obviously-correct code
 that defines the semantics — and a ``fast`` implementation that must be
-**bit-identical** to it (values, shared exponents, RNG stream position,
-systolic cycle counts; see :mod:`repro.kernels.parity` for the enforced
-contract). This module holds the pairs and decides, per call, which
-side runs.
+**bit-identical** to it (values, shared exponents, RNG stream position;
+see :mod:`repro.kernels.parity` for the enforced contract). This module
+holds the pairs and decides which side runs.
 
-Selection, in precedence order:
+The ambient backend is ``"fast"``; :func:`use_backend` switches it for
+a scope. That is safe because the parity suite enforces bit-exactness,
+so backends differ only in speed.
 
-1. the ``backend=`` argument threaded through public entry points
-   (``BlockFloatTensor.from_float(..., backend="reference")``) — the
-   per-call opt-out;
-2. the ambient backend set by :func:`set_backend` or the
-   :func:`use_backend` context manager;
-3. the ``REPRO_KERNEL_BACKEND`` environment variable, read once at
-   import;
-4. the default, ``"fast"`` — safe because the parity suite enforces
-   bit-exactness, so backends differ only in speed.
-
-Dispatches are counted per ``(kernel, backend)``; the observability
-layer (:func:`repro.obs.profile.kernel_dispatch_summary`) and the bench
-harness read the counts to attribute work to backends.
+Dispatches are counted per ``(kernel, backend)``; the end-to-end
+benchmark reads the counts to attribute work to kernels.
 """
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
-
-from repro.analysis.annotations import audited
+from typing import Callable, Dict, Iterator, Tuple
 
 __all__ = [
     "BACKENDS",
     "KernelPair",
-    "compiled_available",
     "dispatch",
     "dispatch_counts",
     "get_backend",
@@ -43,33 +29,20 @@ __all__ = [
     "kernel_names",
     "register_kernel",
     "reset_dispatch_counts",
-    "set_backend",
     "use_backend",
 ]
 
-#: Recognized backend names, in contract order (reference is the oracle;
-#: compiled requires numba and falls back to fast per-pair when a pair
-#: has no compiled mirror).
-BACKENDS: Tuple[str, ...] = ("reference", "fast", "compiled")
-
-#: Environment override read once at import time.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
+#: Recognized backend names, in contract order (reference is the oracle).
+BACKENDS: Tuple[str, ...] = ("reference", "fast")
 
 
 @dataclass(frozen=True)
 class KernelPair:
-    """One primitive's implementations (identical signatures).
-
-    ``compiled`` is optional: only the hottest pairs carry a numba
-    mirror. Requesting the compiled backend on a pair without one runs
-    the fast implementation — the parity contract makes every backend
-    bit-exact, so the fallback changes speed, never results.
-    """
+    """One primitive's two implementations (identical signatures)."""
 
     name: str
     reference: Callable
     fast: Callable
-    compiled: Optional[Callable] = None
     doc: str = ""
 
     def implementation(self, backend: str) -> Callable:
@@ -77,8 +50,6 @@ class KernelPair:
             return self.reference
         if backend == "fast":
             return self.fast
-        if backend == "compiled":
-            return self.compiled if self.compiled is not None else self.fast
         raise ValueError(
             f"unknown kernel backend {backend!r}; choose from {BACKENDS}"
         )
@@ -86,64 +57,16 @@ class KernelPair:
 
 _PAIRS: Dict[str, KernelPair] = {}
 _DISPATCHES: Dict[Tuple[str, str], int] = {}
-
-
-def _check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; choose from {BACKENDS}"
-        )
-    return backend
-
-
-@audited(
-    "env_read",
-    reason="REPRO_KERNEL_BACKEND is read once, at import, to pick the "
-    "ambient backend; both backends are bit-exact by the parity "
-    "contract, so the choice never changes a result — and job workers "
-    "inherit the parent's environment anyway",
-)
-def compiled_available() -> bool:
-    """Whether the compiled (numba) tier can run on this machine."""
-    from repro.kernels import compiled
-
-    return compiled.available()
-
-
-def _initial_backend() -> str:
-    """The ambient backend at import: env override or the fast default.
-
-    An environment request for the compiled tier on a machine without
-    numba silently falls back to fast — a heterogeneous worker fleet
-    must not crash on the images lacking the optional JIT. Explicit
-    :func:`set_backend` calls raise instead, so tests and interactive
-    use get a loud error.
-    """
-    value = os.environ.get(ENV_VAR)
-    if value is None:
-        return "fast"
-    backend = _check_backend(value.strip().lower())
-    if backend == "compiled" and not compiled_available():
-        return "fast"
-    return backend
-
-
-_backend = _initial_backend()
+_backend = "fast"
 
 
 def register_kernel(
-    name: str,
-    reference: Callable,
-    fast: Callable,
-    compiled: Optional[Callable] = None,
-    doc: str = "",
+    name: str, reference: Callable, fast: Callable, doc: str = ""
 ) -> KernelPair:
     """Register a kernel pair; re-registering a name is an error."""
     if name in _PAIRS:
         raise ValueError(f"kernel {name!r} is already registered")
-    pair = KernelPair(
-        name=name, reference=reference, fast=fast, compiled=compiled, doc=doc
-    )
+    pair = KernelPair(name=name, reference=reference, fast=fast, doc=doc)
     _PAIRS[name] = pair
     return pair
 
@@ -167,54 +90,29 @@ def get_backend() -> str:
     return _backend
 
 
-def set_backend(backend: str) -> str:
-    """Set the ambient backend; returns the previous one.
-
-    Selecting ``"compiled"`` on a machine without numba raises — an
-    explicit request must not silently run something else (only the
-    environment-variable path degrades, see :func:`_initial_backend`).
-    """
-    global _backend
-    backend = _check_backend(backend)
-    if backend == "compiled" and not compiled_available():
-        raise RuntimeError(
-            "the compiled kernel backend requires numba, which is not "
-            "importable on this machine; install it or use 'fast'"
-        )
-    previous = _backend
-    _backend = backend
-    return previous
-
-
 @contextmanager
-def use_backend(backend: Optional[str]) -> Iterator[str]:
-    """Scoped backend override (``None`` leaves the ambient one).
-
-    The per-experiment entry points (``--kernel-backend``,
-    ``convergence_experiment(kernel_backend=...)``) thread their
-    argument through this, so ``None`` must be a clean no-op.
-    """
-    if backend is None:
-        yield _backend
-        return
-    previous = set_backend(backend)
+def use_backend(backend: str) -> Iterator[str]:
+    """Run the enclosed block under ``backend``, then restore the
+    previous one (also on error)."""
+    global _backend
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown kernel backend {backend!r}; choose from {BACKENDS}"
+        )
+    previous, _backend = _backend, backend
     try:
-        yield _backend
+        yield backend
     finally:
-        set_backend(previous)
+        _backend = previous
 
 
-def dispatch(name: str, backend: Optional[str] = None) -> Callable:
-    """Resolve ``name`` to the active implementation and count it.
-
-    ``backend`` is the per-call opt-out; ``None`` uses the ambient
-    backend.
-    """
+def dispatch(name: str) -> Callable:
+    """Resolve ``name`` to the ambient backend's implementation and
+    count it."""
     pair = get_kernel(name)
-    chosen = _backend if backend is None else _check_backend(backend)
-    key = (name, chosen)
+    key = (name, _backend)
     _DISPATCHES[key] = _DISPATCHES.get(key, 0) + 1
-    return pair.implementation(chosen)
+    return pair.implementation(_backend)
 
 
 def dispatch_counts() -> Dict[str, Dict[str, int]]:

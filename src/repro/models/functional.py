@@ -91,25 +91,15 @@ class FunctionalLSTMCell:
         new_h = _simd(o * np.tanh(c), self.encoding)
         return LSTMState(h=new_h, c=c)
 
-    def run(
-        self,
-        initial_h: np.ndarray,
-        steps: int,
-        kernel_backend: Optional[str] = None,
-    ) -> np.ndarray:
+    def run(self, initial_h: np.ndarray, steps: int) -> np.ndarray:
         """Run ``steps`` recurrent steps from ``initial_h``; returns the
-        final hidden state. ``kernel_backend`` pins the
-        :mod:`repro.kernels` backend for the whole rollout (``None`` =
-        ambient)."""
+        final hidden state."""
         if steps < 1:
             raise ValueError("need at least one step")
-        from repro.kernels import use_backend
-
         initial_h = np.asarray(initial_h, dtype=np.float32)
         state = LSTMState(h=initial_h, c=np.zeros_like(initial_h))
-        with use_backend(kernel_backend):
-            for _ in range(steps):
-                state = self.step(state)
+        for _ in range(steps):
+            state = self.step(state)
         return state.h
 
 
@@ -136,17 +126,12 @@ class FunctionalMLP:
             for k, n in zip(widths[:-1], widths[1:])
         ]
 
-    def run(
-        self, x: np.ndarray, kernel_backend: Optional[str] = None
-    ) -> np.ndarray:
-        from repro.kernels import use_backend
-
+    def run(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
-        with use_backend(kernel_backend):
-            for index, weight in enumerate(self.weights):
-                x = gemm(x, weight, self.encoding)
-                if index < len(self.weights) - 1:
-                    x = _simd(np.maximum(x, 0.0), self.encoding)
+        for index, weight in enumerate(self.weights):
+            x = gemm(x, weight, self.encoding)
+            if index < len(self.weights) - 1:
+                x = _simd(np.maximum(x, 0.0), self.encoding)
         return x
 
 

@@ -21,28 +21,7 @@ Two export surfaces with different guarantees:
 import time
 from typing import Callable, Dict, Optional
 
-__all__ = ["SimProfiler", "kernel_dispatch_summary"]
-
-
-def kernel_dispatch_summary() -> Dict[str, float]:
-    """Flattened per-(kernel, backend) dispatch counters.
-
-    Reads the :mod:`repro.kernels` registry and returns
-    ``kernels.dispatch.<kernel>.<backend> -> count`` — deterministic
-    (counts are a function of the work executed, never of the clock), so
-    the figures are safe to embed in run artifacts and let a report say
-    which backend actually computed it. Counters accumulate per process;
-    :func:`repro.kernels.reset_dispatch_counts` scopes them to one run.
-    """
-    from repro import kernels
-
-    out: Dict[str, float] = {}
-    for name, by_backend in kernels.dispatch_counts().items():
-        for backend in sorted(by_backend):
-            out[f"kernels.dispatch.{name}.{backend}"] = float(
-                by_backend[backend]
-            )
-    return out
+__all__ = ["SimProfiler"]
 
 
 def _component_of(callback: Callable) -> str:

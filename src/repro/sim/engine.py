@@ -133,8 +133,8 @@ class Simulator:
     _COMPACT_MIN_SIZE = 64
 
     #: Drain loop :meth:`run` uses when no ``loop`` argument is given.
-    #: Instances may override (the bench harness and the equivalence
-    #: suite pin one explicitly per run).
+    #: Instances may override (the equivalence suite pins one
+    #: explicitly per run).
     default_loop = LOOP_BATCHED
 
     def __init__(self) -> None:

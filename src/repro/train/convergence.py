@@ -57,28 +57,22 @@ def convergence_experiment(
     hidden: int = 128,
     classes: int = 10,
     seed: int = 7,
-    kernel_backend: "str | None" = None,
 ) -> Dict[str, TrainingCurve]:
     """Figure 2a analog: validation error on image-like classification.
 
     Returns one validation-error curve per encoding; matched seeds make
-    the curves directly comparable. ``kernel_backend`` pins the
-    :mod:`repro.kernels` backend for the whole experiment (``None`` =
-    ambient; backends are bit-identical, so curves cannot depend on it).
+    the curves directly comparable.
     """
-    from repro.kernels import use_backend
-
     curves: Dict[str, TrainingCurve] = {}
-    with use_backend(kernel_backend):
-        for encoding in encodings:
-            trainer, train, valid = classification_setup(
-                encoding,
-                samples=samples,
-                hidden=hidden,
-                classes=classes,
-                seed=seed,
-            )
-            curves[encoding] = trainer.fit(train, valid, epochs, encoding)
+    for encoding in encodings:
+        trainer, train, valid = classification_setup(
+            encoding,
+            samples=samples,
+            hidden=hidden,
+            classes=classes,
+            seed=seed,
+        )
+        curves[encoding] = trainer.fit(train, valid, epochs, encoding)
     return curves
 
 
@@ -126,28 +120,22 @@ def perplexity_experiment(
     context: int = 3,
     hidden: int = 96,
     seed: int = 11,
-    kernel_backend: "str | None" = None,
 ) -> Dict[str, TrainingCurve]:
     """Figure 2b analog: validation perplexity of a char language model.
 
     The Markov corpus has low entropy, so a converging model's
     perplexity falls far below the uniform baseline (= vocab); the
     comparison is whether hbfp8 tracks fp32 down that curve.
-    ``kernel_backend`` pins the :mod:`repro.kernels` backend for the
-    whole experiment (``None`` = ambient).
     """
-    from repro.kernels import use_backend
-
     curves: Dict[str, TrainingCurve] = {}
-    with use_backend(kernel_backend):
-        for encoding in encodings:
-            trainer, train, valid = language_model_setup(
-                encoding,
-                corpus_length=corpus_length,
-                vocab=vocab,
-                context=context,
-                hidden=hidden,
-                seed=seed,
-            )
-            curves[encoding] = trainer.fit(train, valid, epochs, encoding)
+    for encoding in encodings:
+        trainer, train, valid = language_model_setup(
+            encoding,
+            corpus_length=corpus_length,
+            vocab=vocab,
+            context=context,
+            hidden=hidden,
+            seed=seed,
+        )
+        curves[encoding] = trainer.fit(train, valid, epochs, encoding)
     return curves

@@ -77,7 +77,7 @@ class TestWholeProgramMode:
 
     def test_real_tree_is_clean_with_coverage_floor(self, capsys):
         code = main([
-            "whole-program", "--min-jobs", "3", "--min-kernels", "5",
+            "whole-program", "--min-jobs", "3", "--min-kernels", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -91,7 +91,7 @@ class TestWholeProgramMode:
         assert document["schema"] == "repro.analysis/diagnostics/v1"
         coverage = document["coverage"]
         assert coverage["jobs_covered"] == len(coverage["jobs"])
-        assert coverage["kernels_covered"] == len(coverage["kernels"])
+        assert coverage["kernels_covered"] == len(coverage["kernels"]) == 2
 
     def test_broken_fixture_fails_the_gate(self, capsys):
         code = main(["whole-program", str(self.BROKEN), "--format", "json"])

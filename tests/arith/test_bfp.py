@@ -84,6 +84,49 @@ class TestEncodeDecode:
         np.testing.assert_array_equal(t.exponents, direct.exponents)
         np.testing.assert_array_equal(t.to_float(), direct.to_float())
 
+    @pytest.mark.parametrize(
+        "fmt, shape, kind",
+        [
+            (BFPFormat(mantissa_bits=4, exponent_bits=6, block_rows=1,
+                       block_cols=1), (7, 5), "gaussian"),
+            (BFPFormat(mantissa_bits=5, exponent_bits=8, block_rows=3,
+                       block_cols=2), (10, 9), "gaussian"),
+            (BFPFormat(), (33, 18), "zeros"),
+            (BFPFormat(), (37, 21), "zero-tiles"),
+            (BFPFormat(mantissa_bits=5, exponent_bits=8, block_rows=3,
+                       block_cols=2), (20, 12), "tiny"),
+            (BFPFormat(mantissa_bits=5, exponent_bits=8, block_rows=3,
+                       block_cols=2), (20, 12), "huge"),
+        ],
+        ids=["unit-blocks", "odd-blocks", "all-zero", "zero-tiles", "tiny",
+             "huge"],
+    )
+    def test_to_float_round_trip(self, fmt, shape, kind):
+        """Decoding is exact (each value is its mantissa times its
+        tile's scale, padding stripped) and within one LSB of the input.
+        The tiny case sits below the 8-bit exponent range, so its
+        exponents clamp at the minimum."""
+        x = np.random.default_rng(4).standard_normal(shape)
+        if kind == "zeros":
+            x[:] = 0.0
+        elif kind == "zero-tiles":
+            x[: shape[0] // 2] = 0.0
+        elif kind == "tiny":
+            x *= 1e-40
+        elif kind == "huge":
+            x *= 1e30
+        bfp = BlockFloatTensor.from_float(x, fmt)
+        decoded = bfp.to_float()
+        assert decoded.dtype == np.float32 and decoded.shape == shape
+        exponents = np.repeat(
+            np.repeat(bfp.exponents, fmt.block_rows, 0), fmt.block_cols, 1
+        )[: shape[0], : shape[1]]
+        lsb = np.ldexp(1.0, exponents - (fmt.mantissa_bits - 1))
+        mantissas = bfp.mantissas[: shape[0], : shape[1]]
+        np.testing.assert_array_equal(decoded, (mantissas * lsb).astype(np.float32))
+        assert np.all(np.abs(decoded - x) <= lsb)
+        assert np.all(decoded[x == 0.0] == 0.0)
+
     def test_tile_grid_dimensions(self):
         x = np.zeros((9, 5), dtype=np.float32)
         bfp = BlockFloatTensor.from_float(x, BFPFormat(block_rows=4, block_cols=4))
@@ -235,6 +278,15 @@ class TestBFPMatmul:
         )
         with pytest.raises(ValueError):
             bfp_matmul(a_bfp, b_bfp)
+
+    def test_mixed_mantissa_widths_rejected(self):
+        """Tile products are scaled by one width's 2(m - 1) fraction
+        bits; an 8-bit × 4-bit product would come out 16× too small."""
+        x = np.random.default_rng(8).standard_normal((16, 16))
+        a = BlockFloatTensor.from_float(x, BFPFormat(mantissa_bits=8))
+        b = BlockFloatTensor.from_float(x, BFPFormat(mantissa_bits=4))
+        with pytest.raises(ValueError, match="mantissa widths differ"):
+            bfp_matmul(a, b)
 
     def test_output_logical_shape(self):
         a_bfp, b_bfp, _, _ = self._pair(5, 9, 7)

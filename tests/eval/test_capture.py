@@ -65,3 +65,21 @@ class TestObservedCapture:
         capture.observe(accelerator)
         assert capture.latency_us.count == count
         assert capture.ops == ops
+
+    def test_accelerator_at_a_reused_address_starts_from_zero(
+        self, monkeypatch
+    ):
+        """CPython can give a new accelerator the address of a freed
+        one, so ``id()`` cannot key the deltas. Simulate that reuse by
+        giving every object the same ``id()``: two accelerators running
+        the same work must still count twice."""
+        monkeypatch.setattr(runner, "id", lambda obj: 0, raising=False)
+        capture = ExperimentCapture("unit")
+        for _ in range(2):
+            accelerator = runner.build_accelerator("500us")
+            accelerator.run(load=0.5, requests=64, seed=3)
+            capture.observe(accelerator)
+        single = ExperimentCapture("unit")
+        single.observe(accelerator)
+        assert capture.latency_us.count == 2 * single.latency_us.count > 0
+        assert capture.duration_cycles == 2 * single.duration_cycles

@@ -90,25 +90,3 @@ class TestChaosParity:
 class TestExperimentFlags:
     def test_fig6_accepts_jobs_flag(self, tmp_path, capsys):
         assert main(["fig6", "--jobs", "2"]) == 0
-
-    def test_bench_subcommand_writes_valid_artifact(self, tmp_path, capsys):
-        import json
-
-        from repro.exec import bench
-
-        code = main(
-            ["bench", "--repeats", "1",
-             "--kernels", "arith.hbfp_quantize", "arith.gemm",
-             "--out-dir", str(tmp_path), "--rev", "test"]
-        )
-        assert code == 0
-        with open(tmp_path / "BENCH_test.json") as handle:
-            assert bench.validate_bench(json.load(handle)) == []
-
-    def test_bench_validate_only(self, tmp_path, capsys):
-        main(
-            ["bench", "--repeats", "1", "--kernels", "arith.hbfp_quantize",
-             "--out-dir", str(tmp_path), "--rev", "v"]
-        )
-        path = str(tmp_path / "BENCH_v.json")
-        assert main(["bench", "--validate-only", path]) == 0

@@ -49,18 +49,30 @@ class TestConvShape:
 
 
 class TestIm2ColFunctional:
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-    def test_lowered_gemm_equals_convolution(self, stride, padding):
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,padding",
+        [
+            pytest.param((2, 3, 7, 7), 3, 1, 0, id="1-0"),
+            pytest.param((2, 3, 7, 7), 3, 1, 1, id="1-1"),
+            pytest.param((2, 3, 7, 7), 3, 2, 1, id="2-1"),
+            pytest.param((1, 1, 1, 1), 1, 1, 0, id="1x1-input"),
+            pytest.param((1, 2, 7, 5), 3, 2, 0, id="stride2-7x5"),
+            pytest.param((1, 1, 4, 4), 3, 1, 2, id="padding2-4x4"),
+            pytest.param((2, 2, 6, 6), 2, 2, 1, id="2x2-kernel-stride2"),
+        ],
+    )
+    def test_lowered_gemm_equals_convolution(self, shape, kernel, stride, padding):
         rng = np.random.default_rng(stride * 10 + padding)
-        images = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
-        kernels = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
-        cols = im2col(images, kernel=3, stride=stride, padding=padding)
+        b, c = shape[:2]
+        images = rng.standard_normal(shape).astype(np.float32)
+        kernels = rng.standard_normal((5, c, kernel, kernel)).astype(np.float32)
+        cols = im2col(images, kernel=kernel, stride=stride, padding=padding)
         flat_k = kernels.reshape(5, -1).T  # (k²·C, out_c) matching cols
         lowered = cols @ flat_k
         reference = _reference_conv(images, kernels, stride, padding)
         out_h = reference.shape[2]
         out_w = reference.shape[3]
-        lowered = lowered.reshape(2, out_h, out_w, 5).transpose(0, 3, 1, 2)
+        lowered = lowered.reshape(b, out_h, out_w, 5).transpose(0, 3, 1, 2)
         np.testing.assert_allclose(lowered, reference, rtol=1e-4, atol=1e-4)
 
     def test_rejects_non_nchw(self):
@@ -70,6 +82,14 @@ class TestIm2ColFunctional:
     def test_rejects_oversized_kernel(self):
         with pytest.raises(ValueError):
             im2col(np.zeros((1, 1, 4, 4)), kernel=9)
+
+    @pytest.mark.parametrize(
+        "kernel,stride,padding", [(0, 1, 0), (-1, 1, 0), (3, 0, 0), (3, -2, 0),
+                                  (3, 1, -1)],
+    )
+    def test_rejects_invalid_geometry(self, kernel, stride, padding):
+        with pytest.raises(ValueError):
+            im2col(np.zeros((1, 1, 4, 4)), kernel, stride, padding)
 
     def test_row_count(self):
         cols = im2col(np.zeros((2, 3, 6, 6)), kernel=3, stride=1, padding=0)

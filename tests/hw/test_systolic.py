@@ -81,12 +81,17 @@ class TestTiming:
             functional_drain = systolic_latency_cycles(rows, n, w) - rows
             assert config.pipeline_drain_cycles - 1 == functional_drain
 
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6))
-    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
     def test_latency_formula_property(self, n, w, rows):
+        """Row r enters on cycle r + 1, reaches column j after j cycles
+        of skew, then crosses n reduction stages and the n·w-deep FIFO."""
         array, _ = _array(n, w)
         _, last_cycle, completion = array.run(np.ones((rows, n * w)))
-        assert last_cycle == rows + (n - 1) + n + n * w
+        r = np.arange(rows)[:, None]
+        j = np.arange(n)[None, :]
+        assert np.array_equal(completion, r + 1 + j + n + n * w)
+        assert last_cycle == systolic_latency_cycles(rows, n, w)
         assert completion.max() == last_cycle
 
 
@@ -94,35 +99,18 @@ class TestRunStream:
     """A tile stream is one timeline: per-tile runs with cumulative row
     offsets must equal the stream entry point, bit for bit."""
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_equals_per_tile_runs_with_offsets(self, backend):
+    def test_equals_per_tile_runs_with_offsets(self):
         array, _ = _array(3, 2, seed=9)
         rng = np.random.default_rng(21)
         tiles = [rng.standard_normal((r, 6)) for r in (4, 1, 7, 2)]
-        outs, last_cycle, completions = array.run_stream(
-            tiles, backend=backend
-        )
+        outs, last_cycle, completions = array.run_stream(tiles)
         offset = 0
         for tile, out, completion in zip(tiles, outs, completions):
-            ref_out, ref_last, ref_completion = array.run(
-                tile, backend=backend
-            )
+            ref_out, ref_last, ref_completion = array.run(tile)
             assert np.array_equal(out, ref_out)
             assert np.array_equal(completion, ref_completion + offset)
             offset += tile.shape[0]
         assert last_cycle == offset + (3 - 1) + 3 + 3 * 2
-
-    def test_backends_bit_identical(self):
-        array, _ = _array(4, 3, seed=10)
-        rng = np.random.default_rng(22)
-        tiles = [rng.standard_normal((r, 12)) for r in (5, 1, 3)]
-        ref = array.run_stream(tiles, backend="reference")
-        fast = array.run_stream(tiles, backend="fast")
-        assert ref[1] == fast[1]
-        for a, b in zip(ref[0], fast[0]):
-            assert np.array_equal(a, b)
-        for a, b in zip(ref[2], fast[2]):
-            assert np.array_equal(a, b)
 
     def test_empty_stream(self):
         array, _ = _array(2, 2)

@@ -1,40 +1,19 @@
 """End-to-end backend equivalence through the public entry points.
 
 The parity corpus checks implementations; these tests check the
-*wrappers* — that ``backend=`` threads all the way down, that ambient
-switching changes which side runs (observable via dispatch counters),
-and that results stay bit-identical through the composed pipelines
-(hbfp GEMM, functional models, conv lowering).
+*wrappers* — that ``use_backend`` reaches the dispatch (observable via
+the dispatch counters), and that results stay bit-identical through the
+composed pipelines (hbfp GEMM, functional models).
 """
 
 import numpy as np
-import pytest
 
 from repro import kernels
 from repro.arith.bfp import BFPFormat, BlockFloatTensor, bfp_matmul
 from repro.arith.hbfp import hbfp_gemm
-from repro.hw.im2col import im2col
-from repro.hw.systolic import SystolicArray
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    previous = kernels.get_backend()
-    yield
-    kernels.set_backend(previous)
-
 
 FMT = BFPFormat(mantissa_bits=8, exponent_bits=12, block_rows=16,
                 block_cols=16)
-
-
-def _runnable_backends():
-    """Backends an explicit set_backend/use_backend can select here —
-    the compiled tier only where numba is importable."""
-    return [
-        b for b in kernels.BACKENDS
-        if b != "compiled" or kernels.compiled_available()
-    ]
 
 
 def _operands(seed=3, shape=(33, 47)):
@@ -42,33 +21,40 @@ def _operands(seed=3, shape=(33, 47)):
     return rng.standard_normal(shape)
 
 
+def _under_both(fn):
+    """``{backend: fn()}`` with ``fn`` run under each backend."""
+    out = {}
+    for backend in kernels.BACKENDS:
+        with kernels.use_backend(backend):
+            out[backend] = fn()
+    return out
+
+
 class TestBfpWrappers:
     def test_from_float_backends_bit_identical(self):
         x = _operands()
-        ref = BlockFloatTensor.from_float(x, FMT, backend="reference")
-        fast = BlockFloatTensor.from_float(x, FMT, backend="fast")
+        both = _under_both(lambda: BlockFloatTensor.from_float(x, FMT))
+        ref, fast = both["reference"], both["fast"]
         assert np.array_equal(ref.mantissas, fast.mantissas)
         assert np.array_equal(ref.exponents, fast.exponents)
-        assert np.array_equal(ref.to_float(backend="reference"),
-                              fast.to_float(backend="fast"))
+        assert np.array_equal(ref.to_float(), fast.to_float())
 
     def test_stochastic_rounding_consumes_identical_randomness(self):
         x = _operands(seed=9)
-        states = {}
-        for backend in kernels.BACKENDS:
+
+        def draw():
             rng = np.random.default_rng(1234)
-            BlockFloatTensor.from_float(
-                x, FMT, rounding="stochastic", rng=rng, backend=backend
-            )
-            states[backend] = rng.bit_generator.state
+            BlockFloatTensor.from_float(x, FMT, rounding="stochastic", rng=rng)
+            return rng.bit_generator.state
+
+        states = _under_both(draw)
         assert states["reference"] == states["fast"]
 
     def test_bfp_matmul_backends_bit_identical(self):
         a = BlockFloatTensor.from_float(_operands(1, (32, 64)), FMT)
         b = BlockFloatTensor.from_float(_operands(2, (64, 48)), FMT)
-        ref = bfp_matmul(a, b, backend="reference")
-        fast = bfp_matmul(a, b, backend="fast")
-        assert np.array_equal(ref, fast)
+        both = _under_both(lambda: bfp_matmul(a, b))
+        assert np.array_equal(both["reference"], both["fast"])
 
     def test_ambient_backend_reaches_the_wrappers(self):
         x = _operands()
@@ -80,58 +66,27 @@ class TestBfpWrappers:
         kernels.reset_dispatch_counts()
 
 
-class TestHwWrappers:
-    def test_systolic_backends_agree_on_values_and_cycles(self):
-        rng = np.random.default_rng(5)
-        n, w, rows = 4, 3, 11
-        weights = rng.standard_normal((n * w, n))
-        x = rng.standard_normal((rows, n * w))
-        array = SystolicArray(n, w, weights)
-        ref_out, ref_last, ref_done = array.run(x, backend="reference")
-        fast_out, fast_last, fast_done = array.run(x, backend="fast")
-        assert np.array_equal(ref_out, fast_out)
-        assert ref_last == fast_last
-        assert np.array_equal(ref_done, fast_done)
-
-    def test_im2col_backends_bit_identical(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 3, 9, 7)).astype(np.float32)
-        ref = im2col(x, 3, stride=2, padding=1, backend="reference")
-        fast = im2col(x, 3, stride=2, padding=1, backend="fast")
-        assert np.array_equal(ref, fast)
-
-
 class TestComposedPipelines:
     def test_hbfp_gemm_backend_invariant(self):
         a = _operands(11, (40, 56)).astype(np.float32)
         b = _operands(12, (56, 24)).astype(np.float32)
-        ref = hbfp_gemm(a, b, backend="reference")
-        fast = hbfp_gemm(a, b, backend="fast")
-        assert np.array_equal(ref, fast)
+        both = _under_both(lambda: hbfp_gemm(a, b))
+        assert np.array_equal(both["reference"], both["fast"])
 
     def test_functional_mlp_backend_invariant(self):
         from repro.models.functional import FunctionalMLP
 
         x = _operands(13, (8, 48)).astype(np.float32)
-        outs = {}
-        for backend in _runnable_backends():
-            model = FunctionalMLP(
-                [48, 32, 16], encoding="hbfp8",
-                rng=np.random.default_rng(0),
-            )
-            outs[backend] = model.run(x, kernel_backend=backend)
-        for backend, out in outs.items():
-            assert np.array_equal(outs["reference"], out), backend
+        both = _under_both(lambda: FunctionalMLP(
+            [48, 32, 16], encoding="hbfp8", rng=np.random.default_rng(0)
+        ).run(x))
+        assert np.array_equal(both["reference"], both["fast"])
 
     def test_functional_lstm_backend_invariant(self):
         from repro.models.functional import FunctionalLSTMCell
 
         h0 = _operands(14, (4, 32)).astype(np.float32)
-        outs = {}
-        for backend in _runnable_backends():
-            cell = FunctionalLSTMCell(
-                32, encoding="hbfp8", rng=np.random.default_rng(0)
-            )
-            outs[backend] = cell.run(h0, steps=3, kernel_backend=backend)
-        for backend, out in outs.items():
-            assert np.array_equal(outs["reference"], out), backend
+        both = _under_both(lambda: FunctionalLSTMCell(
+            32, encoding="hbfp8", rng=np.random.default_rng(0)
+        ).run(h0, steps=3))
+        assert np.array_equal(both["reference"], both["fast"])

@@ -1,9 +1,9 @@
 """The bit-exactness contract, enforced: the whole parity corpus.
 
 Every case runs its kernel under both backends and compares payloads
-bit for bit — values, shared exponents, RNG stream position, systolic
-cycle counts. One parametrized test per case keeps failures addressable
-by name (``test_case[matmul/ragged]``).
+bit for bit — values, shared exponents, RNG stream position. One
+parametrized test per case keeps failures addressable by name
+(``test_case[matmul/ragged]``).
 """
 
 import warnings
@@ -35,8 +35,6 @@ class TestCorpusShape:
             "quantize/all-zero/nearest",     # all-zero tiles
             "matmul/wide-mantissa",          # never one float64 GEMM
             "matmul/saturating",             # accumulator clamp
-            "systolic/1x1",
-            "im2col/1x1",
         ):
             assert needle in names, f"corpus lost its {needle} case"
 
