@@ -10,15 +10,14 @@ parsed module. Shipping rules:
   full-precision numpy escaping the arithmetic package silently
   invalidates it.
 * **EQX302 nondeterminism** — wall-clock reads (``time.time``,
-  ``datetime.now``...) or unseeded RNG (``np.random.*`` without a seed,
-  ``random.*`` module functions) inside ``repro.sim``, ``repro.hw`` and
-  ``repro.core``, which must stay bit-reproducible (errors). Outside
-  those packages, wall-clock and ``uuid4``/``uuid1`` calls are still
-  reported as warnings unless the module is on the audited timing
-  allowlist (``obs.profile``, ``exec.tasks``, ``__main__``).
+  ``datetime.now``...), unseeded RNG (``np.random.*`` without a seed,
+  ``random.*`` module functions, ``uuid4``), environment reads
+  (``os.environ``, ``os.getenv``) and ``id()``, anywhere in the package
+  except the three timing modules (``obs.profile``, ``exec.tasks``,
+  ``__main__``). Any module may run inside a cached job, so none may
+  depend on the host, the process or the run.
 * **EQX303 swallowed-exception** — bare ``except:`` and
   ``except Exception: pass`` handlers.
-* **EQX304 unused-import** — imports never referenced in the module.
 * **EQX305 unbounded-retry** — ``while True`` retry loops whose except
   handler neither breaks, returns nor re-raises: the failure path spins
   forever. Retries must carry a budget, like the fault subsystem's
@@ -52,7 +51,7 @@ parsed module. Shipping rules:
   crc32-keyed substreams can deliver.
 
 Suppression: append ``# eqx: ignore[EQX301]`` (or ``# eqx: ignore`` for
-all rules) to the offending line; ``# eqx: disable=EQX301,EQX304`` is
+all rules) to the offending line; ``# eqx: disable=EQX301,EQX302`` is
 an accepted spelling of the same thing. Suppressions are deliberate
 escape hatches — e.g. the functional systolic-array model computes its
 exact-accumulation reference in float64 on purpose.
@@ -62,20 +61,17 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis import rules
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.diagnostics import Diagnostic
 
-#: ``# eqx: ignore`` / ``# eqx: ignore[EQX301, EQX304]`` /
-#: ``# eqx: disable=EQX301,EQX304`` / ``# eqx: disable``
+#: ``# eqx: ignore`` / ``# eqx: ignore[EQX301, EQX302]`` /
+#: ``# eqx: disable=EQX301,EQX302`` / ``# eqx: disable``
 _SUPPRESS_RE = re.compile(
     r"#\s*eqx:\s*(?:ignore(?:\[(?P<ids>[A-Z0-9,\s]+)\])?"
     r"|disable(?:\s*=\s*(?P<disable_ids>[A-Z0-9,\s]+))?)"
 )
-
-#: Modules whose determinism the simulator's reproducibility depends on.
-DETERMINISTIC_PACKAGES = ("repro/sim", "repro/hw", "repro/core")
 
 #: The quantization boundary: float64 is legal only inside this package
 #: (block conversion needs a full-precision staging representation).
@@ -174,33 +170,75 @@ class DtypeLeakRule(LintRule):
         return diags
 
 
-class NondeterminismRule(LintRule):
-    """EQX302: wall-clock or unseeded RNG in deterministic packages.
+def _collect_imports(tree: ast.Module) -> Dict[str, str]:
+    """local name -> qualified dotted target."""
+    imports: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                # `import a.b` binds `a`, but `import a.b as c` binds
+                # the full dotted path to `c`.
+                imports[local] = alias.name if alias.asname else (
+                    alias.name.split(".")[0]
+                )
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None or node.level:
+                continue  # relative imports: rare here, skip
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                imports[local] = f"{node.module}.{alias.name}"
+    return imports
 
-    Inside the deterministic packages (``repro.sim``/``hw``/``core``)
-    every wall-clock read and unseeded-RNG draw is an **error**. Outside
-    them, wall-clock and uuid calls still surface — as **warnings** —
-    unless the module is on the audited allowlist (the profiler whose
-    clock is injectable, the deliberately impure exec probe, and the
-    CLI's progress timers).
+
+def _qualify(dotted: str, imports: Mapping[str, str]) -> str:
+    """Resolve the head of a dotted name through the import table."""
+    head, _, rest = dotted.partition(".")
+    base = imports.get(head)
+    if base is None:
+        return dotted
+    return f"{base}.{rest}" if rest else base
+
+
+class NondeterminismRule(LintRule):
+    """EQX302: wall clock, unseeded RNG, environment reads or ``id()``.
+
+    Every source is an **error** in every module except the three whose
+    job is measurement (the profiler whose clock is injectable, the
+    deliberately impure exec probe, and the CLI's progress timers).
+    Calls resolve through the module's import table, so
+    ``from time import perf_counter`` and ``np.random.default_rng``
+    both match. Inside ``repro.serve``, ``random``/``numpy.random`` use
+    is left to the stricter EQX310, so each draw is reported once.
     """
 
     rule = rules.NONDETERMINISM
 
-    _CLOCK_CALLS = {
-        "time.time", "time.time_ns", "time.monotonic", "time.perf_counter",
-        "datetime.now", "datetime.utcnow", "datetime.today",
+    _WALL_CLOCK_CALLS = frozenset({
+        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+        "time.process_time_ns", "time.sleep",
         "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.date.today",
-    }
-    #: Identity sources: every call is fresh by construction.
-    _UUID_CALLS = {"uuid.uuid4", "uuid4", "uuid.uuid1", "uuid1"}
-    #: np.random constructors that are deterministic when given a seed.
-    _SEEDABLE = {
-        "np.random.default_rng", "numpy.random.default_rng",
-        "np.random.RandomState", "numpy.random.RandomState",
+        "datetime.datetime.today", "datetime.date.today",
+    })
+    #: Constructors that are deterministic *with* a seed argument.
+    _SEEDABLE_CALLS = frozenset({
+        "numpy.random.default_rng", "numpy.random.RandomState",
         "random.Random",
-    }
+    })
+    _RNG_CALLS = frozenset({
+        "uuid.uuid4", "uuid.uuid1", "os.urandom", "secrets.token_bytes",
+        "secrets.token_hex", "secrets.token_urlsafe", "secrets.randbelow",
+        "secrets.choice",
+    })
+    _RNG_PREFIXES = ("numpy.random.", "random.", "secrets.")
+    #: What EQX310 already reports inside repro.serve.
+    _SERVE_RNG_PREFIXES = ("numpy.random.", "random.")
+    _ENV_CALLS = frozenset({"os.getenv"})
     #: Modules audited to read the wall clock: measurement is their job.
     _AUDITED_MODULES = (
         "repro/obs/profile.py",   # profiler (clock is an injectable arg)
@@ -214,55 +252,52 @@ class NondeterminismRule(LintRule):
             for suffix in self._AUDITED_MODULES
         )
 
+    def _call_source(
+        self, node: ast.Call, imports: Mapping[str, str], serve: bool
+    ) -> Optional[str]:
+        """Why the call is nondeterministic, or None."""
+        rendered = _dotted_name(node.func)
+        if rendered is None:
+            return None
+        qualified = _qualify(rendered, imports)
+        if serve and qualified.startswith(self._SERVE_RNG_PREFIXES):
+            return None
+        if qualified in self._WALL_CLOCK_CALLS:
+            return f"{qualified}() reads the wall clock"
+        if qualified in self._SEEDABLE_CALLS:
+            if node.args or node.keywords:
+                return None
+            return f"{qualified}() without a seed draws from OS entropy"
+        if qualified in self._RNG_CALLS or qualified.startswith(
+            self._RNG_PREFIXES
+        ):
+            return f"{qualified}() draws from unseeded randomness"
+        if qualified in self._ENV_CALLS:
+            return f"{qualified}() reads the host environment"
+        if qualified == "id":
+            return "id() is a heap address that differs from run to run"
+        return None
+
     def check(self, tree: ast.Module, context: LintContext) -> List[Diagnostic]:
-        strict = context.in_package("sim", "hw", "core")
+        imports = _collect_imports(tree)
+        serve = context.in_package("serve")
         diags: List[Diagnostic] = []
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _dotted_name(node.func)
-            if name is None:
-                continue
-            if name in self._CLOCK_CALLS:
-                if strict:
-                    diags.append(rules.diagnostic(
-                        self.rule,
-                        f"{name}() reads the wall clock inside a "
-                        "deterministic simulation package",
-                        file=context.path, line=node.lineno,
-                    ))
-                else:
-                    diags.append(rules.diagnostic(
-                        self.rule,
-                        f"{name}() reads the wall clock outside the "
-                        "audited timing modules — route timing through "
-                        "repro.obs.profile, or add the module to the "
-                        "audited allowlist",
-                        file=context.path, line=node.lineno,
-                        severity=Severity.WARNING,
-                    ))
-            elif name in self._UUID_CALLS:
+            source: Optional[str] = None
+            if isinstance(node, ast.Attribute):
+                # os.environ[...], os.environ.get(...): the access itself
+                dotted = _dotted_name(node)
+                if dotted is not None and _qualify(dotted, imports) == (
+                    "os.environ"
+                ):
+                    source = "os.environ reads the host environment"
+            elif isinstance(node, ast.Call):
+                source = self._call_source(node, imports, serve)
+            if source is not None:
                 diags.append(rules.diagnostic(
                     self.rule,
-                    f"{name}() mints a fresh identity every run — "
-                    "derive ids from (config, seed) instead so "
-                    "artifacts and cache keys stay reproducible",
-                    file=context.path, line=node.lineno,
-                    severity=Severity.ERROR if strict else Severity.WARNING,
-                ))
-            elif not strict:
-                continue
-            elif name in self._SEEDABLE:
-                if not node.args and not node.keywords:
-                    diags.append(rules.diagnostic(
-                        self.rule,
-                        f"{name}() without a seed is nondeterministic",
-                        file=context.path, line=node.lineno,
-                    ))
-            elif name.startswith(("np.random.", "numpy.random.", "random.")):
-                diags.append(rules.diagnostic(
-                    self.rule,
-                    f"{name}() draws from global (unseeded) RNG state",
+                    f"{source}: a job's result must depend only on its "
+                    "(config, seed)",
                     file=context.path, line=node.lineno,
                 ))
         return diags
@@ -304,61 +339,6 @@ class SwallowedExceptionRule(LintRule):
                     "failure",
                     file=context.path, line=node.lineno,
                 ))
-        return diags
-
-
-class UnusedImportRule(LintRule):
-    """EQX304: imports never referenced in the module."""
-
-    rule = rules.UNUSED_IMPORT
-
-    def applies_to(self, context: LintContext) -> bool:
-        # Package __init__ modules re-export names on purpose.
-        return not context.module_path.endswith("__init__.py")
-
-    def check(self, tree: ast.Module, context: LintContext) -> List[Diagnostic]:
-        imported: List[Tuple[str, int, str]] = []  # (local name, line, shown)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    imported.append((local, node.lineno, alias.name))
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "__future__":
-                    continue
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    imported.append((local, node.lineno, alias.name))
-        if not imported:
-            return []
-        used: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                root = node
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if isinstance(root, ast.Name):
-                    used.add(root.id)
-        # Names referenced from string annotations / docstring doctests.
-        source_text = "\n".join(context.source_lines)
-        diags: List[Diagnostic] = []
-        for local, line, shown in imported:
-            if local in used:
-                continue
-            # Fall back to a textual scan: quoted annotations, doctests
-            # and __all__ re-exports keep a name "used".
-            occurrences = len(re.findall(rf"\b{re.escape(local)}\b", source_text))
-            if occurrences > 1:
-                continue
-            diags.append(rules.diagnostic(
-                self.rule,
-                f"import {shown!r} (as {local!r}) is never used",
-                file=context.path, line=line,
-            ))
         return diags
 
 
@@ -627,7 +607,8 @@ class UnkeyedServeRngRule(LintRule):
         diags: List[Diagnostic] = []
         #: Attribute nodes consumed by a seeded default_rng call — the
         #: one sanctioned np.random access, skipped in the walk below.
-        allowed: Set[int] = set()
+        #: AST nodes hash by identity.
+        allowed: Set[ast.AST] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = _dotted_name(node.func)
@@ -644,7 +625,7 @@ class UnkeyedServeRngRule(LintRule):
                     # above, don't re-flag the attribute chain itself.
                     chain: ast.AST = node.func
                     while isinstance(chain, ast.Attribute):
-                        allowed.add(id(chain))
+                        allowed.add(chain)
                         chain = chain.value
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -683,7 +664,7 @@ class UnkeyedServeRngRule(LintRule):
                         "instead",
                         file=context.path, line=node.lineno,
                     ))
-            elif isinstance(node, ast.Attribute) and id(node) not in allowed:
+            elif isinstance(node, ast.Attribute) and node not in allowed:
                 name = _dotted_name(node)
                 if name is None:
                     continue
@@ -704,7 +685,7 @@ class UnkeyedServeRngRule(LintRule):
                     # One report per chain (walk is parents-first).
                     chain = node.value
                     while isinstance(chain, ast.Attribute):
-                        allowed.add(id(chain))
+                        allowed.add(chain)
                         chain = chain.value
         return diags
 
@@ -714,7 +695,6 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
     DtypeLeakRule(),
     NondeterminismRule(),
     SwallowedExceptionRule(),
-    UnusedImportRule(),
     UnboundedRetryRule(),
     DirectPercentileRule(),
     AdhocConfigDumpRule(),

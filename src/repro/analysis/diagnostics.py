@@ -135,27 +135,20 @@ def render_text(diagnostics: Sequence[Diagnostic]) -> str:
     return "\n".join(lines)
 
 
-def render_json(
-    diagnostics: Sequence[Diagnostic],
-    *,
-    extra: Optional[Dict[str, object]] = None,
-) -> str:
+def render_json(diagnostics: Sequence[Diagnostic]) -> str:
     """The machine-readable report CI consumes.
 
     Canonical JSON — sorted keys, compact separators, no NaN/Infinity —
     so identical findings render byte-identically everywhere and the
     artifact can be checksummed. (Implemented locally rather than via
     :mod:`repro.exec.canonical` to keep the diagnostics core free of
-    exec-layer imports.) ``extra`` merges additional top-level keys,
-    e.g. the whole-program pass's coverage block.
+    exec-layer imports.)
     """
     document: Dict[str, object] = {
         "schema": DIAGNOSTICS_SCHEMA,
         "diagnostics": [d.to_dict() for d in diagnostics],
         "counts": count_by_severity(diagnostics),
     }
-    if extra:
-        document.update(extra)
     return json.dumps(
         document, sort_keys=True, separators=(",", ":"), allow_nan=False
     )

@@ -114,16 +114,12 @@ DTYPE_LEAK = _register(Rule(
 ))
 NONDETERMINISM = _register(Rule(
     "EQX302", "nondeterminism", Severity.ERROR,
-    "Wall-clock reads or unseeded RNG inside repro.sim/hw/core make "
-    "simulations irreproducible.",
+    "Wall-clock reads, unseeded RNG, environment reads or id() in any "
+    "module a job can run make its cached result irreproducible.",
 ))
 SWALLOWED_EXCEPTION = _register(Rule(
     "EQX303", "swallowed-exception", Severity.ERROR,
     "Bare or pass-only exception handlers hide datapath model bugs.",
-))
-UNUSED_IMPORT = _register(Rule(
-    "EQX304", "unused-import", Severity.WARNING,
-    "Unused imports hide real dependencies and slow module import.",
 ))
 UNBOUNDED_RETRY = _register(Rule(
     "EQX305", "unbounded-retry", Severity.WARNING,
@@ -171,57 +167,6 @@ UNKEYED_SERVE_RNG = _register(Rule(
     "(np.random.default_rng([seed, zlib.crc32(label), instance]) or a "
     "FaultPlan.rng stream) — ambient generators shared across workers "
     "break that silently.",
-))
-
-# ---------------------------------------------------------------- EQX4xx
-# Whole-program rules: judged against the interprocedural call graph
-# and effect lattice (repro.analysis.whole_program), not one file.
-NONDET_JOB_FN = _register(Rule(
-    "EQX401", "nondeterministic-job-fn", Severity.ERROR,
-    "A registered exec job function transitively reaches a "
-    "nondeterminism source (wall clock, unseeded RNG, set iteration "
-    "order, id(), threading) — the content-addressed result cache "
-    "would silently serve results that a re-run cannot reproduce.",
-))
-RNG_STREAM_DIVERGENCE = _register(Rule(
-    "EQX402", "rng-stream-divergence", Severity.ERROR,
-    "A KernelPair's reference and fast implementations consume their "
-    "rng parameter differently (methods, argument shapes, order, or "
-    "forwarding) — backends would desynchronize the RNG stream and "
-    "every later stochastic call diverges, violating the bit-exact "
-    "parity contract.",
-))
-CACHE_KEY_ESCAPE = _register(Rule(
-    "EQX403", "cache-key-escape", Severity.ERROR,
-    "A registered job function reads state outside (config, seed, "
-    "code_fingerprint) — environment variables or files — so the "
-    "cache key does not describe the computation and cached results "
-    "are unsound.",
-))
-UNREGISTERED_ENTRY_POINT = _register(Rule(
-    "EQX404", "unregistered-entry-point", Severity.ERROR,
-    "A registry target or kernel implementation the call graph cannot "
-    "resolve (or a job-shaped function missing its registration) is "
-    "an entry point the whole-program rules silently skip — the "
-    "analyzer's coverage guarantee is void until it is registered or "
-    "removed.",
-))
-IMPURE_MERGE_STATE = _register(Rule(
-    "EQX405", "impure-merge_state", Severity.ERROR,
-    "A merge_state implementation has effects — the worker-to-parent "
-    "aggregation hand-off must be a pure fold, or parallel execution "
-    "(--jobs N) diverges from serial and the byte-identical artifact "
-    "guarantee breaks.",
-))
-ASYMMETRIC_SNAPSHOT = _register(Rule(
-    "EQX406", "asymmetric-snapshot", Severity.ERROR,
-    "A stateful class reachable from a checkpoint root "
-    "(repro.state.CHECKPOINT_ROOTS) is missing its to_state/from_state "
-    "pair, or carries only one side of it — a checkpoint taken through "
-    "that root silently drops (or cannot restore) the class's mutable "
-    "state, breaking the bit-exact resume contract. Config-only frozen "
-    "dataclasses are exempt; genuinely unsnapshotable classes must "
-    "raise SnapshotError from to_state instead of omitting it.",
 ))
 
 

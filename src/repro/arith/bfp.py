@@ -157,8 +157,8 @@ class BlockFloatTensor:
                 ``"stochastic"`` — the unbiased rounding HBFP training
                 uses on the weight-update path so that sub-LSB updates
                 survive in expectation.
-            rng: Randomness source for stochastic rounding (a default
-                generator is created when omitted). Both kernel
+            rng: Randomness source, required for stochastic rounding
+                so that equal calls give equal mantissas. Both kernel
                 backends consume the stream identically.
         """
         x = np.asarray(values, dtype=np.float64)
@@ -166,6 +166,8 @@ class BlockFloatTensor:
             raise ValueError(f"BFP tensors are 2-D, got shape {x.shape}")
         if rounding not in ("nearest", "stochastic"):
             raise ValueError(f"unknown rounding mode {rounding!r}")
+        if rounding == "stochastic" and rng is None:
+            raise ValueError("stochastic rounding needs an rng")
         from repro import kernels
 
         quantize = kernels.dispatch("bfp.quantize")

@@ -16,7 +16,6 @@ the sweep behind them is deterministic.
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.annotations import audited
 from repro.dse.explorer import DesignPoint, DesignSpaceExplorer
 from repro.dse.pareto import pareto_frontier
 from repro.dse.tech import TechnologyModel, TSMC28
@@ -30,21 +29,18 @@ EQUINOX_LATENCY_CLASSES: Tuple[Tuple[str, Optional[float]], ...] = (
     ("none", math.inf),
 )
 
-_SWEEP_CACHE: Dict[Tuple[str, int], List[DesignPoint]] = {}
+#: Sweeps by ``(encoding, repr(tech))``. The repr lists every field, so
+#: equal technologies share a slot and different ones never do.
+#: (``TechnologyModel`` holds a dict, so it cannot be a key itself.)
+_SWEEP_CACHE: Dict[Tuple[str, str], List[DesignPoint]] = {}
 
 
-@audited(
-    "id_value",
-    reason="id(tech) keys the per-process sweep memo only; the sweep "
-    "result is a pure function of (encoding, tech constants), so the "
-    "identity can select a cache slot but never a different value",
-)
 def _sweep(
     encoding: str,
     tech: TechnologyModel,
     executor: Optional[Any] = None,
 ) -> List[DesignPoint]:
-    key = (encoding, id(tech))
+    key = (encoding, repr(tech))
     if key not in _SWEEP_CACHE:
         _SWEEP_CACHE[key] = DesignSpaceExplorer(encoding, tech).sweep(
             executor=executor

@@ -18,8 +18,6 @@ import time
 from dataclasses import asdict
 from typing import Any, Dict, List
 
-from repro.analysis.annotations import audited
-
 __all__ = [
     "chaos_scenario",
     "dse_points",
@@ -106,12 +104,6 @@ def serve_fleet_scenario(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     return scenarios.run_scenario(config, seed)
 
 
-@audited(
-    "wall_clock", "process",
-    reason="isolation probe: crash/sleep modes exist to exercise the "
-    "scheduler's timeout and BrokenProcessPool recovery; its cacheable "
-    "echo mode is pure, and tests never cache the impure modes",
-)
 def exec_probe(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """Scheduler-infrastructure probe (tests and CI smoke).
 

@@ -17,7 +17,6 @@ short of pulling power.
 
 import os
 import signal
-from repro.analysis.annotations import audited
 
 __all__ = ["KillSwitch"]
 
@@ -36,12 +35,6 @@ class KillSwitch:
     def armed(self) -> bool:
         return self.after is not None
 
-    @audited(
-        "process",
-        reason="crash-recovery drill: the deliberate SIGKILL that the "
-        "checkpoint/resume machinery must survive; fires only when the "
-        "operator passes --kill-after",
-    )
     def note_unit_done(self) -> None:
         """Count one completed work unit; kill the process at the mark."""
         if self.after is None:

@@ -70,7 +70,7 @@ def quantize(
     np.ldexp(scale, exponents - (fmt.mantissa_bits - 1), out=scale, where=nonzero)
     scaled = padded.reshape(grid_r, br, grid_c, bc) / scale[:, None, :, None]
     if rounding == "stochastic":
-        rng = rng or np.random.default_rng()
+        assert rng is not None  # from_float requires one
         mant = np.floor(scaled)
         scaled -= mant  # the fractional parts
         mant += rng.random(scaled.shape) < scaled

@@ -45,8 +45,8 @@ def quantize(
     ``rng.random(padded_tile_shape)`` draw.
 
     Returns ``(mantissas int32 (padded), exponents int32 (tile grid),
-    logical_shape)``. Argument validation (2-D, known rounding mode)
-    happens in the public wrapper.
+    logical_shape)``. Argument validation (2-D, known rounding mode,
+    an ``rng`` for stochastic rounding) happens in the public wrapper.
     """
     x = np.asarray(values, dtype=np.float64)
     rows, cols = x.shape
@@ -75,7 +75,7 @@ def quantize(
     safe_scale = np.where(max_abs > 0, scale, 1.0)
     scaled = tiles / safe_scale[:, None, :, None]
     if rounding == "stochastic":
-        rng = rng or np.random.default_rng()
+        assert rng is not None  # from_float requires one
         floor = np.floor(scaled)
         frac = scaled - floor
         mant = floor + (rng.random(scaled.shape) < frac)

@@ -8,8 +8,7 @@ The package has three pieces:
   :class:`CompletionJournal` the execution engine replays on
   ``--resume``;
 * :mod:`repro.state.protocol` — the ``to_state``/``from_state``
-  snapshot contract (:class:`SnapshotError`, the ``CHECKPOINT_ROOTS``
-  table the EQX406 analyzer walks, and RNG-stream helpers);
+  snapshot contract (:class:`SnapshotError` and RNG-stream helpers);
 * :mod:`repro.state.signals` — graceful SIGINT/SIGTERM handling
   (:class:`GracefulShutdown` / :class:`ShutdownRequested`) so an
   interrupted run writes a final checkpoint and exits with a named
@@ -29,16 +28,10 @@ from repro.state.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.state.protocol import (
-    CHECKPOINT_ROOTS,
-    SnapshotError,
-    restore_rng,
-    rng_state,
-)
+from repro.state.protocol import SnapshotError, restore_rng, rng_state
 from repro.state.signals import GracefulShutdown, ShutdownRequested
 
 __all__ = [
-    "CHECKPOINT_ROOTS",
     "CHECKPOINT_SCHEMA",
     "CheckpointError",
     "CheckpointStore",

@@ -16,12 +16,6 @@ handles) must make the snapshot *fail loudly* with
 snapshot at a documented quiescence point instead (run boundaries for
 the accelerator, iteration boundaries for the training engine, round
 boundaries for the fleet; see DESIGN.md).
-
-``CHECKPOINT_ROOTS`` names the classes checkpoints start from. The
-EQX406 whole-program rule walks the attribute graph from these roots
-and errors on any reachable stateful class whose ``to_state`` /
-``from_state`` pair is missing or asymmetric — the table is parsed
-statically, so keep it a literal dict of ``root_id: "module:Class"``.
 """
 
 from typing import Any, Dict
@@ -33,37 +27,7 @@ import numpy as np
 # its public home.
 from repro.sim.engine import SnapshotError
 
-__all__ = ["CHECKPOINT_ROOTS", "SnapshotError", "restore_rng", "rng_state"]
-
-
-#: The classes checkpoints are rooted at, as ``root_id: "module:Class"``.
-#: Parsed statically by the EQX406 snapshot-coverage rule: every
-#: stateful class reachable from these roots through ``__init__``
-#: attribute assignments must carry a symmetric to_state/from_state
-#: pair. Factory-constructed strategy classes (schedulers, batching
-#: policies, arrival processes) are listed explicitly because attribute
-#: type inference cannot see through their factories.
-CHECKPOINT_ROOTS: Dict[str, str] = {
-    "simulator": "repro.sim.engine:Simulator",
-    "accelerator": "repro.core.equinox:EquinoxAccelerator",
-    "fleet": "repro.cluster.fleet:EquinoxFleet",
-    "scheduler.priority": "repro.core.scheduler:PriorityScheduler",
-    "scheduler.fair": "repro.core.scheduler:FairScheduler",
-    "scheduler.inference_only": "repro.core.scheduler:InferenceOnlyScheduler",
-    "scheduler.software": "repro.core.scheduler:SoftwareScheduler",
-    "batching.static": "repro.core.batching:StaticBatching",
-    "batching.adaptive": "repro.core.batching:AdaptiveBatching",
-    "arrivals.poisson": "repro.workload.loadgen:PoissonArrivals",
-    "arrivals.uniform": "repro.workload.loadgen:UniformArrivals",
-    "arrivals.faulty": "repro.workload.loadgen:FaultyArrivals",
-    "arrivals.trace": "repro.workload.loadgen:TraceArrivals",
-    "arrivals.mixed": "repro.workload.loadgen:MixedArrivals",
-    "batching.pull": "repro.core.batching:PullBatching",
-    "serve.router": "repro.serve.router:FleetRouter",
-    "capture": "repro.eval.runner:ExperimentCapture",
-    "sketch.quantile": "repro.obs.sketch:QuantileSketch",
-    "fault.counters": "repro.faults.counters:FaultCounters",
-}
+__all__ = ["SnapshotError", "restore_rng", "rng_state"]
 
 
 def rng_state(rng: np.random.Generator) -> Dict[str, Any]:

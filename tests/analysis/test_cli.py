@@ -72,50 +72,20 @@ class TestDefaultSuite:
         assert document["counts"]["error"] == 0
 
 
-class TestWholeProgramMode:
-    BROKEN = FIXTURES / "whole_program" / "eqx401_nondet_job"
+class TestMissingPaths:
+    """A typo in a path must not pass the gate or look like findings."""
 
-    def test_real_tree_is_clean_with_coverage_floor(self, capsys):
-        code = main([
-            "whole-program", "--min-jobs", "3", "--min-kernels", "2",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "jobs covered:" in out
-        assert "kernel pairs covered:" in out
+    def test_missing_lint_root_is_a_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "no" / "such" / "dir")
+        assert main(["--path", missing, "--skip-programs"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"analyze: --path {missing} does not exist\n"
 
-    def test_json_document_carries_coverage(self, capsys):
-        code = main(["whole-program", "--format", "json"])
-        document = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert document["schema"] == "repro.analysis/diagnostics/v1"
-        coverage = document["coverage"]
-        assert coverage["jobs_covered"] == len(coverage["jobs"])
-        assert coverage["kernels_covered"] == len(coverage["kernels"]) == 2
-
-    def test_broken_fixture_fails_the_gate(self, capsys):
-        code = main(["whole-program", str(self.BROKEN), "--format", "json"])
-        document = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert {d["rule_id"] for d in document["diagnostics"]} == {"EQX401"}
-
-    def test_coverage_gate_failure_is_eqx404(self, capsys):
-        code = main([
-            "whole-program", str(self.BROKEN),
-            "--ignore", "EQX401", "--min-jobs", "99",
-        ])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "EQX404" in out
-        assert "coverage gate" in out
-
-    def test_cache_dir_round_trip(self, capsys, tmp_path):
-        cache = str(tmp_path / "cg")
-        assert main([
-            "whole-program", str(self.BROKEN), "--cache-dir", cache,
-        ]) == 1
-        capsys.readouterr()
-        assert main([
-            "whole-program", str(self.BROKEN), "--cache-dir", cache,
-        ]) == 1
-        assert "cached call graph" in capsys.readouterr().out
+    def test_missing_fixture_is_a_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope.py")
+        fixtures = [str(FIXTURES / "bad_loop.py"), missing]
+        assert main(["--fixture", *fixtures]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"analyze: --fixture {missing} does not exist\n"

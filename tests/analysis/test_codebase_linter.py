@@ -1,5 +1,7 @@
 """AST lint rules: violating and clean sources per rule, suppression."""
 
+import pytest
+
 from repro.analysis.codebase_linter import lint_source
 from repro.analysis.diagnostics import Severity
 from repro.analysis.suite import lint_repository
@@ -57,7 +59,7 @@ class TestSuppression:
     def test_wrong_id_does_not_suppress(self):
         source = (
             "import numpy as np\n\n"
-            "ACC = np.float64(0.0)  # eqx: ignore[EQX304]\n"
+            "ACC = np.float64(0.0)  # eqx: ignore[EQX302]\n"
         )
         assert "EQX301" in _ids(lint_source(source, path=CORE_PATH))
 
@@ -96,11 +98,11 @@ class TestNondeterminism:
         source = "import time\n\n\ndef now():\n    return time.time()\n"
         assert "EQX302" in _ids(lint_source(source, path=SIM_PATH))
 
-    def test_wall_clock_warns_outside_deterministic_packages(self):
+    def test_wall_clock_errors_outside_sim_hw_core(self):
         source = "import time\n\n\ndef now():\n    return time.time()\n"
         diags = lint_source(source, path=EVAL_PATH)
         assert _ids(diags) == ["EQX302"]
-        assert diags[0].severity is Severity.WARNING
+        assert diags[0].severity is Severity.ERROR
 
     def test_wall_clock_allowed_in_audited_modules(self):
         source = "import time\n\n\ndef now():\n    return time.time()\n"
@@ -111,25 +113,22 @@ class TestNondeterminism:
         ):
             assert lint_source(source, path=path) == []
 
-    def test_uuid_error_inside_warning_outside(self):
+    def test_uuid_is_an_error_everywhere(self):
         source = "import uuid\n\nRUN_ID = uuid.uuid4()\n"
-        strict = lint_source(source, path=SIM_PATH)
-        assert _ids(strict) == ["EQX302"]
-        assert strict[0].severity is Severity.ERROR
-        loose = lint_source(source, path=EVAL_PATH)
-        assert _ids(loose) == ["EQX302"]
-        assert loose[0].severity is Severity.WARNING
+        for path in (SIM_PATH, EVAL_PATH):
+            diags = lint_source(source, path=path)
+            assert _ids(diags) == ["EQX302"]
+            assert diags[0].severity is Severity.ERROR
 
     def test_bare_uuid4_import_is_caught(self):
         source = "from uuid import uuid4\n\nRUN_ID = uuid4()\n"
         assert "EQX302" in _ids(lint_source(source, path=EVAL_PATH))
 
-    def test_unseeded_rng_stays_scoped_to_deterministic_packages(self):
-        # Tree-wide the extension covers clocks and uuids only: kernel
-        # implementations legitimately default an absent rng argument
-        # with np.random.default_rng().
+    def test_unseeded_rng_is_an_error_everywhere(self):
         source = "import numpy as np\n\nRNG = np.random.default_rng()\n"
-        assert lint_source(source, path=EVAL_PATH) == []
+        diags = lint_source(source, path=EVAL_PATH)
+        assert _ids(diags) == ["EQX302"]
+        assert diags[0].severity is Severity.ERROR
 
     def test_eqx302_unseeded_generator(self):
         source = "import numpy as np\n\nRNG = np.random.default_rng()\n"
@@ -142,6 +141,64 @@ class TestNondeterminism:
     def test_eqx302_global_rng_state(self):
         source = "import numpy as np\n\nX = np.random.rand(3)\n"
         assert "EQX302" in _ids(lint_source(source, path=SIM_PATH))
+
+    @pytest.mark.parametrize("source,path,line", [
+        pytest.param(
+            "import time\n\n\n"
+            "def _stamp():\n"
+            "    return time.time()\n\n\n"
+            "def run_demo(config, seed):\n"
+            '    return {"stamp": _stamp(), "seed": seed}\n',
+            "src/repro/dse/jobs.py", 5,
+            id="wall-clock-one-call-below-a-job",
+        ),
+        pytest.param(
+            "import os\n\n\n"
+            "def run_env(config, seed):\n"
+            '    return {"home": os.environ.get("HOME", ""), "seed": seed}\n',
+            EVAL_PATH, 5,
+            id="environ-get",
+        ),
+        pytest.param(
+            'import os\n\nHOME = os.getenv("HOME")\n', EVAL_PATH, 3,
+            id="getenv",
+        ),
+        pytest.param(
+            'import os\n\nHOME = os.environ["HOME"]\n', EVAL_PATH, 3,
+            id="environ-subscript",
+        ),
+        pytest.param(
+            "import time\n\n\n"
+            "class Collector:\n"
+            "    def merge_state(self, state):\n"
+            '        self.total += float(state["total"])\n'
+            "        self.stamp = time.time()\n",
+            "src/repro/obs/sketch.py", 7,
+            id="wall-clock-in-merge-state",
+        ),
+        pytest.param(
+            "from time import perf_counter\n\nSTART = perf_counter()\n",
+            EVAL_PATH, 3,
+            id="from-import-resolved",
+        ),
+        pytest.param(
+            "KEY = id(object())\n", EVAL_PATH, 1,
+            id="id-value",
+        ),
+        pytest.param(
+            "import numpy as np\n\n\n"
+            "def quantize(x, rng=None):\n"
+            "    rng = rng or np.random.default_rng()\n"
+            "    return x + rng.random(x.shape)\n",
+            "src/repro/kernels/fast_bfp.py", 5,
+            id="unseeded-rng-in-kernels",
+        ),
+    ])
+    def test_error_in_any_package(self, source, path, line):
+        diags = lint_source(source, path=path)
+        assert _ids(diags) == ["EQX302"]
+        assert diags[0].severity is Severity.ERROR
+        assert diags[0].location.line == line
 
 
 class TestSwallowedException:
@@ -160,25 +217,6 @@ class TestSwallowedException:
     def test_narrow_noop_handler_is_fine(self):
         source = "try:\n    x = 1\nexcept ValueError:\n    pass\n"
         assert lint_source(source, path=SIM_PATH) == []
-
-
-class TestUnusedImport:
-    def test_eqx304(self):
-        diags = lint_source("import os\n\nVALUE = 1\n", path=SIM_PATH)
-        assert _ids(diags) == ["EQX304"]
-        assert diags[0].severity is Severity.WARNING
-        assert diags[0].location.line == 1
-
-    def test_used_import_is_fine(self):
-        assert lint_source("import os\n\nSEP = os.sep\n", path=SIM_PATH) == []
-
-    def test_string_annotation_counts_as_use(self):
-        source = 'import os\n\n\ndef f(p: "os.PathLike") -> None:\n    return\n'
-        assert lint_source(source, path=SIM_PATH) == []
-
-    def test_init_reexports_are_exempt(self):
-        source = "from repro.sim.engine import Simulator\n"
-        assert lint_source(source, path="src/repro/sim/__init__.py") == []
 
 
 class TestDirectPercentile:
@@ -342,13 +380,13 @@ class TestUnkeyedServeRng:
 class TestOrdering:
     def test_diagnostics_sorted_by_line(self):
         source = (
-            "import os\n"
+            "import heapq\n"
             "import numpy as np\n"
             "\n"
             "ACC = np.float64(0.0)\n"
         )
         diags = lint_source(source, path=CORE_PATH)
-        assert _ids(diags) == ["EQX304", "EQX301"]
+        assert _ids(diags) == ["EQX309", "EQX301"]
         assert [d.location.line for d in diags] == [1, 4]
 
 

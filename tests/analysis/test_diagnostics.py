@@ -126,16 +126,6 @@ class TestRenderers:
             document, sort_keys=True, separators=(",", ":")
         )
 
-    def test_json_extra_keys_merge_at_top_level(self):
-        text = render_json([], extra={"coverage": {"jobs_covered": 3}})
-        assert json.loads(text)["coverage"] == {"jobs_covered": 3}
-
-    def test_eqx4xx_band_is_cataloged(self):
-        ids = {r.rule_id for r in rules.catalog()}
-        assert {"EQX401", "EQX402", "EQX403", "EQX404", "EQX405"} <= ids
-        for rule_id in ("EQX401", "EQX402", "EQX403", "EQX404", "EQX405"):
-            assert rules.rule(rule_id).severity is Severity.ERROR
-
 
 class TestRuleCatalog:
     def test_catalog_bands(self):

@@ -222,15 +222,22 @@ class TestStochasticRounding:
     def test_values_on_grid_unchanged(self):
         fmt = BFPFormat(block_rows=4, block_cols=4)
         x = np.zeros((4, 4), dtype=np.float32)
-        out = BlockFloatTensor.from_float(x, fmt, rounding="stochastic")
+        rng = np.random.default_rng(3)
+        out = BlockFloatTensor.from_float(x, fmt, rounding="stochastic", rng=rng)
         np.testing.assert_array_equal(out.to_float(), x)
 
     def test_mantissas_stay_in_range(self):
         fmt = BFPFormat(block_rows=4, block_cols=4)
         x = np.random.default_rng(2).standard_normal((16, 16)) * 50
-        out = BlockFloatTensor.from_float(x, fmt, rounding="stochastic")
+        rng = np.random.default_rng(4)
+        out = BlockFloatTensor.from_float(x, fmt, rounding="stochastic", rng=rng)
         assert out.mantissas.max() <= fmt.mantissa_max
         assert out.mantissas.min() >= fmt.mantissa_min
+
+    def test_stochastic_without_rng_rejected(self):
+        """Without a generator two equal calls could round differently."""
+        with pytest.raises(ValueError, match="needs an rng"):
+            BlockFloatTensor.from_float(np.ones((4, 4)), rounding="stochastic")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

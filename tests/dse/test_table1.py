@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.dse import table1
 from repro.dse.table1 import (
     equinox_configuration,
     frontier,
     pareto_table,
     select_design,
 )
+from repro.dse.tech import TechnologyModel
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +110,14 @@ class TestSelection:
         for name in ("min", "none"):
             p = hbfp8_table[name]
             assert (p.n, p.m, p.w, p.frequency_hz) in front
+
+    def test_each_technology_gets_its_own_design(self, monkeypatch):
+        """CPython can give a new technology the address of a freed
+        one, so ``id()`` cannot key the sweep memo. Simulate that reuse
+        by giving every object the same ``id()``."""
+        monkeypatch.setattr(table1, "id", lambda obj: 0, raising=False)
+        monkeypatch.setattr(table1, "_SWEEP_CACHE", {})
+        small = select_design("500us", tech=TechnologyModel(die_area_mm2=150.0))
+        full = select_design("500us", tech=TechnologyModel(die_area_mm2=300.0))
+        assert (small.n, small.m, small.w) == (99, 2, 3)
+        assert (full.n, full.m, full.w) == (177, 5, 2)
