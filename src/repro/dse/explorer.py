@@ -3,22 +3,19 @@
 "We sweep the design space by varying n and the design frequency. For a
 given n and frequency, we find the largest values of m and w that are
 still below the area and power envelopes." The explorer does exactly
-that: for each (n, f) it scans w, solves the largest feasible m in
-closed form, and keeps the best-performing (m, w) pair; the resulting
-point cloud is what Figure 6 plots and the Pareto frontier summarizes.
+that in one numpy pass over the whole (n, f, w) grid: it solves the
+largest feasible m of every entry in closed form and evaluates Eq. 3
+and the service time on the feasible ones. Table 1 selects from those
+columns; Figure 6 plots them as a point cloud.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dse.area import accelerator_area_mm2
-from repro.dse.performance import (
-    lstm_step_utilization,
-    peak_throughput_top_s,
-    service_time_cycles,
-)
+from repro.dse.performance import peak_throughput_top_s, service_time_us
 from repro.dse.power import accelerator_power_w
 from repro.dse.tech import FREQUENCY_GRID_HZ, TechnologyModel, TSMC28
 from repro.hw.config import AcceleratorConfig
@@ -62,6 +59,55 @@ class DesignPoint:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class DesignColumns:
+    """The feasible points of a sweep as parallel arrays, in sweep order
+    (n outer, then frequency, then w)."""
+
+    encoding: str
+    tech: TechnologyModel
+    n: np.ndarray
+    m: np.ndarray
+    w: np.ndarray
+    frequency_hz: np.ndarray
+    area_bound: np.ndarray
+    throughput_top_s: np.ndarray
+    service_time_us: np.ndarray
+
+    def points(self, index: Any = slice(None)) -> List[DesignPoint]:
+        """:class:`DesignPoint` objects for ``index`` (default: all).
+
+        ``tolist`` keeps every field a Python number: a numpy scalar
+        would serialize identically but slow down every simulator that
+        computes with the resulting configuration.
+        """
+        columns = (
+            self.n, self.m, self.w, self.frequency_hz, self.area_bound,
+            self.throughput_top_s, self.service_time_us,
+        )
+        return [
+            DesignPoint(
+                n=n,
+                m=m,
+                w=w,
+                frequency_hz=f,
+                encoding=self.encoding,
+                throughput_top_s=throughput,
+                service_time_us=service,
+                area_mm2=accelerator_area_mm2(
+                    n, m, w, self.encoding, self.tech
+                ).total_mm2,
+                power_w=accelerator_power_w(
+                    n, m, w, f, self.encoding, self.tech
+                ).total_w,
+                bound="area" if area_bound else "power",
+            )
+            for n, m, w, f, area_bound, throughput, service in zip(
+                *(column[index].tolist() for column in columns)
+            )
+        ]
+
+
 class DesignSpaceExplorer:
     """Sweeps (n, f, w) under the area and power envelopes.
 
@@ -88,126 +134,59 @@ class DesignSpaceExplorer:
         self.w_values = list(w_values) if w_values is not None else list(DEFAULT_W_GRID)
         if min(self.n_values, default=0) < 1 or min(self.w_values, default=0) < 1:
             raise ValueError("n and w sweeps must be positive")
-        #: Width grid as float64 once — the vectorized feasibility scan
-        #: runs over all widths of a (n, f) point in one shot.
-        self._w_array = np.asarray(self.w_values, dtype=float)
-        #: Per-frequency envelope terms: identical for every (n, w) at
-        #: one operating point, so computing them per point (as the
-        #: scalar path once did) was pure waste.
-        self._term_cache: Dict[float, Tuple[float, float, float, float, float, float]] = {}
-        #: (n, m, w, f) -> DesignPoint: area/power models are pure, and
-        #: best_at/points_at callers revisit identical points.
-        self._eval_cache: Dict[Tuple[int, int, int, float], DesignPoint] = {}
 
-    # ------------------------------------------------------------------
-    # Feasibility in closed form
-    # ------------------------------------------------------------------
+    def _max_m_grid(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Largest m under both envelopes over the n × f × w grid, and
+        where the area envelope is the one that binds.
 
-    def _envelope_terms(
-        self, frequency_hz: float
-    ) -> Tuple[float, float, float, float, float, float]:
-        """(a_alu_mm2, area_budget, e_alu, e_byte, operand_bytes,
-        p_dyn) at one operating point, memoized per frequency."""
-        terms = self._term_cache.get(frequency_hz)
-        if terms is None:
-            tech = self.tech
-            costs = tech.encoding_costs(self.encoding)
-            terms = (
-                costs.alu_area_um2 / 1e6,
-                tech.alu_area_budget_mm2(),
-                tech.alu_energy_j(self.encoding, frequency_hz),
-                tech.sram_energy_j_per_byte(frequency_hz),
-                costs.operand_bytes,
-                tech.dynamic_power_budget_w(),
-            )
-            self._term_cache[frequency_hz] = terms
-        return terms
-
-    def _max_m(self, n: int, w: int, frequency_hz: float) -> Tuple[int, str]:
-        """Largest m under both envelopes, and which one binds."""
-        a_alu_mm2, area_budget, e_alu, e_byte, ob, p_dyn = (
-            self._envelope_terms(frequency_hz)
+        Keep the order of every product: floor division turns a
+        last-bit difference into a different m, and the golden digests
+        in ``tests/dse`` pin the grid the scalar formula produced.
+        """
+        tech = self.tech
+        costs = tech.encoding_costs(self.encoding)
+        n = np.asarray(self.n_values, dtype=np.int64)[:, None, None]
+        f = np.asarray(self.frequencies_hz, dtype=float)[None, :, None]
+        w = np.asarray(self.w_values, dtype=float)[None, None, :]
+        e_alu = np.array(
+            [tech.alu_energy_j(self.encoding, x) for x in self.frequencies_hz]
+        )[None, :, None]
+        e_byte = np.array(
+            [tech.sram_energy_j_per_byte(x) for x in self.frequencies_hz]
+        )[None, :, None]
+        ob = costs.operand_bytes
+        m_area = tech.alu_area_budget_mm2() // (
+            n * n * w * (costs.alu_area_um2 / 1e6)
         )
-        m_area = int(area_budget // (n * n * w * a_alu_mm2))
         # P_dyn >= f·(m·n²·w·e_alu + e_byte·ob·(w·n + m·w·n + m·n))
         fixed = w * n * e_byte * ob
         per_m = n * n * w * e_alu + e_byte * ob * n * (w + 1)
-        m_power = int((p_dyn / frequency_hz - fixed) // per_m)
-
-        if m_area <= m_power:
-            return m_area, "area"
-        return m_power, "power"
-
-    def _max_m_grid(self, n: int, frequency_hz: float) -> List[Tuple[int, str]]:
-        """:meth:`_max_m` across the whole width grid in one vector op.
-
-        Bit-identical to the scalar path: every term is evaluated in
-        the same order on IEEE-754 doubles, so floor-division lands on
-        the same integer for every width.
-        """
-        a_alu_mm2, area_budget, e_alu, e_byte, ob, p_dyn = (
-            self._envelope_terms(frequency_hz)
-        )
-        w = self._w_array
-        m_area = area_budget // (n * n * w * a_alu_mm2)
-        fixed = w * n * e_byte * ob
-        per_m = n * n * w * e_alu + e_byte * ob * n * (w + 1)
-        m_power = (p_dyn / frequency_hz - fixed) // per_m
+        m_power = (tech.dynamic_power_budget_w() / f - fixed) // per_m
         area_binds = m_area <= m_power
-        m = np.where(area_binds, m_area, m_power)
-        return [
-            (int(m[i]), "area" if area_binds[i] else "power")
-            for i in range(len(self.w_values))
-        ]
+        return np.where(area_binds, m_area, m_power), area_binds
 
-    def _evaluate(
-        self, n: int, m: int, w: int, frequency_hz: float, bound: str
-    ) -> DesignPoint:
-        cached = self._eval_cache.get((n, m, w, frequency_hz))
-        if cached is not None:
-            return cached
-        area = accelerator_area_mm2(n, m, w, self.encoding, self.tech)
-        power = accelerator_power_w(n, m, w, frequency_hz, self.encoding, self.tech)
-        point = DesignPoint(
+    def columns(self) -> DesignColumns:
+        """Every feasible (m, w) variant of every (n, f), m maximized
+        per width. Every width stays: a shallower (small-w) array trades
+        peak throughput for pipeline latency, and the
+        latency-constrained Table 1 picks need those variants."""
+        m, area_binds = self._max_m_grid()
+        feasible = m >= 1
+        i_n, i_f, i_w = np.nonzero(feasible)  # row-major: sweep order
+        n = np.asarray(self.n_values, dtype=np.int64)[i_n]
+        m = m[feasible].astype(np.int64)
+        w = np.asarray(self.w_values, dtype=np.int64)[i_w]
+        f = np.asarray(self.frequencies_hz, dtype=float)[i_f]
+        return DesignColumns(
+            encoding=self.encoding,
+            tech=self.tech,
             n=n,
             m=m,
             w=w,
-            frequency_hz=frequency_hz,
-            encoding=self.encoding,
-            throughput_top_s=peak_throughput_top_s(n, m, w, frequency_hz),
-            service_time_us=service_time_cycles(n, m, w) / frequency_hz * 1e6,
-            area_mm2=area.total_mm2,
-            power_w=power.total_w,
-            bound=bound,
-        )
-        self._eval_cache[(n, m, w, frequency_hz)] = point
-        return point
-
-    # ------------------------------------------------------------------
-    # Sweep
-    # ------------------------------------------------------------------
-
-    def points_at(self, n: int, frequency_hz: float) -> List[DesignPoint]:
-        """All feasible (m, w) variants at one (n, f), m maximized per
-        width. Every width stays in the cloud: a shallower (small-w)
-        array trades peak throughput for pipeline latency, and the
-        latency-constrained Table 1 picks need those variants."""
-        points: List[DesignPoint] = []
-        for w, (m, bound) in zip(self.w_values, self._max_m_grid(n, frequency_hz)):
-            if m < 1:
-                continue
-            points.append(self._evaluate(n, m, w, frequency_hz, bound))
-        return points
-
-    def best_at(self, n: int, frequency_hz: float) -> Optional[DesignPoint]:
-        """Highest-throughput variant at one (n, f); service time breaks
-        ties toward the shallower array."""
-        candidates = self.points_at(n, frequency_hz)
-        if not candidates:
-            return None
-        return max(
-            candidates,
-            key=lambda p: (p.throughput_top_s, -p.service_time_us),
+            frequency_hz=f,
+            area_bound=area_binds[feasible],
+            throughput_top_s=peak_throughput_top_s(n, m, w, f),
+            service_time_us=service_time_us(n, m, w, f),
         )
 
     def sweep(
@@ -224,11 +203,7 @@ class DesignSpaceExplorer:
         serial.
         """
         if executor is None or self.tech is not TSMC28:
-            points: List[DesignPoint] = []
-            for n in self.n_values:
-                for f in self.frequencies_hz:
-                    points.extend(self.points_at(n, f))
-            return points
+            return self.columns().points()
         from repro.exec.jobs import Job
 
         if chunk < 1:
@@ -250,7 +225,3 @@ class DesignSpaceExplorer:
             for batch in executor.map(jobs)
             for point in batch
         ]
-
-    def utilization_of(self, point: DesignPoint) -> float:
-        """LSTM-probe MAC utilization of a point (diagnostics)."""
-        return lstm_step_utilization(point.n, point.m, point.w)

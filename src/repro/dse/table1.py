@@ -16,8 +16,9 @@ the sweep behind them is deterministic.
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.dse.explorer import DesignPoint, DesignSpaceExplorer
-from repro.dse.pareto import pareto_frontier
+import numpy as np
+
+from repro.dse.explorer import DesignColumns, DesignPoint, DesignSpaceExplorer
 from repro.dse.tech import TechnologyModel, TSMC28
 from repro.hw.config import AcceleratorConfig
 
@@ -29,23 +30,19 @@ EQUINOX_LATENCY_CLASSES: Tuple[Tuple[str, Optional[float]], ...] = (
     ("none", math.inf),
 )
 
-#: Sweeps by ``(encoding, repr(tech))``. The repr lists every field, so
-#: equal technologies share a slot and different ones never do.
-#: (``TechnologyModel`` holds a dict, so it cannot be a key itself.)
-_SWEEP_CACHE: Dict[Tuple[str, str], List[DesignPoint]] = {}
+#: Sweep columns by ``(encoding, repr(tech))`` and Table 1 picks by
+#: ``(latency class, encoding, repr(tech))``. The repr lists every
+#: field, so equal technologies share a slot and different ones never
+#: do. (``TechnologyModel`` holds a dict, so it cannot be a key itself.)
+_COLUMNS: Dict[Tuple[str, str], DesignColumns] = {}
+_PICKS: Dict[Tuple[str, str, str], DesignPoint] = {}
 
 
-def _sweep(
-    encoding: str,
-    tech: TechnologyModel,
-    executor: Optional[Any] = None,
-) -> List[DesignPoint]:
+def _columns(encoding: str, tech: TechnologyModel) -> DesignColumns:
     key = (encoding, repr(tech))
-    if key not in _SWEEP_CACHE:
-        _SWEEP_CACHE[key] = DesignSpaceExplorer(encoding, tech).sweep(
-            executor=executor
-        )
-    return _SWEEP_CACHE[key]
+    if key not in _COLUMNS:
+        _COLUMNS[key] = DesignSpaceExplorer(encoding, tech).columns()
+    return _COLUMNS[key]
 
 
 def select_design(
@@ -53,30 +50,42 @@ def select_design(
     encoding: str = "hbfp8",
     tech: TechnologyModel = TSMC28,
 ) -> DesignPoint:
-    """Pick the Table 1 representative for one latency class."""
+    """Pick the Table 1 representative for one latency class.
+
+    ``min`` minimizes (service time, −throughput); every other class
+    maximizes (throughput, −service time) among the points within its
+    bound. Remaining ties go to the first point in sweep order.
+    """
     bounds = dict(EQUINOX_LATENCY_CLASSES)
     if latency_class not in bounds:
         raise KeyError(
             f"unknown latency class {latency_class!r}; "
             f"choose from {[name for name, _ in EQUINOX_LATENCY_CLASSES]}"
         )
-    points = _sweep(encoding, tech)
-    if not points:
+    key = (latency_class, encoding, repr(tech))
+    if key in _PICKS:
+        return _PICKS[key]
+    columns = _columns(encoding, tech)
+    service = columns.service_time_us
+    throughput = columns.throughput_top_s
+    if not len(service):
         raise RuntimeError(f"no feasible designs for encoding {encoding!r}")
 
     bound = bounds[latency_class]
     if bound is None:  # latency-optimal
-        return min(
-            points, key=lambda p: (p.service_time_us, -p.throughput_top_s)
-        )
-    feasible = [p for p in points if p.service_time_us <= bound]
-    if not feasible:
-        raise RuntimeError(
-            f"no design meets the {latency_class} bound for {encoding!r}"
-        )
-    return max(
-        feasible, key=lambda p: (p.throughput_top_s, -p.service_time_us)
-    )
+        candidates = np.arange(len(service))
+        keys = (candidates, -throughput, service)
+    else:
+        candidates = np.flatnonzero(service <= bound)
+        if not len(candidates):
+            raise RuntimeError(
+                f"no design meets the {latency_class} bound for {encoding!r}"
+            )
+        keys = (candidates, service[candidates], -throughput[candidates])
+    # np.lexsort sorts by its last key first.
+    best = candidates[np.lexsort(keys)[0]]
+    _PICKS[key] = columns.points([best])[0]
+    return _PICKS[key]
 
 
 def pareto_table(
@@ -89,22 +98,13 @@ def pareto_table(
     }
 
 
-def frontier(
-    encoding: str = "hbfp8",
-    tech: TechnologyModel = TSMC28,
-    executor: Optional[Any] = None,
-) -> List[DesignPoint]:
-    """The Pareto frontier of the sweep (Figure 6's blue dots)."""
-    return pareto_frontier(_sweep(encoding, tech, executor))
-
-
 def design_space(
     encoding: str = "hbfp8",
     tech: TechnologyModel = TSMC28,
     executor: Optional[Any] = None,
 ) -> List[DesignPoint]:
-    """The full best-per-(n, f) cloud (Figure 6's small dots)."""
-    return list(_sweep(encoding, tech, executor))
+    """The full design cloud (Figure 6's small dots), in sweep order."""
+    return DesignSpaceExplorer(encoding, tech).sweep(executor=executor)
 
 
 def equinox_configuration(

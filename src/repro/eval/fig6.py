@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.dse.explorer import DesignPoint
-from repro.dse.table1 import design_space, frontier
+from repro.dse.pareto import pareto_frontier
+from repro.dse.table1 import design_space
 from repro.eval.report import render_table
 
 
@@ -37,9 +38,10 @@ def run(encodings=("hbfp8", "bfloat16"), executor=None) -> Fig6Result:
     """``executor`` (a :class:`repro.exec.JobRunner`) fans the sweep
     behind each encoding's cloud out across worker processes; the
     result is identical either way."""
+    clouds = {enc: design_space(enc, executor=executor) for enc in encodings}
     return Fig6Result(
-        clouds={enc: design_space(enc, executor=executor) for enc in encodings},
-        frontiers={enc: frontier(enc, executor=executor) for enc in encodings},
+        clouds=clouds,
+        frontiers={enc: pareto_frontier(cloud) for enc, cloud in clouds.items()},
     )
 
 

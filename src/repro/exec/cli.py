@@ -145,12 +145,22 @@ def run_sweep(
 ) -> int:
     from repro.dse.explorer import DesignSpaceExplorer
     from repro.dse.pareto import pareto_frontier
+    from repro.dse.tech import TSMC28
     from repro.eval.fig6 import Fig6Result, render
     from repro.exec.canonical import code_fingerprint, config_digest
 
-    if args.n_max < 1:
-        print(f"--n-max must be >= 1, got {args.n_max}", file=sys.stderr)
-        return 2
+    for flag, value in (("--n-max", args.n_max), ("--chunk", args.chunk)):
+        if value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
+    for encoding in args.encodings:
+        if encoding not in TSMC28.encodings:
+            print(
+                f"unknown encoding {encoding!r}; "
+                f"choose from {sorted(TSMC28.encodings)}",
+                file=sys.stderr,
+            )
+            return 2
     runner = runner_from_args(args, shutdown=shutdown) or JobRunner(jobs=1)
     if runner.checkpoint_store is not None:
         # Periodic barrier: persist sweep progress next to the journal.

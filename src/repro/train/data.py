@@ -13,6 +13,7 @@ scaled so the *comparison* (hbfp8 vs fp32 convergence) is meaningful:
   well-defined (non-zero) optimal perplexity.
 """
 
+import bisect
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -85,9 +86,18 @@ def synthetic_char_corpus(
     probs = rng.dirichlet(np.ones(branching) * 2.0, size=vocab)
     stream = np.empty(length, dtype=np.int64)
     state = int(rng.integers(vocab))
-    for i in range(length):
+    # rng.choice(successors[state], p=probs[state]) draws one double u
+    # and returns successors[state][searchsorted(cdf, u, "right")] with
+    # cdf = p.cumsum() / its last entry. Drawing every u up front and
+    # bisecting Python lists yields the same stream without a
+    # Generator call per character.
+    cdfs = probs.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
+    cdf_rows = cdfs.tolist()
+    successor_rows = successors.tolist()
+    for i, u in enumerate(rng.random(length).tolist()):
         stream[i] = state
-        state = int(rng.choice(successors[state], p=probs[state]))
+        state = successor_rows[state][bisect.bisect_right(cdf_rows[state], u)]
     return stream
 
 

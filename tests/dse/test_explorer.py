@@ -49,14 +49,6 @@ class TestFeasibility:
             points[0].throughput_top_s
         )
 
-    def test_best_at_returns_max_throughput(self, small_sweep):
-        explorer, _ = small_sweep
-        candidates = explorer.points_at(8, 610e6)
-        best = explorer.best_at(8, 610e6)
-        assert best.throughput_top_s == max(
-            p.throughput_top_s for p in candidates
-        )
-
     def test_rejects_bad_sweep_ranges(self):
         with pytest.raises(ValueError):
             DesignSpaceExplorer("hbfp8", n_values=[0])

@@ -1,16 +1,37 @@
-"""Vectorized feasibility scan and executor-fanned sweep parity.
+"""The design space against committed goldens, and executor-fanned
+sweep parity.
 
-The explorer's `_max_m_grid` replaces a per-width scalar loop with one
-numpy pass, and `sweep(executor=...)` fans the n grid out as jobs; both
-must reproduce the historical output *exactly* — the Pareto frontier
+The goldens were generated with the scalar per-point sweep this
+vectorized pass replaced; `sweep(executor=...)` fans the n grid out as
+jobs. Both must reproduce that output *exactly* — the Pareto frontier
 and Table 1 picks are downstream of every single point.
 """
+
+from dataclasses import asdict
 
 import pytest
 
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pareto import pareto_frontier
+from repro.dse.table1 import design_space
 from repro.exec import JobRunner
+from repro.exec.canonical import config_digest
+
+#: (points, ``config_digest`` of their ``asdict``) of the default grid.
+CLOUD_GOLDENS = {
+    "hbfp8": (
+        17593,
+        "87d06952813c4211890f3bf71b71e6bc7d117bff14e7e4fa89727437f1bf613a",
+    ),
+    "bfloat16": (
+        7996,
+        "95b64bc67a90c5fb94024b8f9c4e06b053e4e5119d8014a2595c138a22cd0b89",
+    ),
+    "fixed8": (
+        17935,
+        "ff56dd7f4c7109edb38b52db7d28b04e5b86b4b8117f602354fff4bf1caf03e5",
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -21,35 +42,17 @@ def explorer():
     )
 
 
-class TestVectorizedFeasibility:
-    def test_grid_matches_scalar_everywhere(self, explorer):
-        """Every (n, f, w): the vector path lands on the scalar result,
-        bit for bit (same m, same binding envelope)."""
-        for n in explorer.n_values:
-            for f in explorer.frequencies_hz:
-                grid = explorer._max_m_grid(n, f)
-                scalar = [
-                    explorer._max_m(n, w, f) for w in explorer.w_values
-                ]
-                assert grid == scalar, f"divergence at n={n}, f={f:g}"
-
-    def test_bfloat16_grid_matches_scalar(self):
-        explorer = DesignSpaceExplorer(
-            "bfloat16", n_values=[2, 16, 96], frequencies_hz=[532e6, 1000e6]
-        )
-        for n in explorer.n_values:
-            for f in explorer.frequencies_hz:
-                assert explorer._max_m_grid(n, f) == [
-                    explorer._max_m(n, w, f) for w in explorer.w_values
-                ]
-
-    def test_evaluate_memo_returns_identical_points(self, explorer):
-        n, f = 32, 532e6
-        first = explorer.points_at(n, f)
-        second = explorer.points_at(n, f)
-        assert first == second
-        # Memoized: the very same objects come back.
-        assert all(a is b for a, b in zip(first, second))
+class TestDesignSpaceGoldens:
+    @pytest.mark.parametrize("encoding", sorted(CLOUD_GOLDENS))
+    def test_full_grid_matches_golden(self, encoding):
+        cloud = design_space(encoding)
+        fields = [asdict(p) for p in cloud]
+        assert (len(cloud), config_digest(fields)) == CLOUD_GOLDENS[encoding]
+        # The digest writes np.float64(1.5) as 1.5; the types must be
+        # checked on their own.
+        assert {type(v) for f in fields for v in f.values()} == {
+            int, float, str,
+        }
 
 
 class TestExecutorSweep:

@@ -3,13 +3,71 @@
 import pytest
 
 from repro.dse import table1
+from repro.dse.pareto import pareto_frontier
 from repro.dse.table1 import (
+    design_space,
     equinox_configuration,
-    frontier,
     pareto_table,
     select_design,
 )
 from repro.dse.tech import TechnologyModel
+
+
+#: ``repr`` of every Table 1 pick. Unlike a digest, a repr also shows
+#: a numpy scalar leaking into a field (``np.float64(...)``).
+PICK_REPRS = {
+    ("hbfp8", "min"): (
+        "DesignPoint(n=1, m=1393, w=40, frequency_hz=532000000.0, "
+        "encoding='hbfp8', throughput_top_s=59.28608, "
+        "service_time_us=16.79573934837093, area_mm2=147.06464, "
+        "power_w=74.984181248, bound='power')"
+    ),
+    ("hbfp8", "50us"): (
+        "DesignPoint(n=13, m=164, w=10, frequency_hz=532000000.0, "
+        "encoding='hbfp8', throughput_top_s=294.89824, "
+        "service_time_us=49.556390977443606, area_mm2=271.51392, "
+        "power_w=74.75721349688891, bound='power')"
+    ),
+    ("hbfp8", "500us"): (
+        "DesignPoint(n=177, m=5, w=2, frequency_hz=610000000.0, "
+        "encoding='hbfp8', throughput_top_s=382.2138, "
+        "service_time_us=479.1186885245901, area_mm2=291.81898, "
+        "power_w=74.87181625996251, bound='area')"
+    ),
+    ("hbfp8", "none"): (
+        "DesignPoint(n=230, m=2, w=3, frequency_hz=610000000.0, "
+        "encoding='hbfp8', throughput_top_s=387.228, "
+        "service_time_us=566.872495446266, area_mm2=294.1288, "
+        "power_w=74.98668301133984, bound='area')"
+    ),
+    ("bfloat16", "min"): (
+        "DesignPoint(n=1, m=914, w=24, frequency_hz=532000000.0, "
+        "encoding='bfloat16', throughput_top_s=23.339904, "
+        "service_time_us=37.70091896407686, area_mm2=189.67432, "
+        "power_w=74.97101072497779, bound='power')"
+    ),
+    ("bfloat16", "50us"): (
+        "DesignPoint(n=1, m=348, w=64, frequency_hz=532000000.0, "
+        "encoding='bfloat16', throughput_top_s=23.697408, "
+        "service_time_us=39.23182957393483, "
+        "area_mm2=190.80664000000002, power_w=74.92139749262222, "
+        "bound='power')"
+    ),
+    ("bfloat16", "500us"): (
+        "DesignPoint(n=29, m=15, w=4, frequency_hz=610000000.0, "
+        "encoding='bfloat16', throughput_top_s=61.5612, "
+        "service_time_us=414.88766177739427, "
+        "area_mm2=285.80019999999996, power_w=74.86638619535194, "
+        "bound='power')"
+    ),
+    ("bfloat16", "none"): (
+        "DesignPoint(n=232, m=1, w=1, frequency_hz=610000000.0, "
+        "encoding='bfloat16', throughput_top_s=65.66528, "
+        "service_time_us=3114.5894353369767, "
+        "area_mm2=297.13687999999996, power_w=74.73071811954338, "
+        "bound='area')"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +147,14 @@ class TestBfloat16Shape:
 
 
 class TestSelection:
+    def test_picks_match_golden_repr(self, hbfp8_table, bf16_table):
+        tables = {"hbfp8": hbfp8_table, "bfloat16": bf16_table}
+        assert {
+            (encoding, name): repr(point)
+            for encoding, table in tables.items()
+            for name, point in table.items()
+        } == PICK_REPRS
+
     def test_unknown_class_rejected(self):
         with pytest.raises(KeyError):
             select_design("1ms")
@@ -105,7 +171,8 @@ class TestSelection:
 
     def test_table_picks_lie_on_frontier(self, hbfp8_table):
         front = {
-            (p.n, p.m, p.w, p.frequency_hz) for p in frontier("hbfp8")
+            (p.n, p.m, p.w, p.frequency_hz)
+            for p in pareto_frontier(design_space("hbfp8"))
         }
         for name in ("min", "none"):
             p = hbfp8_table[name]
@@ -113,10 +180,11 @@ class TestSelection:
 
     def test_each_technology_gets_its_own_design(self, monkeypatch):
         """CPython can give a new technology the address of a freed
-        one, so ``id()`` cannot key the sweep memo. Simulate that reuse
+        one, so ``id()`` cannot key the sweep memos. Simulate that reuse
         by giving every object the same ``id()``."""
         monkeypatch.setattr(table1, "id", lambda obj: 0, raising=False)
-        monkeypatch.setattr(table1, "_SWEEP_CACHE", {})
+        monkeypatch.setattr(table1, "_COLUMNS", {})
+        monkeypatch.setattr(table1, "_PICKS", {})
         small = select_design("500us", tech=TechnologyModel(die_area_mm2=150.0))
         full = select_design("500us", tech=TechnologyModel(die_area_mm2=300.0))
         assert (small.n, small.m, small.w) == (99, 2, 3)

@@ -1,5 +1,7 @@
 """Synthetic datasets and the training loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,24 @@ class TestCharCorpus:
     def test_rejects_bad_branching(self):
         with pytest.raises(ValueError):
             synthetic_char_corpus(vocab=8, branching=9)
+
+    @pytest.mark.parametrize(
+        "length, vocab, branching, seed, sha256",
+        [
+            (12000, 32, 4, 11, "45885393726ca42405d0223900225b53"
+                               "9c29ca9a9600b4e877e33d9cfbf0c604"),
+            (12000, 32, 4, 14, "f28d7d5554ccab0b90f160b67d31738e"
+                               "663997a2ba874b343598d19eb86829dc"),
+            (5000, 16, 3, 2, "e80b86b5635a006f8afe40bdfb1360b1"
+                             "14ccbd37635e066ec4e8b5c8ed886141"),
+        ],
+    )
+    def test_stream_matches_golden(self, length, vocab, branching, seed, sha256):
+        """Pinned to the stream of the per-character ``rng.choice``
+        loop: fig 2's language-model curves train on these corpora."""
+        corpus = synthetic_char_corpus(length, vocab, branching, seed)
+        assert corpus.dtype == np.int64
+        assert hashlib.sha256(corpus.tobytes()).hexdigest() == sha256
 
 
 class TestBatchIterator:
