@@ -112,7 +112,7 @@ def _run_one(name: str, loads, report_dir=None, executor=None) -> None:
 
 
 def _install_capture_checkpoint(executor, name: str, capture) -> None:
-    """Make the executor's periodic barrier snapshot this experiment's
+    """Make the executor's periodic barrier checkpoint this experiment's
     capture (lossless, mergeable state) under ``capture.<name>``."""
     if executor is None or executor.checkpoint_store is None:
         return
@@ -252,6 +252,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    from repro.exec import cli as exec_cli
+
+    problem = exec_cli.executor_args_error(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
 
     # SIGINT/SIGTERM unwind through ShutdownRequested at the next job
     # boundary (after its journal append): final checkpoint + partial

@@ -41,8 +41,8 @@ parsed module. Shipping rules:
   end-to-end benchmark reads.
 * **EQX309 direct-heapq** — ``heapq`` imported outside ``repro.sim``
   (and tests). The simulator owns the event heap; a second heap
-  elsewhere schedules work the engine cannot order, cancel, count in
-  ``queue_depth`` or snapshot.
+  elsewhere schedules work the engine cannot order, cancel or count in
+  ``queue_depth``.
 * **EQX310 unkeyed-serve-rng** — ambient randomness inside
   ``repro.serve``: any ``random`` import/use, and any
   ``np.random``/``numpy.random`` attribute use other than
@@ -576,8 +576,8 @@ class DirectHeapqRule(LintRule):
                     self.rule,
                     "direct heapq use outside repro.sim builds a second "
                     "event queue the simulator cannot see (ordering, "
-                    "cancellation, queue_depth and snapshots all stop "
-                    "applying) — schedule through Simulator.at/after or "
+                    "cancellation and queue_depth all stop applying) — "
+                    "schedule through Simulator.at/after or "
                     "at_call/after_call",
                     file=context.path, line=node.lineno,
                 ))

@@ -154,10 +154,9 @@ DIRECT_HEAPQ = _register(Rule(
     "EQX309", "direct-heapq", Severity.ERROR,
     "heapq outside repro.sim builds a second event queue: entries "
     "scheduled there are invisible to the simulator's ordering, "
-    "cancellation bookkeeping, queue_depth invariant and snapshot "
-    "machinery, silently breaking determinism and resume — schedule "
-    "through Simulator.at/after (or at_call/after_call for "
-    "fire-and-forget work) instead.",
+    "cancellation bookkeeping and queue_depth invariant, silently "
+    "breaking determinism — schedule through Simulator.at/after (or "
+    "at_call/after_call for fire-and-forget work) instead.",
 ))
 UNKEYED_SERVE_RNG = _register(Rule(
     "EQX310", "unkeyed-serve-rng", Severity.ERROR,

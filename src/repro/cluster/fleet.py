@@ -16,8 +16,8 @@ recorded in a :class:`RoundCheckpoint`, so a re-run after a crash
 resumes without re-simulating the survivors.
 """
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.parameter_server import ParameterServer, SyncRound
 from repro.core.equinox import EquinoxAccelerator
@@ -33,8 +33,6 @@ from repro.models.graph import ModelSpec
 from repro.models.lstm import deepbench_lstm
 from repro.models.training import build_training_plan
 from repro.obs.report import RunReport
-from repro.serve.router import FleetRouter
-from repro.state.checkpoint import CheckpointStore
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ class WorkerReport:
     inference_top_s: float
     p99_latency_us: float
     iteration_s: float
-    #: Median latency (defaulted for checkpoints from older rounds).
+    #: Median latency (NaN when not measured; run reports skip it).
     p50_latency_us: float = float("nan")
 
 
@@ -57,8 +55,8 @@ class RoundCheckpoint:
 
     The checkpoint is the fleet's unit of crash recovery: every worker
     that finishes its measurement is recorded here, so a round that
-    loses a worker (or the whole driver) can be re-run reusing the
-    survivors' results bit-for-bit instead of re-simulating them.
+    loses a worker can be re-run (``train(resume_from=...)``) reusing
+    the survivors' results bit-for-bit instead of re-simulating them.
     ``seed`` and ``loads`` key the checkpoint to one measurement
     campaign — resuming under different inputs would silently mix runs,
     so :meth:`EquinoxFleet.train` refuses it.
@@ -73,25 +71,6 @@ class RoundCheckpoint:
             if report.worker_id == worker_id:
                 return report
         return None
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the whole checkpoint is
-        plain measured data, so its state is its dict form."""
-        return {
-            "seed": self.seed,
-            "loads": list(self.loads),
-            "reports": [asdict(report) for report in self.reports],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "RoundCheckpoint":
-        return cls(
-            seed=int(state["seed"]),
-            loads=tuple(float(load) for load in state["loads"]),
-            reports=tuple(
-                WorkerReport(**report) for report in state["reports"]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -197,9 +176,6 @@ class EquinoxFleet:
         #: Updated as workers finish measuring; pass back via
         #: ``train(..., resume_from=...)`` to recover a crashed round.
         self.last_checkpoint: Optional[RoundCheckpoint] = None
-        #: Serving-plane view of this fleet, built on demand by
-        #: :meth:`serving_router` (``repro.serve``).
-        self.router: Optional[FleetRouter] = None
 
     def _worker_fault_plan(self, worker_id: int) -> Optional[FaultPlan]:
         """The plan forwarded into one worker's accelerator simulation.
@@ -268,7 +244,6 @@ class EquinoxFleet:
         seed: int = 0,
         local_steps: int = 1,
         resume_from: Optional[RoundCheckpoint] = None,
-        checkpoint_store: Optional["CheckpointStore"] = None,
     ) -> FleetReport:
         """Measure every worker at its load and compose the rounds.
 
@@ -284,13 +259,6 @@ class EquinoxFleet:
                 measured there are reused instead of re-simulated
                 (counted ``round_restores``). The checkpoint must come
                 from the same ``seed`` and ``loads``.
-            checkpoint_store: Crash-consistent persistence
-                (:class:`repro.state.CheckpointStore`): every completed
-                worker measurement is atomically written under the
-                ``fleet`` kind, and — when ``resume_from`` is not given
-                — a stored checkpoint matching this ``seed``/``loads``
-                is picked up automatically, so a killed ``train`` call
-                re-run with the same store resumes where it died.
 
         Crashed workers (per the fault plan) drop out of the round; the
         survivors aggregate partially as long as ``min_workers`` of
@@ -304,14 +272,6 @@ class EquinoxFleet:
         if local_steps < 1:
             raise ValueError("local_steps must be positive")
         loads_key = tuple(float(load) for load in loads)
-        if resume_from is None and checkpoint_store is not None:
-            stored = checkpoint_store.load("fleet")
-            if stored is not None:
-                candidate = RoundCheckpoint.from_state(stored["state"])
-                # A stored checkpoint from a different campaign is not
-                # an error — it is simply not resumable here.
-                if candidate.seed == seed and candidate.loads == loads_key:
-                    resume_from = candidate
         if resume_from is not None:
             if resume_from.seed != seed or resume_from.loads != loads_key:
                 raise ValueError(
@@ -341,11 +301,6 @@ class EquinoxFleet:
             self.last_checkpoint = RoundCheckpoint(
                 seed=seed, loads=loads_key, reports=tuple(workers)
             )
-            if checkpoint_store is not None:
-                checkpoint_store.save(
-                    "fleet", self.last_checkpoint.to_state(),
-                    step=worker_id + 1,
-                )
         if len(workers) < self.min_workers:
             raise ValueError(
                 f"only {len(workers)} worker(s) survived the round "
@@ -387,98 +342,6 @@ class EquinoxFleet:
             dedicated_top_s=self.plan.dedicated_throughput_top_s(),
             faults=self.fault_counters.snapshot(),
         )
-
-    def serving_router(
-        self,
-        sim,
-        tenants,
-        seed: int = 0,
-        admission=None,
-        max_inflight: int = 2,
-        affinity_size: Optional[int] = None,
-    ) -> FleetRouter:
-        """Build the serving-plane router over this fleet's workers.
-
-        One :class:`repro.serve.router.ChipServer` per worker,
-        calibrated from this fleet's own design point (a probe
-        accelerator supplies batch slots and service time) and wired to
-        the fleet's fault plan and counters — the same worker ids that
-        crash out of training rounds die as serving chips. The router
-        is kept on ``self.router`` so fleet snapshots carry it.
-
-        Args:
-            sim: The :class:`repro.sim.engine.Simulator` to run on.
-            tenants: Per-tenant :class:`repro.core.dispatcher.
-                TenantShare` budgets (see :meth:`repro.serve.classes.
-                ServiceClass.share`).
-            seed: Placement/kill-time seed.
-            admission: Fleet-wide :class:`repro.faults.admission.
-                AdmissionControl` backstop.
-            max_inflight: Batches each chip overlaps in service.
-            affinity_size: Tenant affinity-arc length (default: half
-                the fleet).
-        """
-        probe = EquinoxAccelerator(self.config, self.model)
-        self.router = FleetRouter(
-            sim,
-            tenants,
-            fleet_size=self.size,
-            batch_slots=probe.batch_slots,
-            batch_service_cycles=probe.batch_service_cycles(),
-            seed=seed,
-            admission=admission,
-            fault_plan=self.fault_plan,
-            counters=self.fault_counters,
-            max_inflight=max_inflight,
-            affinity_size=affinity_size,
-        )
-        return self.router
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the fault tallies, the
-        injector's stream positions, the round checkpoint, and — when
-        built — the serving router. The sizing/model/server attributes
-        are constructor config."""
-        return {
-            "fault_counters": self.fault_counters.to_state(),
-            "fault_injector": (
-                self.fault_injector.to_state()
-                if self.fault_injector is not None else None
-            ),
-            "last_checkpoint": (
-                self.last_checkpoint.to_state()
-                if self.last_checkpoint is not None else None
-            ),
-            "router": (
-                self.router.to_state()
-                if self.router is not None else None
-            ),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Restore onto a fleet constructed with identical config."""
-        self.fault_counters.from_state(state["fault_counters"])
-        if state["fault_injector"] is not None:
-            if self.fault_injector is None:
-                raise ValueError(
-                    "snapshot carries fault-injector state but this "
-                    "fleet has no fault plan"
-                )
-            self.fault_injector.from_state(state["fault_injector"])
-        self.last_checkpoint = (
-            RoundCheckpoint.from_state(state["last_checkpoint"])
-            if state["last_checkpoint"] is not None else None
-        )
-        # Older snapshots predate the serving plane; absent = not built.
-        router_state = state.get("router")
-        if router_state is not None:
-            if self.router is None:
-                raise ValueError(
-                    "snapshot carries serving-router state but this "
-                    "fleet has no router; call serving_router() with "
-                    "the original tenants first"
-                )
-            self.router.from_state(router_state)
 
     def run_report(self, fleet_report: FleetReport, name: str) -> RunReport:
         """Package one fleet round as the structured JSON artifact.

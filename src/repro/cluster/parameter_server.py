@@ -12,7 +12,7 @@ round tolerates before it refuses to proceed.
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,6 @@ class ParameterServer:
         self.update_ops_per_s = update_ops_per_s
         self.gradient_bytes_per_weight = gradient_bytes_per_weight
         self.model_bytes_per_weight = model_bytes_per_weight
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the server is a pure
-        bandwidth/latency model — its state *is* its configuration."""
-        return {
-            "network_bytes_per_s": self.network_bytes_per_s,
-            "update_ops_per_s": self.update_ops_per_s,
-            "gradient_bytes_per_weight": self.gradient_bytes_per_weight,
-            "model_bytes_per_weight": self.model_bytes_per_weight,
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "ParameterServer":
-        return cls(**{key: float(value) for key, value in state.items()})
 
     def round(
         self,

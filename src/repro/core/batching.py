@@ -9,7 +9,7 @@ at installation time (the paper sweeps 2×–10× the service time and
 settles on 2×).
 """
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 
 class BatchingPolicy:
@@ -19,14 +19,6 @@ class BatchingPolicy:
         """Degraded-mode hook (SLO guard): policies that can trade
         formation efficiency for latency override this; the default is
         inert so static batching keeps its contract."""
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): policies are config
-        except for the degraded flag; stateless ones return ``{}``."""
-        return {}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`to_state` (no-op for stateless policies)."""
 
     def should_issue(self, queued: int, oldest_wait_cycles: float) -> bool:
         """Whether to issue right now given buffer state."""
@@ -114,12 +106,6 @@ class AdaptiveBatching(BatchingPolicy):
 
     def deadline_cycles(self, oldest_arrival_cycle: float) -> Optional[float]:
         return oldest_arrival_cycle + self.effective_timeout_cycles
-
-    def to_state(self) -> Dict[str, Any]:
-        return {"degraded": self.degraded}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.degraded = bool(state["degraded"])
 
     def __repr__(self) -> str:
         return (

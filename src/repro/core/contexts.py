@@ -7,7 +7,7 @@ datapath is oblivious to service interleaving.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.hw.buffers import OnChipBuffer
 from repro.hw.isa import Program
@@ -72,22 +72,3 @@ class ServiceContext:
     @property
     def instructions_outstanding(self) -> int:
         return self.instructions_issued - self.instructions_completed
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the instruction counters
-        and reserved buffer sizes. The program and buffer bindings are
-        installation-time config recreated by the facade's constructor."""
-        return {
-            "instructions_issued": self.instructions_issued,
-            "instructions_completed": self.instructions_completed,
-            "weight_allocation_bytes": self.weight_allocation_bytes,
-            "activation_allocation_bytes": self.activation_allocation_bytes,
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.instructions_issued = int(state["instructions_issued"])
-        self.instructions_completed = int(state["instructions_completed"])
-        self.weight_allocation_bytes = float(state["weight_allocation_bytes"])
-        self.activation_allocation_bytes = float(
-            state["activation_allocation_bytes"]
-        )

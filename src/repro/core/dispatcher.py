@@ -41,7 +41,7 @@ from repro.hw.isa import Program
 from repro.hw.mmu import MatrixMultiplyUnit
 from repro.hw.simd import SIMDUnit
 from repro.obs.spans import SpanTracer
-from repro.sim.engine import Event, Simulator, SnapshotError
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import LatencyStats
 
 #: SIMD-unit queue priorities (the vector unit is far from saturated,
@@ -82,8 +82,7 @@ class RequestDispatcher:
         self._deadline_event: Optional[Event] = None
         self._timeout_events: Dict[int, Event] = {}
         #: Deadline-expired requests waiting out their backoff before
-        #: re-admission. Tracked so ``flush`` can fold them back in and
-        #: ``to_state`` can refuse a snapshot that would drop them.
+        #: re-admission. Tracked so ``flush`` can fold them back in.
         self._retry_events: Dict[int, Tuple[Event, InferenceRequest]] = {}
         self._next_batch_id = 0
         self._next_request_id = 0
@@ -232,8 +231,8 @@ class RequestDispatcher:
             # Re-admit with bounded exponential backoff; the latency
             # clock keeps running from the original arrival. The pending
             # re-admission is tracked: an untracked event here leaked
-            # the request past flush() and past the snapshot quiescence
-            # check (it sat in the sim heap, invisible to both).
+            # the request past flush() (it sat in the sim heap, invisible
+            # to it).
             request.retries += 1
             self.counters.request_retries += 1
             event = self.sim.after(
@@ -387,38 +386,6 @@ class RequestDispatcher:
             "request_retries": float(self.request_retries),
             "pending_retries": float(self.pending_retries),
         }
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract), at formation quiescence.
-
-        A request sitting in the formation buffer carries live deadline
-        and timeout events whose exact ``(time, seq)`` slots cannot be
-        re-created by re-arming — so a snapshot with buffered requests
-        would not be bit-exact and is refused. Snapshot after
-        :meth:`flush` (the run boundary), where only the id cursors and
-        tallies remain.
-        """
-        if self.queue_size or self._timeout_events or self._retry_events:
-            raise SnapshotError(
-                f"dispatcher holds {self.queue_size} buffered request(s), "
-                f"{len(self._timeout_events)} armed timeout(s) and "
-                f"{len(self._retry_events)} pending retry(ies); "
-                "snapshot at a run boundary (after flush)"
-            )
-        return {
-            "next_batch_id": self._next_batch_id,
-            "next_request_id": self._next_request_id,
-            "batches_formed": self.batches_formed,
-            "incomplete_batches": self.incomplete_batches,
-            "requests_submitted": self.requests_submitted,
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self._next_batch_id = int(state["next_batch_id"])
-        self._next_request_id = int(state["next_request_id"])
-        self.batches_formed = int(state["batches_formed"])
-        self.incomplete_batches = int(state["incomplete_batches"])
-        self.requests_submitted = int(state["requests_submitted"])
 
 
 @dataclass(frozen=True)
@@ -614,7 +581,7 @@ class FairShareDispatcher(RequestDispatcher):
         return min(heads)
 
     # ------------------------------------------------------------------
-    # Metrics & snapshot
+    # Metrics
     # ------------------------------------------------------------------
 
     def tenant_metrics(self) -> Dict[str, Dict[str, float]]:
@@ -630,35 +597,6 @@ class FairShareDispatcher(RequestDispatcher):
             }
             for name in self._shares
         }
-
-    def to_state(self) -> Dict[str, Any]:
-        state = super().to_state()
-        state["tenants"] = {
-            name: {
-                "deficit": self._deficits[name],
-                "submitted": self.submitted_by_tenant[name],
-                "shed": self.shed_by_tenant[name],
-                "batched": self.batched_by_tenant[name],
-                "timed_out": self.timed_out_by_tenant[name],
-            }
-            for name in self._shares
-        }
-        return state
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        super().from_state(state)
-        tenants = state["tenants"]
-        if set(tenants) != set(self._shares):
-            raise ValueError(
-                f"snapshot tenants {sorted(tenants)} do not match "
-                f"registered tenants {sorted(self._shares)}"
-            )
-        for name, entry in tenants.items():
-            self._deficits[name] = float(entry["deficit"])
-            self.submitted_by_tenant[name] = int(entry["submitted"])
-            self.shed_by_tenant[name] = int(entry["shed"])
-            self.batched_by_tenant[name] = int(entry["batched"])
-            self.timed_out_by_tenant[name] = int(entry["timed_out"])
 
 
 class InferenceEngine:
@@ -783,30 +721,6 @@ class InferenceEngine:
             self.on_batch_complete()
         self._try_start()
 
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract), at execution quiescence.
-
-        An in-flight batch is a chain of step closures threaded through
-        the MMU/SIMD queues — unserializable — so a snapshot with work
-        in flight is refused; snapshot at a run boundary.
-        """
-        if self._inflight or self._queue:
-            raise SnapshotError(
-                f"inference engine has {self._inflight} batch(es) in "
-                f"flight and {len(self._queue)} queued; snapshot at a "
-                "run boundary"
-            )
-        return {
-            "latency": self.latency.to_state(),
-            "batches_completed": self.batches_completed,
-            "requests_completed": self.requests_completed,
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.latency = LatencyStats.from_state(state["latency"])
-        self.batches_completed = int(state["batches_completed"])
-        self.requests_completed = int(state["requests_completed"])
-
 
 class TrainingEngine:
     """Streams endless training iterations into idle issue slots.
@@ -859,7 +773,6 @@ class TrainingEngine:
         self.iterations: List[TrainingIterationRecord] = []
         self.jobs_issued = 0
         self._started = False
-        self._paused = False
         # Pipeline state.
         self._exec_step = 0  # step whose jobs may enter the MMU queue
         self._exec_jobs_done = 0
@@ -896,25 +809,6 @@ class TrainingEngine:
             self._maybe_issue()
             self.mmu.pump()
 
-    def pause(self) -> None:
-        """Stop feeding new work into the pipeline (quiesce prelude).
-
-        In-flight prefetches and issued jobs complete normally; nothing
-        new is staged or issued until :meth:`resume`. Once the last
-        in-flight closure lands the datapath drains — the state a
-        snapshot wants, since the snapshot contract restarts the
-        interrupted iteration anyway.
-        """
-        self._paused = True
-
-    def resume(self) -> None:
-        """Undo :meth:`pause` and wake the pipeline."""
-        self._paused = False
-        if self._started:
-            self._maybe_issue()
-            self._maybe_prefetch()
-            self.mmu.pump()
-
     @property
     def iterations_completed(self) -> int:
         return len(self.iterations)
@@ -935,8 +829,6 @@ class TrainingEngine:
         return None
 
     def _maybe_prefetch(self) -> None:
-        if self._paused:
-            return
         position = self._advance_cursor()
         if position is None:
             return
@@ -984,8 +876,6 @@ class TrainingEngine:
     # ------------------------------------------------------------------
 
     def _maybe_issue(self) -> None:
-        if self._paused:
-            return
         while self._staged:
             step_idx, job_idx = self._staged[0]
             if step_idx != self._exec_step:
@@ -1120,47 +1010,3 @@ class TrainingEngine:
         self._prefetch_outstanding = 0
         self._committed_step = -1
         self._maybe_prefetch()
-
-    # ------------------------------------------------------------------
-    # Snapshot (repro.state contract)
-    # ------------------------------------------------------------------
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot at **iteration granularity**.
-
-        The training service is an endless stream of identical
-        iterations (paper §5), so the documented restore point is an
-        iteration boundary: completed iterations and tallies are
-        captured exactly; the pipeline position *inside* the current
-        iteration (staged streams, in-flight prefetches — all HBM/MMU
-        closures) is not, and :meth:`from_state` restarts the
-        interrupted iteration from step 0, exactly the reset
-        ``_finish_iteration`` performs on the uninterrupted path.
-        """
-        return {
-            "started": self._started,
-            "jobs_issued": self.jobs_issued,
-            "iterations": [asdict(record) for record in self.iterations],
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Restore history and restart the current iteration's pipeline
-        (prefetch begins again from step 0 if the service was live)."""
-        self.iterations = [
-            TrainingIterationRecord(**record)
-            for record in state["iterations"]
-        ]
-        self.jobs_issued = int(state["jobs_issued"])
-        self._started = bool(state["started"])
-        self._exec_step = 0
-        self._exec_jobs_done = 0
-        self._prefetch_cursor = (0, 0)
-        self._staged = []
-        self._staged_bytes = 0.0
-        self._inflight_prefetch_bytes = 0.0
-        self._prefetch_outstanding = 0
-        self._committed_step = -1
-        self._iteration_start = self.sim.now
-        self._exec_step_started = self.sim.now
-        if self._started and self.scheduler.allows_training:
-            self._maybe_prefetch()

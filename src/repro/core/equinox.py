@@ -17,7 +17,7 @@ public entry point the examples and the evaluation harness use:
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SimProfiler
 from repro.obs.report import RunReport, report_from_simulation
 from repro.obs.spans import SpanTracer
-from repro.sim.engine import Simulator, SnapshotError
+from repro.sim.engine import Simulator
 from repro.sim.stats import inf_aware_percentile
 from repro.workload.loadgen import ArrivalProcess, FaultyArrivals, PoissonArrivals
 
@@ -305,7 +305,8 @@ class EquinoxAccelerator:
 
         # Migrate the scattered collectors into the registry as deferred
         # sources: their public APIs are unchanged, their values appear
-        # under stable dotted prefixes in every snapshot/artifact.
+        # under stable dotted prefixes in ``obs.snapshot()`` and every
+        # artifact.
         self.obs.register_source(
             "inference.latency", self.engine.latency.metrics
         )
@@ -375,143 +376,6 @@ class EquinoxAccelerator:
             ops / self.inference_program.total_mmu_cycles
             * self.config.frequency_hz / 1e12
         )
-
-    # ------------------------------------------------------------------
-    # Snapshot (``repro.state`` contract)
-    # ------------------------------------------------------------------
-
-    def quiesce(self, max_events: int = 10_000_000) -> None:
-        """Drain the datapath to a snapshotable point.
-
-        Pauses the training engine (nothing new is staged or issued;
-        in-flight streams and jobs complete normally) and runs the
-        simulator until the only live events left are persistent
-        monitors (the SLO guard's ticker). After this, :meth:`to_state`
-        succeeds; call ``training_engine.resume()`` to keep running
-        in-process instead of restoring.
-        """
-        if self.training_engine is not None:
-            self.training_engine.pause()
-        self.dispatcher.flush()
-        persistent = 1 if self.slo_guard is not None else 0
-        slice_cycles = max(self.batch_service_cycles(), 1000.0)
-        start = self.sim.events_processed
-        while self.sim.queue_depth > persistent:
-            spent = self.sim.events_processed - start
-            if spent >= max_events:
-                raise SnapshotError(
-                    f"datapath failed to drain within {max_events} "
-                    f"events ({self.sim.queue_depth} live events remain)"
-                )
-            self.sim.run(until=self.sim.now + slice_cycles,
-                         max_events=max_events - spent)
-
-    def to_state(self) -> Dict[str, Any]:
-        """The serving stack's resumable state, at a **run boundary**.
-
-        Composes every stateful component's own snapshot: the simulator
-        bookkeeping (clock, sequence cursor, event count — not the
-        heap: the closures a live run keeps in flight are exactly what
-        the component contracts refuse), the datapath meters, the
-        policies, the fault subsystem and the engines. Components with
-        in-flight work raise :class:`repro.state.SnapshotError`; call
-        between :meth:`run` invocations after the datapath has drained
-        (``sim.run()`` to quiescence first if needed).
-
-        What this deliberately does **not** promise: bit-exact
-        continuation of a half-finished training iteration — the
-        training engine restarts its interrupted iteration from step 0
-        on restore (its documented contract). End-to-end byte-identical
-        artifacts across a crash are enforced one layer up, at job
-        granularity, by the completion journal in ``repro.exec``.
-        """
-        state: Dict[str, Any] = {
-            "sim": {
-                "now": self.sim.now,
-                "seq_next": self.sim._seq_next,
-                "events_processed": self.sim.events_processed,
-            },
-            "fault_counters": self.fault_counters.to_state(),
-            "scheduler": self.scheduler.to_state(),
-            "batching": self.batching.to_state(),
-            "obs": self.obs.to_state(),
-            "spans": self.spans.to_state(),
-            "mmu": self.mmu.to_state(),
-            "simd": self.simd.to_state(),
-            "hbm": self.hbm.to_state(),
-            "weight_buffer": self.weight_buffer.to_state(),
-            "activation_buffer": self.activation_buffer.to_state(),
-            "inference_context": self.inference_context.to_state(),
-            "dispatcher": self.dispatcher.to_state(),
-            "engine": self.engine.to_state(),
-            "fault_injector": (
-                self.fault_injector.to_state()
-                if self.fault_injector is not None else None
-            ),
-            "slo_guard": (
-                self.slo_guard.to_state()
-                if self.slo_guard is not None else None
-            ),
-            "training_context": (
-                self.training_context.to_state()
-                if self.training_engine is not None else None
-            ),
-            "training_engine": (
-                self.training_engine.to_state()
-                if self.training_engine is not None else None
-            ),
-        }
-        return state
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`to_state` snapshot onto a freshly
-        constructed accelerator with **identical configuration**.
-
-        Order matters: the clock is restored first (everything that
-        re-arms events schedules relative to ``now``), then the passive
-        meters and policies, then the components that schedule — the
-        SLO guard re-arms its ticker and the training engine restarts
-        its interrupted iteration, both against the restored clock.
-        """
-        sim_state = state["sim"]
-        self.sim.now = float(sim_state["now"])
-        self.sim._seq_next = int(sim_state["seq_next"])
-        self.sim._events_processed = int(sim_state["events_processed"])
-        self.fault_counters.from_state(state["fault_counters"])
-        self.scheduler.from_state(state["scheduler"])
-        self.batching.from_state(state["batching"])
-        self.obs.from_state(state["obs"])
-        self.spans.from_state(state["spans"])
-        self.mmu.from_state(state["mmu"])
-        self.simd.from_state(state["simd"])
-        self.hbm.from_state(state["hbm"])
-        self.weight_buffer.from_state(state["weight_buffer"])
-        self.activation_buffer.from_state(state["activation_buffer"])
-        self.inference_context.from_state(state["inference_context"])
-        self.dispatcher.from_state(state["dispatcher"])
-        self.engine.from_state(state["engine"])
-        if state["fault_injector"] is not None:
-            if self.fault_injector is None:
-                raise SnapshotError(
-                    "snapshot carries fault-injector state but this "
-                    "accelerator has no fault plan"
-                )
-            self.fault_injector.from_state(state["fault_injector"])
-        if state["slo_guard"] is not None:
-            if self.slo_guard is None:
-                raise SnapshotError(
-                    "snapshot carries SLO-guard state but this "
-                    "accelerator has no guard installed"
-                )
-            self.slo_guard.from_state(state["slo_guard"])
-        if state["training_engine"] is not None:
-            if self.training_engine is None:
-                raise SnapshotError(
-                    "snapshot carries training state but this "
-                    "accelerator has no training service installed"
-                )
-            self.training_context.from_state(state["training_context"])
-            self.training_engine.from_state(state["training_engine"])
 
     # ------------------------------------------------------------------
     # Load experiments

@@ -18,7 +18,7 @@ Policies are consulted by the MMU arbiter at every grant through
 :meth:`SchedulingPolicy.select_queue`.
 """
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 INFERENCE = "inference"
 TRAINING = "training"
@@ -92,20 +92,6 @@ class SchedulingPolicy:
 
     def note_inference_activity(self, now: float) -> None:
         """Hook: policies tracking inference activity override this."""
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the degraded flag and
-        the decision tally. Constructor parameters (thresholds,
-        latencies) are config, rebuilt by the factory — policies
-        tracking extra runtime state extend this."""
-        return {"degraded": self.degraded, "decisions": dict(self.decisions)}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.degraded = bool(state["degraded"])
-        self._decisions = {
-            str(key): int(value)
-            for key, value in state["decisions"].items()
-        }
 
 
 class PriorityScheduler(SchedulingPolicy):
@@ -255,15 +241,6 @@ class SoftwareScheduler(SchedulingPolicy):
 
     def training_blocks_preemption(self) -> bool:
         return True
-
-    def to_state(self) -> Dict[str, Any]:
-        state = super().to_state()
-        state["last_inference_activity"] = self._last_inference_activity
-        return state
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        super().from_state(state)
-        self._last_inference_activity = float(state["last_inference_activity"])
 
     def __repr__(self) -> str:
         return (

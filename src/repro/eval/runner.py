@@ -175,33 +175,6 @@ class ExperimentCapture:
                 str(key): float(value) for key, value in totals.items()
             }
 
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot-contract spelling of :meth:`state_dict`, plus the
-        capture's name so :meth:`from_state` reconstructs it whole."""
-        return {"name": self.name, **self.state_dict()}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "ExperimentCapture":
-        """Inverse of :meth:`to_state` — query-identical reconstruction."""
-        capture = cls(str(state["name"]))
-        capture.latency_us = QuantileSketch.from_state(state["latency"])
-        capture.duration_cycles = float(state["duration_cycles"])
-        if state.get("frequency_hz") is not None:
-            capture.frequency_hz = float(state["frequency_hz"])
-        capture.ops = {
-            str(k): float(v) for k, v in state["ops"].items()
-        }
-        capture.busy = {
-            str(k): float(v) for k, v in state["busy"].items()
-        }
-        capture.windows = int(state["windows"])
-        for totals in state["fault_totals"]:
-            capture._remote_serial += 1
-            capture._fault_totals[-capture._remote_serial] = {
-                str(key): float(value) for key, value in totals.items()
-            }
-        return capture
-
     def build_report(
         self, kind: str = "experiment", config: Optional[Dict[str, Any]] = None
     ) -> RunReport:

@@ -2,9 +2,10 @@
 
 Two pieces, both consumed by ``python -m repro``:
 
-* :func:`add_executor_arguments` / :func:`runner_from_args` — the
-  shared ``--jobs N|auto`` / ``--cache-dir`` flags every experiment
-  subcommand grows, resolved into one :class:`JobRunner`;
+* :func:`add_executor_arguments` / :func:`executor_args_error` /
+  :func:`runner_from_args` — the shared ``--jobs N|auto`` /
+  ``--cache-dir`` / checkpoint flags every experiment subcommand grows,
+  checked once after parsing and resolved into one :class:`JobRunner`;
 * the ``sweep`` subcommand — the Figure 6 design-space sweep fanned
   out through the engine, with a byte-deterministic ``sweep.json``
   RunReport artifact (identical for any ``--jobs`` value).
@@ -15,12 +16,13 @@ import json
 import sys
 from typing import Any, Optional
 
-from repro.exec.scheduler import JobRunner
+from repro.exec.scheduler import JobRunner, resolve_jobs
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
     "add_executor_arguments",
     "add_sweep_arguments",
+    "executor_args_error",
     "run_sweep",
     "runner_from_args",
 ]
@@ -74,6 +76,36 @@ def add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         "N completed (journaled) jobs — CI uses it to prove --resume "
         "converges to the byte-identical artifact",
     )
+
+
+def executor_args_error(args: argparse.Namespace) -> Optional[str]:
+    """Why the executor flags in ``args`` cannot run, or None.
+
+    ``python -m repro`` checks this once after parsing, before any job
+    runs, and exits 2 with the reason — a bad flag is a usage error,
+    not a failed job. Subcommands without executor flags pass.
+    """
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None:
+        try:
+            resolve_jobs(jobs)
+        except ValueError:
+            return f"--jobs must be an integer >= 1 or 'auto', got {jobs!r}"
+    every = getattr(args, "checkpoint_every", DEFAULT_CHECKPOINT_EVERY)
+    if every < 0:
+        return f"--checkpoint-every must be >= 0, got {every}"
+    kill_after = getattr(args, "kill_after", None)
+    if kill_after is not None and kill_after < 1:
+        return f"--kill-after must be >= 1, got {kill_after}"
+    if getattr(args, "checkpoint_dir", None) is None:
+        if getattr(args, "resume", False):
+            return "--resume needs --checkpoint-dir: there is no journal to replay"
+        if kill_after is not None:
+            return (
+                "--kill-after needs --checkpoint-dir: the killed run "
+                "would leave no journal to resume from"
+            )
+    return None
 
 
 def runner_from_args(

@@ -382,7 +382,7 @@ class JobRunner:
     def set_checkpoint_cb(self, cb: Optional[Callable[[], None]]) -> None:
         """(Re)bind the periodic checkpoint barrier hook.
 
-        Callers that only learn what to snapshot *after* building the
+        Callers that only learn what to checkpoint *after* building the
         runner (e.g. an experiment's capture context) install the hook
         here; it fires every ``checkpoint_every`` completed jobs.
         """

@@ -79,12 +79,3 @@ class AdmissionControl:
         """Rebuild a policy from :meth:`to_dict` output (validation in
         ``__post_init__`` re-runs)."""
         return cls(**dict(data))
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the policy is frozen
-        config, so its state *is* its dict form."""
-        return self.to_dict()
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "AdmissionControl":
-        return cls.from_dict(state)

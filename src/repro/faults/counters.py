@@ -74,13 +74,3 @@ class FaultCounters:
     def nonzero(self) -> Dict[str, float]:
         """Only the counters that fired (compact report rendering)."""
         return {k: v for k, v in self.as_dict().items() if v}
-
-    def to_state(self) -> Dict[str, float]:
-        """Snapshot (``repro.state`` contract): same shape as
-        :meth:`as_dict`, named per the symmetric-pair convention."""
-        return self.as_dict()
-
-    def from_state(self, state: Dict[str, float]) -> None:
-        """Overwrite every counter from a :meth:`to_state` snapshot."""
-        for name in self.as_dict():
-            setattr(self, name, type(getattr(self, name))(state[name]))

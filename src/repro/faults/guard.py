@@ -21,7 +21,7 @@ that it survived. Hysteresis (a lower recovery threshold) prevents
 flapping at the boundary.
 """
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.faults.counters import FaultCounters
 from repro.sim.engine import Simulator
@@ -110,29 +110,3 @@ class SLOGuard:
         """Cancel the periodic check (end of experiment)."""
         self.flush()
         self._ticker.cancel()
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the mode flag and the
-        open interval's start. Thresholds and the check interval are
-        constructor config; the counters are owned by whoever shares
-        them."""
-        return {
-            "degraded": self.degraded,
-            "degraded_since": self._degraded_since,
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Restore mode state and **re-arm** the periodic check.
-
-        A freshly constructed guard armed its ticker against the clock
-        at construction time (zero); after the owning facade restores a
-        later clock that pending firing would sit in the past, so the
-        ticker is cancelled and re-armed one interval from the restored
-        now. Sampling phase is therefore measured from the restore
-        point — the guard is a monitor, not part of the bit-exact
-        datapath contract.
-        """
-        self.degraded = bool(state["degraded"])
-        self._degraded_since = float(state["degraded_since"])
-        self._ticker.cancel()
-        self._ticker = self.sim.every(self.check_interval_cycles, self._check)

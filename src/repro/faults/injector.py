@@ -7,11 +7,10 @@ simulator visits the injection sites — which makes every chaos run
 reproducible from ``(plan, workload seed)`` alone.
 """
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.faults.counters import FaultCounters
 from repro.faults.plan import FaultPlan
-from repro.state.protocol import restore_rng, rng_state
 
 
 class WorkerCrashError(RuntimeError):
@@ -78,18 +77,6 @@ class FaultInjector:
     # cluster.fleet — crashes and stragglers (spec-driven, no sampling:
     # fleet faults name their victims so scenarios stay composable)
     # ------------------------------------------------------------------
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): both substream
-        positions. The plan is immutable config (rebuilt from its own
-        ``to_dict``), and the counters are owned by whoever shares
-        them, so neither is captured here."""
-        return {"hbm_rng": rng_state(self._hbm_rng),
-                "mmu_rng": rng_state(self._mmu_rng)}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        restore_rng(self._hbm_rng, state["hbm_rng"])
-        restore_rng(self._mmu_rng, state["mmu_rng"])
 
     def check_worker_crash(self, worker_id: int) -> None:
         """Raise :class:`WorkerCrashError` if the plan kills this worker."""

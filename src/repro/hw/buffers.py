@@ -13,7 +13,7 @@ training staging write and a host model upload serialize there.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.resources import SerialResource
@@ -121,19 +121,3 @@ class OnChipBuffer:
 
     def port_utilization(self, window_cycles: Optional[float] = None) -> float:
         return self._shared_port.utilization(window_cycles)
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the allocation table and
-        the shared port's meters (which refuses while fills are in
-        flight)."""
-        return {
-            "allocations": dict(self._allocations),
-            "shared_port": self._shared_port.to_state(),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self._allocations = {
-            str(context): float(size)
-            for context, size in state["allocations"].items()
-        }
-        self._shared_port.from_state(state["shared_port"])

@@ -19,7 +19,7 @@ budget falls back to the slow host-side correction path (delivered,
 counted ``hbm_retry_exhausted``) rather than wedging the pipeline.
 """
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.hw.config import AcceleratorConfig
 from repro.sim.engine import Simulator
@@ -127,19 +127,3 @@ class HBMInterface:
             return 0.0
         bytes_per_cycle = self._channel.bytes_transferred / window
         return bytes_per_cycle * self.config.frequency_hz / 1e9
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): per-kind byte meters
-        plus the channel's meters (which refuses while transfers are in
-        flight)."""
-        return {
-            "bytes_by_kind": dict(self.bytes_by_kind),
-            "channel": self._channel.to_state(),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.bytes_by_kind = {
-            str(kind): float(count)
-            for kind, count in state["bytes_by_kind"].items()
-        }
-        self._channel.from_state(state["channel"])

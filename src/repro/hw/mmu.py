@@ -23,11 +23,11 @@ derived from the accounting window.
 """
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from repro.hw.config import AcceleratorConfig
 from repro.hw.isa import MMUJob
-from repro.sim.engine import Simulator, SnapshotError
+from repro.sim.engine import Simulator
 from repro.sim.stats import CycleAccounting, ThroughputMeter
 
 #: Context/queue names the arbiter knows about.
@@ -280,49 +280,3 @@ class MatrixMultiplyUnit:
         if window <= 0:
             return 0.0
         return self.busy_by_context.get(context, 0.0) / window
-
-    # ------------------------------------------------------------------
-    # Snapshot (``repro.state`` contract)
-    # ------------------------------------------------------------------
-
-    def to_state(self) -> Dict[str, Any]:
-        """Accrued meters plus the arbiter's round-robin cursor.
-
-        A granted or queued job carries completion closures that cannot
-        be serialized, so a non-quiescent unit refuses; the accelerator
-        facade snapshots between runs / at iteration boundaries where
-        the datapath has drained.
-        """
-        queued = {name: len(q) for name, q in self._queues.items() if q}
-        if self._busy or queued:
-            raise SnapshotError(
-                f"MMU has in-flight work (busy={self._busy}, "
-                f"queued={queued}); snapshot at a quiescence point"
-            )
-        return {
-            "last_granted": self._last_granted,
-            "jobs_issued": self.jobs_issued,
-            "busy_cycles": self.busy_cycles,
-            "busy_by_context": dict(self.busy_by_context),
-            "accounting": self.accounting.to_state(),
-            "throughput": self.throughput.to_state(),
-            "throughput_by_context": {
-                name: meter.to_state()
-                for name, meter in sorted(self.throughput_by_context.items())
-            },
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self._last_granted = str(state["last_granted"])
-        self.jobs_issued = int(state["jobs_issued"])
-        self.busy_cycles = float(state["busy_cycles"])
-        self.busy_by_context = {
-            str(name): float(cycles)
-            for name, cycles in state["busy_by_context"].items()
-        }
-        self.accounting = CycleAccounting.from_state(state["accounting"])
-        self.throughput = ThroughputMeter.from_state(state["throughput"])
-        self.throughput_by_context = {
-            str(name): ThroughputMeter.from_state(entry)
-            for name, entry in state["throughput_by_context"].items()
-        }

@@ -12,7 +12,7 @@ one batch is in flight those cycles surface as MMU dependence stalls
 other batches' GEMMs.
 """
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.hw.config import AcceleratorConfig
 from repro.hw.isa import SIMDJob
@@ -63,12 +63,3 @@ class SIMDUnit:
     def utilization(self, window_cycles: Optional[float] = None) -> float:
         window = self.sim.now if window_cycles is None else window_cycles
         return self._unit.utilization(window)
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the ops meter plus the
-        serial unit's meters (which refuses while jobs are in flight)."""
-        return {"ops_retired": self.ops_retired, "unit": self._unit.to_state()}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.ops_retired = float(state["ops_retired"])
-        self._unit.from_state(state["unit"])

@@ -217,41 +217,6 @@ class MetricsRegistry:
             "sources": sources,
         }
 
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): every live instrument's
-        value, with histograms as lossless sketch dumps.
-
-        Deferred sources are *not* captured: they are read-through views
-        over components that snapshot themselves, and the facade
-        re-registers them at construction.
-        """
-        return {
-            "counters": {
-                name: self._counters[name].value
-                for name in sorted(self._counters)
-            },
-            "gauges": {
-                name: self._gauges[name].value
-                for name in sorted(self._gauges)
-            },
-            "histograms": {
-                name: self._histograms[name].sketch.to_state()
-                for name in sorted(self._histograms)
-            },
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`to_state`: instruments are get-or-created
-        (help strings are presentation, not state) and overwritten."""
-        for name, value in state["counters"].items():
-            self.counter(name)._value = float(value)
-        for name, value in state["gauges"].items():
-            self.gauge(name)._value = float(value)
-        for name, sketch_state in state["histograms"].items():
-            self.histogram(name).sketch = QuantileSketch.from_state(
-                sketch_state
-            )
-
     def flat(self) -> Dict[str, float]:
         """Flattened ``{dotted.path: value}`` view of :meth:`snapshot`
         (what ``python -m repro metrics diff`` compares)."""

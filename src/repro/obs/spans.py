@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.sim.engine import Simulator, SnapshotError
+from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
 __all__ = ["Span", "SpanTracer"]
@@ -84,8 +84,6 @@ class SpanTracer:
         self.registry = registry
         self.keep_records = keep_records
         self.tracer = tracer if tracer is not None else Tracer(enabled=keep_records)
-        # An explicit cursor (not itertools.count) so a snapshot can
-        # record and a restore can replay the id sequence.
         self._next_id = 0
         self._open: Dict[int, Span] = {}
         #: name -> [count, total_cycles, max_cycles]
@@ -215,39 +213,3 @@ class SpanTracer:
                 "max_cycles": peak,
             }
         return out
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the id cursor and the
-        per-name aggregates.
-
-        An open span holds a live handle some component will ``end``
-        later, and ``keep_records`` mode holds full per-span records in
-        the tracer — both refuse, because restoring either faithfully
-        would require serializing object identity. Snapshot between
-        requests with aggregation-only tracing (the default).
-        """
-        if self._open:
-            raise SnapshotError(
-                f"{len(self._open)} span(s) still open; snapshot at a "
-                "quiescence point"
-            )
-        if self.keep_records:
-            raise SnapshotError(
-                "span tracer with keep_records=True cannot be "
-                "snapshotted (full per-span records are a debugging "
-                "mode, not resumable state)"
-            )
-        return {
-            "next_id": self._next_id,
-            "aggregate": {
-                name: list(entry)
-                for name, entry in sorted(self._aggregate.items())
-            },
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self._next_id = int(state["next_id"])
-        self._aggregate = {
-            str(name): [int(entry[0]), float(entry[1]), float(entry[2])]
-            for name, entry in state["aggregate"].items()
-        }

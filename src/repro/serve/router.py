@@ -29,7 +29,7 @@ tail percentiles where it belongs.
 
 import zlib
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from repro.faults.admission import AdmissionControl
 from repro.faults.counters import FaultCounters
 from repro.faults.plan import FaultPlan
 from repro.obs.sketch import QuantileSketch
-from repro.sim.engine import Event, Simulator, SnapshotError
-from repro.state.protocol import restore_rng, rng_state
+from repro.sim.engine import Event, Simulator
 
 #: Substream labels (crc32-keyed, matching ``FaultPlan.rng``).
 ROUTER_SUBSTREAM = "serve.router"
@@ -183,28 +182,6 @@ class ChipServer:
             request.batched_cycle = None
         evacuated.sort(key=lambda request: request.request_id)
         return evacuated
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract), at serving quiescence
-        (no staged or in-service batches; dispatcher drained)."""
-        if self._staged or self._inflight:
-            raise SnapshotError(
-                f"chip {self.chip_id} has {len(self._staged)} staged and "
-                f"{len(self._inflight)} in-service batch(es); snapshot "
-                "at a run boundary"
-            )
-        return {
-            "alive": self.alive,
-            "batches_served": self.batches_served,
-            "requests_served": self.requests_served,
-            "dispatcher": self.dispatcher.to_state(),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.alive = bool(state["alive"])
-        self.batches_served = int(state["batches_served"])
-        self.requests_served = int(state["requests_served"])
-        self.dispatcher.from_state(state["dispatcher"])
 
 
 class FleetRouter:
@@ -363,38 +340,18 @@ class FleetRouter:
     # Chip failure
     # ------------------------------------------------------------------
 
-    def kill_keys(self) -> Dict[str, "Any"]:
-        """Key → callback for every plan kill event, ``serve.kill.<id>``.
-
-        The kill events are **keyed** so a mid-run fleet snapshot can
-        serialize them; a restoring driver passes this mapping (built
-        on the new router) to :meth:`repro.sim.engine.Simulator.
-        from_state` to re-arm the un-fired kills bit-exactly.
-        """
-        if self.fault_plan is None:
-            return {}
-        return {
-            f"serve.kill.{chip_id}": (
-                lambda cid=chip_id: self.kill_chip(cid)
-            )
-            for chip_id in self.fault_plan.workers.crashed
-            if 0 <= chip_id < self.fleet_size
-        }
-
     def schedule_kills(self, horizon_cycles: float) -> None:
         """Arm one kill event per crashed worker id in the fault plan,
         at a plan-seeded cycle inside :data:`KILL_WINDOW`."""
         if self.fault_plan is None:
             return
-        keys = self.kill_keys()
         for chip_id in self.fault_plan.workers.crashed:
             if not 0 <= chip_id < self.fleet_size:
                 continue
             rng = self.fault_plan.rng(CHIP_KILL_SUBSTREAM, chip_id)
             low, high = KILL_WINDOW
             kill_cycle = float(rng.uniform(low, high)) * horizon_cycles
-            key = f"serve.kill.{chip_id}"
-            self.sim.at(kill_cycle, keys[key], key=key)
+            self.sim.at(kill_cycle, lambda cid=chip_id: self.kill_chip(cid))
 
     def kill_chip(self, chip_id: int) -> None:
         """Kill a chip now and fail its live requests over through
@@ -456,72 +413,3 @@ class FleetRouter:
             for name, count in chip.dispatcher.timed_out_by_tenant.items():
                 totals[name] += count
         return totals
-
-    # ------------------------------------------------------------------
-    # Snapshot (repro.state contract)
-    # ------------------------------------------------------------------
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract), at fleet quiescence.
-
-        Captures the placement RNG position, every chip's state, the
-        per-tenant sketches and the failover tallies; refused while any
-        chip still owes requests (their service closures are live sim
-        events a restore cannot re-create bit-exactly).
-        """
-        if self.outstanding_requests:
-            raise SnapshotError(
-                f"fleet router has {self.outstanding_requests} outstanding "
-                "request(s); snapshot at a run boundary (after flush)"
-            )
-        return {
-            "rng": rng_state(self._rng),
-            "next_request_id": self._next_request_id,
-            "chips": [chip.to_state() for chip in self.chips],
-            "sketches": {
-                name: self.sketches[name].to_state()
-                for name in self._tenant_names
-            },
-            "submitted_by_tenant": dict(self.submitted_by_tenant),
-            "completed_by_tenant": dict(self.completed_by_tenant),
-            "chips_killed": list(self.chips_killed),
-            "last_completion_cycle": self.last_completion_cycle,
-            "failover_redispatched": self.failover_redispatched,
-            "failover_dropped_by_tenant": dict(self.failover_dropped_by_tenant),
-            "unroutable_by_tenant": dict(self.unroutable_by_tenant),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        chips = state["chips"]
-        if len(chips) != len(self.chips):
-            raise ValueError(
-                f"snapshot has {len(chips)} chip(s), fleet has "
-                f"{len(self.chips)}"
-            )
-        restore_rng(self._rng, state["rng"])
-        self._next_request_id = int(state["next_request_id"])
-        for chip, chip_state in zip(self.chips, chips):
-            chip.from_state(chip_state)
-        self.sketches = {
-            name: QuantileSketch.from_state(state["sketches"][name])
-            for name in self._tenant_names
-        }
-        self.submitted_by_tenant = {
-            name: int(state["submitted_by_tenant"][name])
-            for name in self._tenant_names
-        }
-        self.completed_by_tenant = {
-            name: int(state["completed_by_tenant"][name])
-            for name in self._tenant_names
-        }
-        self.chips_killed = [int(chip_id) for chip_id in state["chips_killed"]]
-        self.last_completion_cycle = float(state["last_completion_cycle"])
-        self.failover_redispatched = int(state["failover_redispatched"])
-        self.failover_dropped_by_tenant = {
-            name: int(state["failover_dropped_by_tenant"][name])
-            for name in self._tenant_names
-        }
-        self.unroutable_by_tenant = {
-            name: int(state["unroutable_by_tenant"][name])
-            for name in self._tenant_names
-        }

@@ -213,7 +213,7 @@ def _simulate(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
             spec.name
         ]
         entry["unroutable"] += router.unroutable_by_tenant[spec.name]
-        entry["_sketch"].merge_state(router.sketches[spec.name].to_state())
+        entry["_sketch"].merge(router.sketches[spec.name])
     for entry in classes.values():
         sketch = entry.pop("_sketch")
         completed = entry["completed"]

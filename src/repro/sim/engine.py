@@ -10,9 +10,8 @@ not :class:`Event` objects — tuple keys compare in C during heap sifts,
 where an object heap pays a Python ``__lt__`` call per comparison. Two
 scheduling lanes share that heap:
 
-* the **keyed lane** (:meth:`Simulator.at` / :meth:`Simulator.after`)
-  allocates an :class:`Event` handle that supports cancellation and
-  snapshotting, exactly as before;
+* the **handle lane** (:meth:`Simulator.at` / :meth:`Simulator.after`)
+  allocates an :class:`Event` handle that supports cancellation;
 * the **anonymous lane** (:meth:`Simulator.at_call` /
   :meth:`Simulator.after_call`) pushes a bare ``(time, seq, None,
   callback)`` entry — no handle, no cancellation, no detach
@@ -28,7 +27,7 @@ against (see ``tests/sim/test_batch_drain.py``).
 """
 
 import heapq
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 #: Heap entry: (time, seq, Event-or-None, callback). ``seq`` is unique,
 #: so heap comparisons never reach the third element.
@@ -44,18 +43,6 @@ _BATCH = 64
 _NO_BUDGET = 2 ** 62
 
 
-class SnapshotError(RuntimeError):
-    """Raised when live state cannot be captured (or restored) faithfully.
-
-    Defined here — the bottom of the import graph — and re-exported as
-    ``repro.state.SnapshotError``, which is the name everything above
-    the simulator uses. It is a *refusal*, not an internal failure: the
-    caller asked for a snapshot at a point where one would lie (e.g. an
-    unkeyed in-flight event whose closure cannot be serialized).
-    Snapshot at a quiescence point instead.
-    """
-
-
 #: Values :meth:`Simulator.run` returns to say why it stopped.
 STOP_DRAINED = "drained"
 STOP_UNTIL = "until"
@@ -68,7 +55,7 @@ _LOOPS = (LOOP_BATCHED, LOOP_REFERENCE)
 
 
 class Event:
-    """A scheduled callback handle (the keyed lane).
+    """A scheduled callback handle (the handle lane).
 
     Events compare by (time, sequence number) so that simultaneous
     events fire in the order they were scheduled. Cancelled events are
@@ -76,30 +63,16 @@ class Event:
     when cancelled entries outnumber live ones, so cancel-heavy
     workloads (watchdogs, speculative timeouts) keep O(live) memory
     instead of leaking every tombstone until drain.
-
-    ``key`` names the *callback*, not the event: a keyed event can be
-    serialized by :meth:`Simulator.to_state` and re-bound to the same
-    callback on restore. Unkeyed events are fine to schedule but make
-    the simulator refuse to snapshot while they are live.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "key", "_sim",
-                 "_recurring")
+    __slots__ = ("time", "seq", "callback", "cancelled", "_sim")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[[], None],
-        key: Optional[str] = None,
-    ):
+    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.cancelled = False
-        self.key = key
         self._sim: Optional["Simulator"] = None  # set while in the heap
-        self._recurring: Optional["RecurringEvent"] = None
 
     def cancel(self) -> None:
         """Prevent this event from firing."""
@@ -140,10 +113,8 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[_Entry] = []
-        # An explicit counter (not itertools.count) so a snapshot can
-        # record and a restore can replay the exact sequence cursor —
-        # the (time, seq) order of future events is part of the
-        # bit-exact resume contract.
+        # An explicit counter (not itertools.count) so at_calls can
+        # reserve a whole block of sequence numbers in one step.
         self._seq_next = 0
         self._events_processed = 0
         self._cancelled_in_heap = 0
@@ -241,52 +212,40 @@ class Simulator:
         """
         self._profiler = profiler
 
-    # --------------------------------------------------- keyed lane
-    def at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        key: Optional[str] = None,
-    ) -> Event:
+    # --------------------------------------------------- handle lane
+    def at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute ``time``.
 
         Scheduling in the past raises ``ValueError``: components must
-        never rewind the clock. ``key`` makes the event snapshotable
-        (see :meth:`to_state`).
+        never rewind the clock.
         """
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         time = float(time)
         seq = self._seq_next
         self._seq_next = seq + 1
-        event = Event(time, seq, callback, key)
+        event = Event(time, seq, callback)
         event._sim = self
         heapq.heappush(self._heap, (time, seq, event, callback))
         return event
 
-    def after(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        key: Optional[str] = None,
-    ) -> Event:
+    def after(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` after a non-negative ``delay``."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.at(self.now + delay, callback, key)
+        return self.at(self.now + delay, callback)
 
     # ----------------------------------------------- anonymous lane
     def at_call(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule a fire-and-forget ``callback`` at absolute ``time``.
 
         No :class:`Event` handle is allocated, so the entry cannot be
-        cancelled and — like any unkeyed live event — makes
-        :meth:`to_state` refuse while pending. This is the lane for
-        completion events that are never revoked (a granted MMU job's
-        issue-complete, a serial unit's service completion, zero-delay
-        continuation hops); it skips one object allocation plus the
-        detach bookkeeping per event, which is most of the per-event
-        cost in dense arrival/completion traffic.
+        cancelled. This is the lane for completion events that are
+        never revoked (a granted MMU job's issue-complete, a serial
+        unit's service completion, zero-delay continuation hops); it
+        skips one object allocation plus the detach bookkeeping per
+        event, which is most of the per-event cost in dense
+        arrival/completion traffic.
         """
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
@@ -355,7 +314,7 @@ class Simulator:
         historical scalar loop, kept as the oracle the equivalence
         suite replays fuzzed event soups against. Both produce
         identical firing order, stop reasons, clocks, profiler
-        callbacks and snapshots.
+        callbacks and pending heaps.
 
         Returns the stop reason: :data:`STOP_DRAINED` (queue empty),
         :data:`STOP_UNTIL` (next live event is beyond ``until``) or
@@ -538,10 +497,7 @@ class Simulator:
         return STOP_DRAINED, processed
 
     def every(
-        self,
-        interval: float,
-        callback: Callable[[], None],
-        key: Optional[str] = None,
+        self, interval: float, callback: Callable[[], None]
     ) -> "RecurringEvent":
         """Schedule ``callback`` every ``interval`` cycles until cancelled.
 
@@ -553,119 +509,12 @@ class Simulator:
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
-        return RecurringEvent(self, float(interval), callback, key)
+        return RecurringEvent(self, float(interval), callback)
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next live event, or None when drained."""
         self._pop_cancelled()
         return self._heap[0][0] if self._heap else None
-
-    # ------------------------------------------------------- snapshot
-    def to_state(self) -> Dict[str, Any]:
-        """The simulator as canonical-JSON-able state (see
-        ``repro.state``).
-
-        Live events serialize as ``(key, time, seq)`` triples; the
-        callback itself is re-bound by :meth:`from_state` through the
-        caller's key registry. Any live *unkeyed* event makes this
-        raise :class:`SnapshotError` — a closure cannot be serialized,
-        and pretending otherwise would break the bit-exact resume
-        contract silently. Anonymous-lane entries are unkeyed by
-        construction, so in-flight fire-and-forget work refuses the
-        same way it always has; snapshot at a quiescence point.
-
-        Tombstones (cancelled events still sitting in the heap) are
-        deliberately **dropped**: cancelled events never fire and never
-        influence live-event ``(time, seq)`` ordering, so the restored
-        heap is observationally identical with or without them —
-        ``queue_depth`` counts live events only, and the property tests
-        assert bit-exact continuation across snapshots taken with a
-        tombstone-laden heap.
-        """
-        events: List[Dict[str, Any]] = []
-        recurring: List[Dict[str, Any]] = []
-        for time, seq, event, _callback in sorted(self._heap):
-            if event is None:
-                raise SnapshotError(
-                    f"live anonymous event at t={time} cannot be "
-                    "snapshotted; anonymous-lane entries (at_call/"
-                    "after_call) are fire-and-forget — snapshot at a "
-                    "quiescence point"
-                )
-            if event.cancelled:
-                continue
-            if event._recurring is not None:
-                rec = event._recurring
-                if rec.key is None:
-                    raise SnapshotError(
-                        f"live unkeyed recurring event (interval "
-                        f"{rec.interval}) cannot be snapshotted; pass "
-                        "key= to Simulator.every"
-                    )
-                recurring.append({
-                    "key": rec.key,
-                    "interval": rec.interval,
-                    "time": time,
-                    "seq": seq,
-                })
-            elif event.key is None:
-                raise SnapshotError(
-                    f"live unkeyed event at t={time} cannot be "
-                    "snapshotted; pass key= to Simulator.at/after or "
-                    "snapshot at a quiescence point"
-                )
-            else:
-                events.append({
-                    "key": event.key,
-                    "time": time,
-                    "seq": seq,
-                })
-        return {
-            "now": self.now,
-            "seq_next": self._seq_next,
-            "events_processed": self._events_processed,
-            "events": events,
-            "recurring": recurring,
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        state: Dict[str, Any],
-        callbacks: Dict[str, Callable[[], None]],
-    ) -> "Simulator":
-        """Rebuild a simulator from :meth:`to_state` output.
-
-        ``callbacks`` maps every event key in the snapshot back to a
-        callable; a missing key raises :class:`SnapshotError`. The
-        restored simulator is bit-exact: same clock, same
-        ``(time, seq)`` event order, same sequence cursor for events
-        scheduled after the restore.
-        """
-        sim = cls()
-        sim.now = float(state["now"])
-        sim._events_processed = int(state["events_processed"])
-        for entry in state["events"]:
-            key = entry["key"]
-            if key not in callbacks:
-                raise SnapshotError(f"no callback registered for key {key!r}")
-            event = Event(
-                float(entry["time"]), int(entry["seq"]), callbacks[key], key
-            )
-            event._sim = sim
-            heapq.heappush(
-                sim._heap, (event.time, event.seq, event, event.callback)
-            )
-        for entry in state["recurring"]:
-            key = entry["key"]
-            if key not in callbacks:
-                raise SnapshotError(f"no callback registered for key {key!r}")
-            RecurringEvent._restore(
-                sim, float(entry["interval"]), callbacks[key], key,
-                float(entry["time"]), int(entry["seq"]),
-            )
-        sim._seq_next = int(state["seq_next"])
-        return sim
 
 
 class RecurringEvent:
@@ -675,47 +524,16 @@ class RecurringEvent:
     is skipped via the underlying event's cancellation.
     """
 
-    __slots__ = ("sim", "interval", "callback", "cancelled", "key", "_event")
+    __slots__ = ("sim", "interval", "callback", "cancelled", "_event")
 
     def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        callback: Callable[[], None],
-        key: Optional[str] = None,
+        self, sim: Simulator, interval: float, callback: Callable[[], None]
     ):
         self.sim = sim
         self.interval = interval
         self.callback = callback
         self.cancelled = False
-        self.key = key
         self._event = sim.after(interval, self._fire)
-        self._event._recurring = self
-
-    @classmethod
-    def _restore(
-        cls,
-        sim: Simulator,
-        interval: float,
-        callback: Callable[[], None],
-        key: str,
-        time: float,
-        seq: int,
-    ) -> "RecurringEvent":
-        """Rebuild from snapshot state: the pending firing keeps its
-        original ``(time, seq)`` slot instead of being rescheduled."""
-        rec = cls.__new__(cls)
-        rec.sim = sim
-        rec.interval = interval
-        rec.callback = callback
-        rec.cancelled = False
-        rec.key = key
-        event = Event(time, seq, rec._fire)
-        event._sim = sim
-        event._recurring = rec
-        heapq.heappush(sim._heap, (time, seq, event, rec._fire))
-        rec._event = event
-        return rec
 
     def _fire(self) -> None:
         if self.cancelled:
@@ -728,7 +546,6 @@ class RecurringEvent:
         if self.cancelled:
             return
         self._event = self.sim.after(self.interval, self._fire)
-        self._event._recurring = self
 
     def cancel(self) -> None:
         self.cancelled = True

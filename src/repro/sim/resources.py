@@ -8,9 +8,9 @@ host) that serialize transfers at a given bytes-per-cycle rate.
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Optional
 
-from repro.sim.engine import Simulator, SnapshotError
+from repro.sim.engine import Simulator
 
 
 class SerialResource:
@@ -89,34 +89,6 @@ class SerialResource:
             return 0.0
         return min(1.0, self.busy_cycles / horizon)
 
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): accrued meters only.
-
-        A queued or in-service request holds closures that cannot be
-        serialized, so a busy resource refuses — the owning component
-        snapshots at its own quiescence point (run/iteration boundary)
-        where every unit has drained.
-        """
-        if self._queue or self.is_busy:
-            raise SnapshotError(
-                f"resource {self.name!r} has in-flight work "
-                f"(queued={len(self._queue)}, busy={self.is_busy}); "
-                "snapshot at a quiescence point"
-            )
-        return {
-            "busy_until": self._busy_until,
-            "busy_cycles": self.busy_cycles,
-            "busy_by_tag": dict(self.busy_by_tag),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self._busy_until = float(state["busy_until"])
-        self.busy_cycles = float(state["busy_cycles"])
-        self.busy_by_tag = {
-            str(tag): float(cycles)
-            for tag, cycles in state["busy_by_tag"].items()
-        }
-
 
 class PortSet:
     """``count`` identical ports in front of a structure (an SRAM bank).
@@ -150,20 +122,6 @@ class PortSet:
     @property
     def busy_cycles(self) -> float:
         return sum(p.busy_cycles for p in self.ports)
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): every port's meters."""
-        return {"ports": [port.to_state() for port in self.ports]}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        entries = state["ports"]
-        if len(entries) != len(self.ports):
-            raise SnapshotError(
-                f"port-set snapshot has {len(entries)} ports, this set "
-                f"has {len(self.ports)}"
-            )
-        for port, entry in zip(self.ports, entries):
-            port.from_state(entry)
 
 
 class BandwidthChannel:
@@ -223,16 +181,3 @@ class BandwidthChannel:
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of the channel's bandwidth consumed so far."""
         return self._pipe.utilization(horizon)
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): byte meter plus the
-        underlying pipe's meters (which refuses while transfers are in
-        flight)."""
-        return {
-            "bytes_transferred": self.bytes_transferred,
-            "pipe": self._pipe.to_state(),
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.bytes_transferred = float(state["bytes_transferred"])
-        self._pipe.from_state(state["pipe"])

@@ -111,18 +111,6 @@ class LatencyStats:
             "max": self.max(),
         }
 
-    def to_state(self) -> Dict[str, List[float]]:
-        """Snapshot (``repro.state`` contract): the full sample list —
-        percentiles are order-insensitive but ``samples_since`` windows
-        are not, so the sequence is preserved verbatim."""
-        return {"samples": list(self._samples)}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, List[float]]) -> "LatencyStats":
-        stats = cls()
-        stats._samples = [float(s) for s in state["samples"]]
-        return stats
-
 
 class ThroughputMeter:
     """Integrates useful operations over time to report TOp/s.
@@ -163,23 +151,6 @@ class ThroughputMeter:
         if self._last_cycle is not None:
             out["last_cycle"] = self._last_cycle
         return out
-
-    def to_state(self) -> Dict[str, Optional[float]]:
-        """Snapshot (``repro.state`` contract)."""
-        return {
-            "total_ops": self.total_ops,
-            "first_cycle": self._first_cycle,
-            "last_cycle": self._last_cycle,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Optional[float]]) -> "ThroughputMeter":
-        meter = cls()
-        meter.total_ops = float(state["total_ops"] or 0.0)
-        first, last = state["first_cycle"], state["last_cycle"]
-        meter._first_cycle = None if first is None else float(first)
-        meter._last_cycle = None if last is None else float(last)
-        return meter
 
 
 #: Cycle categories of Figure 8.
@@ -236,14 +207,3 @@ class CycleAccounting:
         out = {c: self._busy[c] for c in sorted(self._busy)}
         out["busy_total"] = self.busy_total()
         return out
-
-    def to_state(self) -> Dict[str, Dict[str, float]]:
-        """Snapshot (``repro.state`` contract)."""
-        return {"busy": dict(self._busy)}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Dict[str, float]]) -> "CycleAccounting":
-        accounting = cls()
-        for category, cycles in state["busy"].items():
-            accounting._busy[category] = float(cycles)
-        return accounting

@@ -2,8 +2,9 @@
 
 Two persistence primitives with one durability story:
 
-* **Checkpoint files** hold one snapshot (``to_state`` output) under
-  the ``repro.state/checkpoint/v1`` schema. They are written
+* **Checkpoint files** hold one canonical-JSON state dict (a sweep's
+  job counters, an experiment capture's ``state_dict()``) under the
+  ``repro.state/checkpoint/v1`` schema. They are written
   atomically — canonical JSON to a temp file in the target directory,
   fsync, then ``os.replace`` — and carry a sha256 over their own
   payload, so a reader sees either a complete, verified checkpoint or
@@ -73,13 +74,13 @@ def _atomic_write_text(path: Path, text: str) -> None:
 def write_checkpoint(
     path: Path, state: Any, *, kind: str, step: int = 0
 ) -> str:
-    """Atomically persist one snapshot; returns its payload digest.
+    """Atomically persist one state dict; returns its payload digest.
 
-    ``kind`` names what was snapshotted (e.g. ``"sweep"``,
-    ``"chaos"``, ``"fleet_round"``) and is verified on read so a
-    checkpoint cannot be restored into the wrong consumer. ``step`` is
-    the consumer's progress marker (events processed, jobs completed,
-    round index) — informational, but part of the checksummed payload.
+    ``kind`` names what was saved (e.g. ``"sweep"``, ``"capture.fig7"``)
+    and is verified on read so a checkpoint cannot be read by the wrong
+    consumer. ``step`` is the consumer's progress marker (jobs
+    completed, capture windows) — informational, but part of the
+    checksummed payload.
     """
     payload = {"kind": str(kind), "step": int(step), "state": state}
     payload_text = canonical_json(payload)

@@ -13,13 +13,12 @@ so a lossy trace replays identically.
 """
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.faults.counters import FaultCounters
 from repro.faults.plan import FaultPlan
-from repro.state.protocol import restore_rng, rng_state
 
 
 class ArrivalProcess:
@@ -76,15 +75,6 @@ class PoissonArrivals(ArrivalProcess):
             raise ValueError(f"negative batch size {n}")
         return self._rng.exponential(self._scale, n).tolist()
 
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): rate + RNG position."""
-        return {"rate_per_cycle": self.rate_per_cycle, "rng": rng_state(self._rng)}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.rate_per_cycle = float(state["rate_per_cycle"])
-        self._scale = 1.0 / self.rate_per_cycle
-        restore_rng(self._rng, state["rng"])
-
 
 class UniformArrivals(ArrivalProcess):
     """Fixed-gap arrivals — the zero-variance reference for tests."""
@@ -96,14 +86,6 @@ class UniformArrivals(ArrivalProcess):
 
     def next_gap(self) -> float:
         return self.gap_cycles
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the process is
-        memoryless, so its config is its state."""
-        return {"gap_cycles": self.gap_cycles}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.gap_cycles = float(state["gap_cycles"])
 
 
 class FaultyArrivals(ArrivalProcess):
@@ -146,16 +128,6 @@ class FaultyArrivals(ArrivalProcess):
             self.counters.requests_delayed += 1
             gap += spec.delay_cycles
         return gap
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): the base process's
-        state plus the fault substream position (counters are owned —
-        and snapshotted — by the accelerator, not the decorator)."""
-        return {"base": self.base.to_state(), "rng": rng_state(self._rng)}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self.base.from_state(state["base"])
-        restore_rng(self._rng, state["rng"])
 
 
 class MixedArrivals(ArrivalProcess):
@@ -220,35 +192,6 @@ class MixedArrivals(ArrivalProcess):
         gap, _ = self.next_tagged()
         return gap
 
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): component states plus
-        the buffered arrivals and all clocks — a restored compositor
-        continues the merged stream bit-exactly, including arrivals
-        that were drawn into a block buffer but not yet emitted."""
-        return {
-            "streams": [stream.to_state() for stream in self.streams],
-            "pending": [list(pending) for pending in self._pending],
-            "clocks": list(self._clocks),
-            "now": self._now,
-            "last_source": self.last_source,
-        }
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        if len(state["streams"]) != len(self.streams):
-            raise ValueError(
-                f"snapshot has {len(state['streams'])} component stream(s), "
-                f"compositor has {len(self.streams)}"
-            )
-        for stream, entry in zip(self.streams, state["streams"]):
-            stream.from_state(entry)
-        self._pending = [
-            deque(float(t) for t in pending) for pending in state["pending"]
-        ]
-        self._clocks = [float(clock) for clock in state["clocks"]]
-        self._now = float(state["now"])
-        source = state["last_source"]
-        self.last_source = None if source is None else int(source)
-
 
 class TraceArrivals(ArrivalProcess):
     """Replays a recorded gap trace, cycling when exhausted."""
@@ -258,19 +201,9 @@ class TraceArrivals(ArrivalProcess):
         if not gaps or min(gaps) < 0:
             raise ValueError("trace needs non-negative gaps")
         self._gaps = gaps
-        # An explicit cursor (not an iterator) so the replay position
-        # is snapshotable state.
         self._index = 0
 
     def next_gap(self) -> float:
         gap = self._gaps[self._index]
         self._index = (self._index + 1) % len(self._gaps)
         return gap
-
-    def to_state(self) -> Dict[str, Any]:
-        """Snapshot (``repro.state`` contract): trace + cursor."""
-        return {"gaps": list(self._gaps), "index": self._index}
-
-    def from_state(self, state: Dict[str, Any]) -> None:
-        self._gaps = [float(g) for g in state["gaps"]]
-        self._index = int(state["index"]) % len(self._gaps)

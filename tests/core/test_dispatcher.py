@@ -13,7 +13,6 @@ from repro.core.dispatcher import (
 from repro.core.scheduler import InferenceOnlyScheduler, PriorityScheduler
 from repro.eval.runner import build_accelerator, simulate_load_point
 from repro.faults.admission import AdmissionControl
-from repro.sim.engine import SnapshotError
 from repro.hw.dram import HBMInterface
 from repro.hw.isa import StepProgram
 from repro.hw.mmu import MatrixMultiplyUnit
@@ -145,17 +144,6 @@ class TestRetryAccounting:
         assert formed[0].requests == [request]
         assert not request.timed_out
 
-    def test_snapshot_refused_while_retry_pending(self, sim):
-        dispatcher = self._dispatcher(sim, [])
-        dispatcher.submit()
-        sim.run(until=120.0)
-        assert dispatcher.pending_retries == 1
-        with pytest.raises(SnapshotError, match="retry"):
-            dispatcher.to_state()
-        dispatcher.flush()
-        state = dispatcher.to_state()
-        assert state["requests_submitted"] == 1
-
     def test_queue_increase_hook_fires_on_readmission(self, sim):
         dispatcher = self._dispatcher(sim, [])
         pokes = []
@@ -192,6 +180,7 @@ class TestFairShareDispatcher:
             dispatcher.submit("b")  # the aggressor submits first
         for _ in range(30):
             dispatcher.submit("a")
+        assert dispatcher.submitted_by_tenant == {"a": 30, "b": 40}
         for _ in range(10):
             assert dispatcher.form_one() is not None
         assert dispatcher.batched_by_tenant == {"a": 30, "b": 10}
@@ -264,26 +253,6 @@ class TestFairShareDispatcher:
             TenantShare("a", max_queue_requests=0)
         with pytest.raises(ValueError):
             TenantShare("a", deadline_cycles=-1.0)
-
-    def test_snapshot_round_trip(self, sim):
-        tenants = [TenantShare("a", weight=2.0), TenantShare("b")]
-        dispatcher = _fair(sim, [], tenants)
-        for _ in range(6):
-            dispatcher.submit("a")
-        dispatcher.submit("b")
-        dispatcher.flush()
-        state = dispatcher.to_state()
-        restored = _fair(sim, [], tenants)
-        restored.from_state(state)
-        assert restored.to_state() == state
-        assert restored.submitted_by_tenant == {"a": 6, "b": 1}
-
-    def test_snapshot_rejects_tenant_mismatch(self, sim):
-        dispatcher = _fair(sim, [], [TenantShare("a")])
-        state = dispatcher.to_state()
-        other = _fair(sim, [], [TenantShare("z")])
-        with pytest.raises(ValueError, match="tenants"):
-            other.from_state(state)
 
 
 class _Bench:

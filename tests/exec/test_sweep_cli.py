@@ -1,4 +1,5 @@
-"""``python -m repro sweep`` argument checks.
+"""``python -m repro`` argument checks: the sweep's own flags and the
+executor flags every experiment subcommand shares.
 
 A bad argument is a usage error (exit 2, one line on stderr), decided
 before any job runs; exit 1 is reserved for a job that failed.
@@ -29,6 +30,47 @@ def test_bad_argument_exits_2_before_any_job(
 
     monkeypatch.setattr(JobRunner, "map", no_jobs)
     assert main(["sweep", "--n-max", "4", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fig7", "--jobs", "0"],
+         "--jobs must be an integer >= 1 or 'auto', got '0'"),
+        (["fig7", "--jobs", "abc"],
+         "--jobs must be an integer >= 1 or 'auto', got 'abc'"),
+        (["fig7", "--jobs", "1", "--checkpoint-every", "-1"],
+         "--checkpoint-every must be >= 0, got -1"),
+        (["fig7", "--jobs", "1", "--kill-after", "0"],
+         "--kill-after must be >= 1, got 0"),
+        (["table1", "--resume"],
+         "--resume needs --checkpoint-dir: there is no journal to replay"),
+        (["fig7", "--jobs", "1", "--kill-after", "1"],
+         "--kill-after needs --checkpoint-dir: the killed run would "
+         "leave no journal to resume from"),
+    ],
+    ids=[
+        "jobs-zero", "jobs-not-a-number", "checkpoint-every-negative",
+        "kill-after-zero", "resume-without-checkpoint-dir",
+        "kill-after-without-checkpoint-dir",
+    ],
+)
+def test_bad_executor_flag_exits_2_before_dispatch(
+    argv, message, capsys, monkeypatch
+):
+    """The shared executor flags are checked once, for every
+    subcommand, before anything runs — ``--kill-after 1`` must never
+    get as far as killing the process."""
+    import repro.__main__ as cli
+
+    def no_dispatch(args, shutdown):
+        raise AssertionError("dispatched before the flags were checked")
+
+    monkeypatch.setattr(cli, "_dispatch", no_dispatch)
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == message + "\n"

@@ -1,5 +1,5 @@
-"""Chip servers and the fleet router: pull batching, placement,
-chip-kill failover, and the snapshot contract."""
+"""Chip servers and the fleet router: pull batching, placement and
+chip-kill failover."""
 
 import zlib
 
@@ -8,7 +8,6 @@ import pytest
 from repro.core.dispatcher import TenantShare
 from repro.faults.plan import FaultPlan, WorkerFaultSpec
 from repro.serve.router import KILL_WINDOW, ChipServer, FleetRouter
-from repro.sim.engine import SnapshotError
 
 SERVICE = 1000.0
 
@@ -148,38 +147,6 @@ class TestFleetRouter:
         assert router.chips_killed == [1]
         assert not router.chips[1].alive
         assert KILL_WINDOW[0] * horizon <= sim.now <= KILL_WINDOW[1] * horizon
-
-    def test_snapshot_round_trip(self, sim):
-        plan = FaultPlan(seed=11, workers=WorkerFaultSpec(crashed=(1,)))
-        router = _router(sim, fleet_size=2, fault_plan=plan)
-        for _ in range(12):
-            router.submit("a")
-        router.schedule_kills(4 * SERVICE)
-        sim.run()
-        router.flush()
-        sim.run()
-        assert router.outstanding_requests == 0
-        state = router.to_state()
-
-        restored = _router(sim, fleet_size=2, fault_plan=plan)
-        restored.from_state(state)
-        assert restored.to_state() == state
-        assert restored.completed_by_tenant == router.completed_by_tenant
-        assert restored.chips_killed == router.chips_killed
-        assert restored.last_completion_cycle == router.last_completion_cycle
-
-    def test_snapshot_refused_with_outstanding_work(self, sim):
-        router = _router(sim)
-        router.submit("a")
-        with pytest.raises(SnapshotError, match="outstanding"):
-            router.to_state()
-
-    def test_snapshot_rejects_wrong_fleet_size(self, sim):
-        router = _router(sim, fleet_size=2)
-        state = router.to_state()
-        other = _router(sim, fleet_size=4)
-        with pytest.raises(ValueError, match="chip"):
-            other.from_state(state)
 
     def test_rejects_empty_fleet(self, sim):
         with pytest.raises(ValueError):

@@ -3,16 +3,15 @@
 The batched drain (``loop="batched"``) must be observationally
 *identical* to the historical one-event-at-a-time loop
 (``loop="reference"``) — same firing order, same ``now`` trajectory,
-same stop reasons, same ``queue_depth``, same snapshots, same profiler
-callbacks. These tests replay deterministic chaotic workloads (seeded
-soups with quantized timestamps for same-time collisions, cancels
-issued from inside callbacks, recurring events, mixed
+same stop reasons, same ``queue_depth``, same pending heap, same
+profiler callbacks. These tests replay deterministic chaotic workloads
+(seeded soups with quantized timestamps for same-time collisions,
+cancels issued from inside callbacks, recurring events, mixed
 ``until``/``max_events`` horizons) under both loops and compare the
 full observable record, plus an accelerator-level run under both
 kernel backends.
 """
 
-import json
 import random
 
 import pytest
@@ -39,10 +38,10 @@ class _Soup:
     fires in a *different* order diverges loudly in the trace.
     """
 
-    def __init__(self, sim: Simulator, seed: int, keyed_only: bool = False):
+    def __init__(self, sim: Simulator, seed: int, handles_only: bool = False):
         self.sim = sim
         self.rng = random.Random(seed)
-        self.keyed_only = keyed_only
+        self.handles_only = handles_only
         self.trace = []
         self.handles = []
         self.budget = 140  # total callbacks ever scheduled
@@ -54,9 +53,7 @@ class _Soup:
             self._schedule()
         if self.rng.random() < 0.7:
             cell = []
-            rec = self.sim.every(
-                1.75, lambda: self._recur(cell), key="soup-recurring"
-            )
+            rec = self.sim.every(1.75, lambda: self._recur(cell))
             cell.append(rec)
 
     def _recur(self, cell) -> None:
@@ -80,11 +77,11 @@ class _Soup:
             self._fire(label)
 
         gap = self._gap()
-        if not self.keyed_only and self.rng.random() < 0.5:
+        if not self.handles_only and self.rng.random() < 0.5:
             self.sim.after_call(gap, fire)
             self.trace.append(("sched-anon", self.sim.now, label))
         else:
-            event = self.sim.after(gap, fire, key=f"k{label}")
+            event = self.sim.after(gap, fire)
             self.handles.append(event)
             self.trace.append(("sched", self.sim.now, label))
 
@@ -101,11 +98,21 @@ class _Soup:
             self.trace.append(("cancel", self.sim.now, self.sim.queue_depth))
 
 
-def _run_program(loop: str, seed: int, keyed_only: bool = False):
+def _pending(sim: Simulator):
+    """The live heap as sorted ``(time, seq)`` pairs plus the sequence
+    cursor: exactly what is still due to fire, and in which order."""
+    live = sorted(
+        (time, seq) for time, seq, event, _ in sim._heap
+        if event is None or not event.cancelled
+    )
+    return live, sim._seq_next
+
+
+def _run_program(loop: str, seed: int, handles_only: bool = False):
     """Drive one soup through a seeded mix of run() calls; return the
     complete observable record."""
     sim = Simulator()
-    soup = _Soup(sim, seed, keyed_only=keyed_only)
+    soup = _Soup(sim, seed, handles_only=handles_only)
     soup.seed_events()
     ctrl = random.Random(seed + 90210)
     record = []
@@ -122,11 +129,9 @@ def _run_program(loop: str, seed: int, keyed_only: bool = False):
         record.append(
             (stop, sim.now, sim.queue_depth, sim.events_processed)
         )
-        if keyed_only:
-            # Mid-drain snapshots must agree byte for byte.
-            record.append(
-                json.dumps(sim.to_state(), sort_keys=True)
-            )
+        if handles_only:
+            # Mid-drain, both loops must leave the same events pending.
+            record.append(_pending(sim))
     sim.run(loop=loop)
     record.append(("final", sim.now, sim.queue_depth, sim.events_processed))
     return soup.trace, record
@@ -140,9 +145,9 @@ class TestFuzzedEquivalence:
         assert ref == bat
 
     @pytest.mark.parametrize("seed", range(25, 45))
-    def test_keyed_soup_with_snapshots_identical(self, seed):
-        ref = _run_program(LOOP_REFERENCE, seed, keyed_only=True)
-        bat = _run_program(LOOP_BATCHED, seed, keyed_only=True)
+    def test_handle_soup_pending_heap_identical(self, seed):
+        ref = _run_program(LOOP_REFERENCE, seed, handles_only=True)
+        bat = _run_program(LOOP_BATCHED, seed, handles_only=True)
         assert ref == bat
 
     def test_same_timestamp_storm_fires_in_schedule_order(self):
@@ -250,12 +255,11 @@ class TestQueueDepthInvariant:
         rng = random.Random(seed)
         sim = Simulator()
         handles = []
-        for step in range(rng.randrange(20, 220)):
+        for _ in range(rng.randrange(20, 220)):
             op = rng.random()
             if op < 0.40:
                 handles.append(
-                    sim.after(rng.randrange(0, 16) / 2.0, lambda: None,
-                              key=f"e{step}")
+                    sim.after(rng.randrange(0, 16) / 2.0, lambda: None)
                 )
             elif op < 0.55:
                 sim.after_call(rng.randrange(0, 16) / 2.0, lambda: None)
@@ -313,7 +317,7 @@ class TestAtCalls:
             else:
                 for t in times:
                     sim.at_call(t, lambda: fired.append(sim.now))
-            sim.at(5.0, lambda: fired.append(("keyed", sim.now)))
+            sim.at(5.0, lambda: fired.append(("handle", sim.now)))
             assert sim.run(loop=loop) == STOP_DRAINED
             traces[mode] = (fired, sim.events_processed, sim.now)
         assert traces["bulk"] == traces["scalar"]
@@ -333,13 +337,9 @@ class TestAtCalls:
         assert sim.queue_depth == 0
         assert sim._seq_next == 1
 
-    def test_counts_toward_queue_depth_and_blocks_snapshot(self, sim):
-        from repro.sim.engine import SnapshotError
-
+    def test_counts_toward_queue_depth(self, sim):
         sim.at_calls([4.0, 5.0], lambda: None)
         assert sim.queue_depth == 2
-        with pytest.raises(SnapshotError):
-            sim.to_state()
 
 
 class TestAcceleratorEquivalence:

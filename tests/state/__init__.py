@@ -1,2 +1,2 @@
 """Tests for repro.state: checkpoint files, the completion journal,
-graceful shutdown and the bit-exact snapshot/restore contract."""
+graceful shutdown and the kill/``--resume`` drills."""
