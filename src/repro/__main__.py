@@ -16,9 +16,12 @@ Experiment subcommands print the same text tables the benchmark harness
 produces; ``all`` regenerates the full evaluation in one go. With
 ``--report-dir``, each experiment additionally writes its structured
 JSON :class:`repro.obs.RunReport` artifact (schema-validated) into that
-directory; with ``--jobs N``/``--cache-dir DIR``, experiments that fan
-out over independent work units run them through the
-:mod:`repro.exec` engine (bit-identical results for any worker count).
+directory. Each experiment is offered ``--loads`` and the executor
+flags (``--jobs N``, ``--cache-dir DIR``, ``--checkpoint-dir DIR`` ...)
+only when its ``run`` takes ``loads`` or ``executor``: the simulator
+experiments run their load points through the :mod:`repro.exec` engine
+(bit-identical results for any worker count), and a flag an experiment
+cannot use is a usage error.
 The ``analyze`` subcommand runs the static program verifier and
 codebase lint (see :mod:`repro.analysis`); ``chaos`` runs the seeded
 fault-injection scenario matrix (see :mod:`repro.faults.chaos`) and
@@ -31,6 +34,7 @@ artifacts (see :mod:`repro.obs.cli`).
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -71,16 +75,23 @@ def _write_artifact(report, directory: str) -> None:
     print(f"[artifact] {path}")
 
 
+def _takes(name: str) -> "set[str]":
+    """Which of ``loads`` and ``executor`` the experiment's ``run``
+    takes (``all`` takes both): the parser offers ``--loads`` and the
+    executor flags only for these, and :func:`_run_one` passes them."""
+    if name == "all":
+        return {"loads", "executor"}
+    parameters = inspect.signature(EXPERIMENTS[name][0].run).parameters
+    return {"loads", "executor"} & set(parameters)
+
+
 def _run_one(name: str, loads, report_dir=None, executor=None) -> None:
     module, _ = EXPERIMENTS[name]
+    takes = _takes(name)
     kwargs = {}
-    if loads and hasattr(module.run, "__code__") and (
-        "loads" in module.run.__code__.co_varnames
-    ):
+    if loads and "loads" in takes:
         kwargs["loads"] = tuple(loads)
-    if executor is not None and hasattr(module.run, "__code__") and (
-        "executor" in module.run.__code__.co_varnames
-    ):
+    if executor is not None and "executor" in takes:
         kwargs["executor"] = executor
     started = time.time()
     if report_dir is not None:
@@ -144,16 +155,19 @@ def _build_parser() -> argparse.ArgumentParser:
             "run every experiment" if name == "all" else EXPERIMENTS[name][1]
         )
         sub = subparsers.add_parser(name, help=description)
-        sub.add_argument(
-            "--loads", type=float, nargs="+", default=None,
-            help="override the offered-load grid for load-sweep experiments",
-        )
+        takes = _takes(name)
+        if "loads" in takes:
+            sub.add_argument(
+                "--loads", type=float, nargs="+", default=None,
+                help="override the offered-load grid for load-sweep experiments",
+            )
         sub.add_argument(
             "--report-dir", default=None,
             help="also write the structured RunReport artifact "
             "(<dir>/<experiment>.json)",
         )
-        exec_cli.add_executor_arguments(sub)
+        if "executor" in takes:
+            exec_cli.add_executor_arguments(sub)
     subparsers.add_parser("list", help="show experiment descriptions")
 
     analyze = subparsers.add_parser(
@@ -240,9 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics = subparsers.add_parser(
         "metrics",
         help="dump, validate and diff structured run artifacts",
-        description="Emit the smoke-run or an experiment's RunReport "
-        "artifact, validate artifacts against the schema (failing on "
-        "any NaN latency/throughput), or diff two artifacts.",
+        description="Emit the smoke-run RunReport artifact, validate "
+        "artifacts against the schema (failing on any NaN "
+        "latency/throughput), or diff two artifacts.",
     )
     from repro.obs import cli as metrics_cli
 
@@ -367,7 +381,8 @@ def _dispatch(args, shutdown) -> int:
     executor = exec_cli.runner_from_args(args, shutdown=shutdown)
     for name in names:
         _run_one(
-            name, args.loads, report_dir=args.report_dir, executor=executor
+            name, getattr(args, "loads", None), report_dir=args.report_dir,
+            executor=executor,
         )
     return 0
 

@@ -14,7 +14,7 @@ the sweep behind them is deterministic.
 """
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,12 +99,10 @@ def pareto_table(
 
 
 def design_space(
-    encoding: str = "hbfp8",
-    tech: TechnologyModel = TSMC28,
-    executor: Optional[Any] = None,
+    encoding: str = "hbfp8", tech: TechnologyModel = TSMC28
 ) -> List[DesignPoint]:
     """The full design cloud (Figure 6's small dots), in sweep order."""
-    return DesignSpaceExplorer(encoding, tech).sweep(executor=executor)
+    return DesignSpaceExplorer(encoding, tech).sweep()
 
 
 def equinox_configuration(

@@ -10,11 +10,10 @@ throughput and matches the inference-only accelerator.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.report import render_table
-from repro.eval.runner import build_accelerator, latency_target_us, simulate_load_point
-from repro.models.lstm import deepbench_lstm
+from repro.eval.runner import latency_target_us, run_load_points
 
 DEFAULT_LOADS = (0.2, 0.4, 0.6, 0.8, 0.95)
 POLICIES = (
@@ -50,23 +49,26 @@ def run(
     latency_class: str = "500us",
     batches: int = 12,
     seed: int = 0,
+    executor: Optional[Any] = None,
 ) -> Fig10Result:
     target_ms = latency_target_us() / 1e3
+    points: List[Dict[str, Any]] = []
+    for _label, policy in POLICIES:
+        variant = {"latency_class": latency_class, "batches": batches}
+        if policy:
+            variant.update(training=True, scheduler=policy)
+        points += [{**variant, "load": load} for load in loads]
+    results = iter(run_load_points(points, seed, executor))
     curves: Dict[str, List[Tuple[float, float, float]]] = {}
-    for label, policy in POLICIES:
+    for label, _policy in POLICIES:
         series = []
-        for load in loads:
-            acc = build_accelerator(
-                latency_class,
-                training_model=deepbench_lstm() if policy else None,
-                scheduler=policy or "inference_only",
-            )
-            report = simulate_load_point(acc, load, batches=batches, seed=seed)
+        for _ in loads:
+            result = next(results)
             series.append(
                 (
-                    report.inference_top_s,
-                    report.p99_latency_us / 1e3,
-                    report.training_top_s,
+                    result["inference_top_s"],
+                    result["p99_latency_us"] / 1e3,
+                    result["training_top_s"],
                 )
             )
         curves[label] = series

@@ -12,11 +12,10 @@ Three panels on Equinox_500µs:
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.report import render_series
-from repro.eval.runner import build_accelerator, latency_target_us, simulate_load_point
-from repro.models.lstm import deepbench_lstm
+from repro.eval.runner import latency_target_us, run_load_points
 
 DEFAULT_LOADS = (0.08, 0.2, 0.4, 0.6, 0.8, 0.95)
 DEFAULT_THRESHOLDS = (2.0, 4.0, 6.0, 8.0, 10.0)
@@ -44,34 +43,39 @@ def run(
     latency_class: str = "500us",
     batches: int = 12,
     seed: int = 0,
+    executor: Optional[Any] = None,
 ) -> Fig11Result:
     target_ms = latency_target_us() / 1e3
+    policies = ("static", "adaptive")
+    base = {"latency_class": latency_class, "batches": batches}
+    points = [
+        {**base, "load": load, "batching": policy}
+        for policy in policies
+        for load in loads
+    ] + [
+        {**base, "load": load, "training": True, "batch_timeout_x": threshold}
+        for threshold in thresholds
+        for load in loads
+    ]
+    results = iter(run_load_points(points, seed, executor))
 
-    batching_p99: Dict[str, List[float]] = {}
-    for policy in ("static", "adaptive"):
-        series = []
-        for load in loads:
-            acc = build_accelerator(latency_class, batching=policy)
-            report = simulate_load_point(acc, load, batches=batches, seed=seed)
-            series.append(report.p99_latency_us / 1e3)
-        batching_p99[policy] = series
+    batching_p99: Dict[str, List[float]] = {
+        policy: [next(results)["p99_latency_us"] / 1e3 for _ in loads]
+        for policy in policies
+    }
 
     threshold_curves: Dict[float, List[Tuple[float, float, float]]] = {}
     for threshold in thresholds:
         series = []
-        for load in loads:
-            acc = build_accelerator(
-                latency_class,
-                training_model=deepbench_lstm(),
-                batch_timeout_x=threshold,
-            )
-            report = simulate_load_point(acc, load, batches=batches, seed=seed)
+        for _ in loads:
+            result = next(results)
             incomplete = (
-                report.incomplete_batches / report.batches_completed
-                if report.batches_completed else 0.0
+                result["incomplete_batches"] / result["batches_completed"]
+                if result["batches_completed"] else 0.0
             )
             series.append(
-                (report.p99_latency_us / 1e3, report.training_top_s, incomplete)
+                (result["p99_latency_us"] / 1e3, result["training_top_s"],
+                 incomplete)
             )
         threshold_curves[threshold] = series
     return Fig11Result(

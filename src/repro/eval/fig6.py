@@ -34,11 +34,8 @@ class Fig6Result:
         return max(p.throughput_top_s for p in self.frontiers[encoding])
 
 
-def run(encodings=("hbfp8", "bfloat16"), executor=None) -> Fig6Result:
-    """``executor`` (a :class:`repro.exec.JobRunner`) fans the sweep
-    behind each encoding's cloud out across worker processes; the
-    result is identical either way."""
-    clouds = {enc: design_space(enc, executor=executor) for enc in encodings}
+def run(encodings=("hbfp8", "bfloat16")) -> Fig6Result:
+    clouds = {enc: design_space(enc) for enc in encodings}
     return Fig6Result(
         clouds=clouds,
         frontiers={enc: pareto_frontier(cloud) for enc, cloud in clouds.items()},

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.report import render_table
-from repro.eval.runner import (
-    build_accelerator,
-    contribute_capture_state,
-    latency_target_us,
-    simulate_load_point,
-)
+from repro.eval.runner import latency_target_us, run_load_points
 
 DEFAULT_LOADS = (0.1, 0.3, 0.5, 0.7, 0.85, 0.95)
 HBFP8_CLASSES = ("min", "none", "50us", "500us")
@@ -46,71 +41,32 @@ def run(
     seed: int = 0,
     executor: Optional[Any] = None,
 ) -> Fig7Result:
-    """With an ``executor`` (a :class:`repro.exec.JobRunner`), every
-    (class, load) point becomes an ``eval.load_point`` job; curve and
-    capture aggregation stays in sweep order, so the result is the same
-    for any worker count."""
-    curves: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
-    targets: Dict[str, float] = {}
-    if executor is not None:
-        return _run_jobs(loads, batches, encodings, seed, executor)
-    for encoding in encodings:
-        classes = HBFP8_CLASSES if encoding == "hbfp8" else BFLOAT16_CLASSES
-        targets[encoding] = latency_target_us(encoding) / 1e3
-        curves[encoding] = {}
-        for latency_class in classes:
-            points = []
-            for load in loads:
-                acc = build_accelerator(latency_class, encoding)
-                report = simulate_load_point(acc, load, batches=batches, seed=seed)
-                points.append(
-                    (report.inference_top_s, report.p99_latency_us / 1e3)
-                )
-            curves[encoding][latency_class] = points
-    return Fig7Result(curves=curves, latency_target_ms=targets)
-
-
-def _run_jobs(
-    loads: Sequence[float],
-    batches: int,
-    encodings: Sequence[str],
-    seed: int,
-    executor: Any,
-) -> Fig7Result:
-    from repro.exec.jobs import Job
-
+    """Every (class, load) point is one ``eval.load_point`` job, run
+    through ``executor`` (a :class:`repro.exec.JobRunner`) when given;
+    curves are read back in sweep order, so the result is the same for
+    any worker count."""
     targets: Dict[str, float] = {}
     plan: List[Tuple[str, str]] = []
-    jobs: List[Job] = []
     for encoding in encodings:
         classes = HBFP8_CLASSES if encoding == "hbfp8" else BFLOAT16_CLASSES
         targets[encoding] = latency_target_us(encoding) / 1e3
-        for latency_class in classes:
-            plan.append((encoding, latency_class))
-            for load in loads:
-                jobs.append(
-                    Job(
-                        "eval.load_point",
-                        {
-                            "latency_class": latency_class,
-                            "encoding": encoding,
-                            "load": load,
-                            "batches": batches,
-                        },
-                        seed=seed,
-                    )
-                )
-    results = iter(executor.map(jobs))
+        plan.extend((encoding, latency_class) for latency_class in classes)
+    points = [
+        {"latency_class": latency_class, "encoding": encoding,
+         "load": load, "batches": batches}
+        for encoding, latency_class in plan
+        for load in loads
+    ]
+    results = iter(run_load_points(points, seed, executor))
     curves: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
     for encoding, latency_class in plan:
-        points = []
+        series = []
         for _ in loads:
             result = next(results)
-            contribute_capture_state(result["capture"])
-            points.append(
+            series.append(
                 (result["inference_top_s"], result["p99_latency_us"] / 1e3)
             )
-        curves.setdefault(encoding, {})[latency_class] = points
+        curves.setdefault(encoding, {})[latency_class] = series
     return Fig7Result(curves=curves, latency_target_ms=targets)
 
 

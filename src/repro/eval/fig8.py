@@ -9,11 +9,10 @@ and training is starved out by the spike guard.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.eval.report import render_table
-from repro.eval.runner import build_accelerator, simulate_load_point
-from repro.models.lstm import deepbench_lstm
+from repro.eval.runner import run_load_points
 from repro.sim.stats import CYCLE_CATEGORIES
 
 DEFAULT_LOADS = (0.05, 0.5, 0.95)
@@ -39,19 +38,30 @@ def run(
     latency_class: str = "500us",
     batches: int = 12,
     seed: int = 0,
+    executor: Optional[Any] = None,
 ) -> Fig8Result:
-    breakdowns: Dict[Tuple[float, bool], Dict[str, float]] = {}
-    training: Dict[Tuple[float, bool], float] = {}
-    for load in loads:
-        for with_training in (False, True):
-            acc = build_accelerator(
-                latency_class,
-                training_model=deepbench_lstm() if with_training else None,
-            )
-            report = simulate_load_point(acc, load, batches=batches, seed=seed)
-            breakdowns[(load, with_training)] = report.cycle_breakdown
-            training[(load, with_training)] = report.training_top_s
-    return Fig8Result(breakdowns=breakdowns, training_top_s=training)
+    keys = [
+        (load, with_training)
+        for load in loads
+        for with_training in (False, True)
+    ]
+    results = run_load_points(
+        [
+            {"latency_class": latency_class, "load": load,
+             "batches": batches, "training": with_training}
+            for load, with_training in keys
+        ],
+        seed,
+        executor,
+    )
+    return Fig8Result(
+        breakdowns={
+            key: result["cycle_breakdown"] for key, result in zip(keys, results)
+        },
+        training_top_s={
+            key: result["training_top_s"] for key, result in zip(keys, results)
+        },
+    )
 
 
 def render(result: Fig8Result) -> str:

@@ -14,11 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.dse.table1 import equinox_configuration
 from repro.eval.report import render_series
-from repro.eval.runner import (
-    build_accelerator,
-    contribute_capture_state,
-    simulate_load_point,
-)
+from repro.eval.runner import run_load_points
 from repro.models.lstm import deepbench_lstm
 from repro.models.training import build_training_plan
 
@@ -45,60 +41,27 @@ def run(
     seed: int = 0,
     executor: Optional[Any] = None,
 ) -> Fig9Result:
-    """With an ``executor`` each (class, load) point fans out as an
-    ``eval.load_point`` job with ``training`` set."""
+    """Each (class, load) point is one ``eval.load_point`` job with
+    ``training`` set."""
     dedicated = build_training_plan(
         deepbench_lstm(), equinox_configuration("none")
     ).dedicated_throughput_top_s()
-    if executor is not None:
-        return _run_jobs(loads, classes, batches, seed, executor, dedicated)
-    curves: Dict[str, List[float]] = {}
-    for latency_class in classes:
-        series = []
-        for load in loads:
-            acc = build_accelerator(
-                latency_class, training_model=deepbench_lstm()
-            )
-            report = simulate_load_point(acc, load, batches=batches, seed=seed)
-            series.append(report.training_top_s)
-        curves[latency_class] = series
-    return Fig9Result(loads=list(loads), curves=curves, dedicated_top_s=dedicated)
-
-
-def _run_jobs(
-    loads: Sequence[float],
-    classes: Sequence[str],
-    batches: int,
-    seed: int,
-    executor: Any,
-    dedicated: float,
-) -> Fig9Result:
-    from repro.exec.jobs import Job
-
-    jobs = [
-        Job(
-            "eval.load_point",
-            {
-                "latency_class": latency_class,
-                "encoding": "hbfp8",
-                "load": load,
-                "batches": batches,
-                "training": True,
-            },
-            seed=seed,
+    results = iter(
+        run_load_points(
+            [
+                {"latency_class": latency_class, "load": load,
+                 "batches": batches, "training": True}
+                for latency_class in classes
+                for load in loads
+            ],
+            seed,
+            executor,
         )
+    )
+    curves = {
+        latency_class: [next(results)["training_top_s"] for _ in loads]
         for latency_class in classes
-        for load in loads
-    ]
-    results = iter(executor.map(jobs))
-    curves: Dict[str, List[float]] = {}
-    for latency_class in classes:
-        series = []
-        for _ in loads:
-            result = next(results)
-            contribute_capture_state(result["capture"])
-            series.append(result["training_top_s"])
-        curves[latency_class] = series
+    }
     return Fig9Result(loads=list(loads), curves=curves, dedicated_top_s=dedicated)
 
 

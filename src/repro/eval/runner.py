@@ -2,17 +2,16 @@
 
 Besides building accelerators and running load points, this module
 hosts the experiment-level observability capture: wrap an experiment in
-:func:`capture_run` and every :func:`simulate_load_point` inside it
-feeds one shared :class:`ExperimentCapture`, which aggregates latency
-(into a bounded-memory quantile sketch), throughput, the Figure-8 cycle
-breakdown and fault counters across *all* the accelerators the
-experiment builds — that aggregate becomes the experiment's
-:class:`repro.obs.RunReport` artifact.
+:func:`capture_run` and every load point :func:`run_load_points` runs
+inside it feeds one shared :class:`ExperimentCapture`, which aggregates
+latency (into a bounded-memory quantile sketch), throughput, the
+Figure-8 cycle breakdown and fault counters across *all* the
+accelerators the experiment builds — that aggregate becomes the
+experiment's :class:`repro.obs.RunReport` artifact.
 """
 
-import weakref
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.equinox import EquinoxAccelerator, SimulationReport
 from repro.dse.table1 import equinox_configuration
@@ -65,23 +64,17 @@ def simulate_load_point(
 ) -> SimulationReport:
     """Run one offered-load point for ``batches`` worth of requests."""
     requests = max(500, batches * accelerator.batch_slots)
-    report = accelerator.run(load=load, requests=requests, seed=seed)
-    if _ACTIVE_CAPTURE is not None:
-        _ACTIVE_CAPTURE.observe(accelerator)
-    return report
+    return accelerator.run(load=load, requests=requests, seed=seed)
 
 
 class ExperimentCapture:
     """Aggregates measurements across every accelerator an experiment
     drives, producing one :class:`RunReport` for the whole sweep.
 
-    Accelerators are frequently reused across load points, so all
-    cumulative collectors (latency samples, op meters, cycle
-    accounting) are read as *deltas* keyed by accelerator identity —
-    observing the same accelerator twice never double-counts. Identity
-    is a serial held in a weak map, not ``id()``: a freed accelerator's
-    address can be reused by the next one built, which must start from
-    zero deltas.
+    Every accelerator is observed once, after its run has finished:
+    inside each ``eval.load_point`` job, whose capture state the parent
+    folds in with :meth:`merge_state`, and once by ``spike``. So
+    :meth:`observe` just adds the accelerator's totals.
     """
 
     def __init__(self, name: str):
@@ -94,48 +87,25 @@ class ExperimentCapture:
             c: 0.0 for c in CYCLE_CATEGORIES if c != "idle"
         }
         self.windows = 0
-        self._serials: "weakref.WeakKeyDictionary[EquinoxAccelerator, int]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._accel_state: Dict[int, Dict[str, float]] = {}
-        self._fault_totals: Dict[int, Dict[str, float]] = {}
-        self._remote_serial = 0
+        #: One fault-counter dict per observed accelerator, in order.
+        self._fault_totals: List[Dict[str, float]] = []
 
     def observe(self, accelerator: EquinoxAccelerator) -> None:
-        """Fold one accelerator's state since its last observation."""
-        serial = self._serials.get(accelerator)
-        if serial is None:
-            serial = self._serials[accelerator] = len(self._accel_state) + 1
-        state = self._accel_state.setdefault(serial, {})
+        """Fold one finished accelerator's totals."""
         config = accelerator.config
-
-        latency = accelerator.engine.latency
-        since = int(state.get("latency_idx", 0))
-        for sample in latency.samples_since(since):
+        for sample in accelerator.engine.latency.samples_since(0):
             self.latency_us.observe(config.cycles_to_us(sample))
-        state["latency_idx"] = float(latency.count)
-
-        now = accelerator.sim.now
-        self.duration_cycles += now - state.get("now", 0.0)
-        state["now"] = now
-
+        self.duration_cycles += accelerator.sim.now
         for context in self.ops:
             meter = accelerator.mmu.throughput_by_context.get(context)
-            total = meter.total_ops if meter is not None else 0.0
-            key = f"ops_{context}"
-            self.ops[context] += total - state.get(key, 0.0)
-            state[key] = total
-
+            self.ops[context] += meter.total_ops if meter is not None else 0.0
         for category, cycles in accelerator.mmu.accounting.busy_cycles().items():
-            key = f"busy_{category}"
-            self.busy[category] += cycles - state.get(key, 0.0)
-            state[key] = cycles
-
+            self.busy[category] += cycles
         self.frequency_hz = config.frequency_hz
-        self._fault_totals[serial] = {
+        self._fault_totals.append({
             str(k): float(v)
             for k, v in accelerator.fault_counters.as_dict().items()
-        }
+        })
         self.windows += 1
 
     def state_dict(self) -> Dict[str, Any]:
@@ -153,7 +123,7 @@ class ExperimentCapture:
             "ops": dict(self.ops),
             "busy": dict(self.busy),
             "windows": self.windows,
-            "fault_totals": list(self._fault_totals.values()),
+            "fault_totals": list(self._fault_totals),
         }
 
     def merge_state(self, state: Dict[str, Any]) -> None:
@@ -168,12 +138,9 @@ class ExperimentCapture:
             self.busy[category] = self.busy.get(category, 0.0) + float(cycles)
         self.windows += int(state["windows"])
         for totals in state["fault_totals"]:
-            # Remote accelerators are not objects here; give each a
-            # synthetic identity so build_report sums them like locals.
-            self._remote_serial += 1
-            self._fault_totals[-self._remote_serial] = {
+            self._fault_totals.append({
                 str(key): float(value) for key, value in totals.items()
-            }
+            })
 
     def build_report(
         self, kind: str = "experiment", config: Optional[Dict[str, Any]] = None
@@ -205,7 +172,7 @@ class ExperimentCapture:
             breakdown["idle"] = max(0.0, 1.0 - busy_total)
 
         faults: Dict[str, float] = {}
-        for totals in self._fault_totals.values():
+        for totals in self._fault_totals:
             for key, value in totals.items():
                 faults[key] = faults.get(key, 0.0) + value
 
@@ -228,9 +195,9 @@ class ExperimentCapture:
         )
 
 
-#: The capture every ``simulate_load_point`` inside :func:`capture_run`
-#: reports into (module-global because the experiment modules call the
-#: runner free functions, not methods on some context object).
+#: The capture every load point inside :func:`capture_run` reports into
+#: (module-global because the experiment modules call the runner free
+#: functions, not methods on some context object).
 _ACTIVE_CAPTURE: Optional[ExperimentCapture] = None
 
 
@@ -248,17 +215,28 @@ def capture_run(name: str) -> Iterator[ExperimentCapture]:
         _ACTIVE_CAPTURE = None
 
 
-def contribute_capture_state(state: Dict[str, Any]) -> None:
-    """Fold a worker-side capture state into the active capture.
+def run_load_points(
+    points: Sequence[Dict[str, Any]],
+    seed: int = 0,
+    executor: Optional[Any] = None,
+) -> List[Dict[str, Any]]:
+    """Run each point as one ``eval.load_point`` job, in order.
 
-    The parallel twin of the ``_ACTIVE_CAPTURE`` hook inside
-    :func:`simulate_load_point`: experiments that fan load points out
-    through :mod:`repro.exec` call this with each job's returned
-    ``capture`` state, in submission order. No-op outside
-    :func:`capture_run`, mirroring the serial hook.
+    ``executor`` is a :class:`repro.exec.JobRunner`; without one the
+    points run in this process through ``JobRunner(jobs=1)``. Either
+    way each result's ``capture`` is folded into the active capture in
+    submission order, so a serial and a fanned-out run aggregate alike.
     """
+    from repro.exec import Job, JobRunner
+
+    runner = executor if executor is not None else JobRunner(jobs=1)
+    results = runner.map(
+        [Job("eval.load_point", point, seed=seed) for point in points]
+    )
     if _ACTIVE_CAPTURE is not None:
-        _ACTIVE_CAPTURE.merge_state(state)
+        for result in results:
+            _ACTIVE_CAPTURE.merge_state(result["capture"])
+    return results
 
 
 def latency_target_us(encoding: str = "hbfp8") -> float:

@@ -75,8 +75,8 @@ def run(
     acc = build_accelerator(latency_class, training_model=deepbench_lstm())
     reports = acc.run_profile(profile, dwell_s=dwell_s, seed=seed)
     if runner._ACTIVE_CAPTURE is not None:
-        # run_profile bypasses simulate_load_point; feed the capture the
-        # accelerator's cumulative state once, at the end.
+        # One continuous run_profile, not load-point jobs: feed the
+        # capture the accelerator's totals once, at the end.
         runner._ACTIVE_CAPTURE.observe(acc)
     return SpikeResult(
         profile=profile,

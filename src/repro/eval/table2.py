@@ -9,14 +9,10 @@ the large MMU.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.eval.report import render_table
-from repro.eval.runner import build_accelerator, simulate_load_point
-from repro.models.graph import ModelSpec
-from repro.models.gru import deepbench_gru
-from repro.models.lstm import deepbench_lstm
-from repro.models.resnet import resnet50
+from repro.eval.runner import run_load_points
 
 #: Paper values: model -> (train TOp/s @60%, max inf TOp/s, latency ms).
 PAPER = {
@@ -40,14 +36,15 @@ class Table2Result:
         )
 
 
-def _models(
-    gru_steps: int, resnet_side: int
-) -> "dict[str, tuple[ModelSpec, float, int]]":
-    """model key -> (spec, compiler chunk µs, measurement batches)."""
+def _models(gru_steps: int, resnet_side: int) -> Dict[str, Dict[str, Any]]:
+    """model key -> the load-point keys that build it: the model (with
+    its size), the compiler chunk (µs) and the measurement batches."""
     return {
-        "lstm": (deepbench_lstm(), 2.0, 8),
-        "gru": (deepbench_gru(steps=gru_steps), 20.0, 2),
-        "resnet50": (resnet50(image_size=resnet_side), 4.0, 4),
+        "lstm": {"model": "lstm", "chunk_us": 2.0, "batches": 8},
+        "gru": {"model": "gru", "steps": gru_steps, "chunk_us": 20.0,
+                "batches": 2},
+        "resnet50": {"model": "resnet50", "image_size": resnet_side,
+                     "chunk_us": 4.0, "batches": 4},
     }
 
 
@@ -57,27 +54,26 @@ def run(
     gru_steps: int = 1500,
     resnet_side: int = 224,
     seed: int = 0,
+    executor: Optional[Any] = None,
 ) -> Table2Result:
+    """Per model, two points: a saturating offered load without
+    training (max inference throughput; its accelerator's batch service
+    time is the unloaded latency) and ``load`` with the model training
+    too."""
+    models = _models(gru_steps, resnet_side)
+    points: List[Dict[str, Any]] = []
+    for spec in models.values():
+        base = {"latency_class": latency_class, **spec}
+        points += [{**base, "load": 1.2}, {**base, "load": load, "training": True}]
+    results = iter(run_load_points(points, seed, executor))
     rows: Dict[str, Tuple[float, float, float]] = {}
-    for key, (spec, chunk_us, batches) in _models(gru_steps, resnet_side).items():
-        # Unloaded latency: the analytic batch service time.
-        probe = build_accelerator(
-            latency_class, inference_model=spec, chunk_us=chunk_us
+    for key in models:
+        saturated, loaded = next(results), next(results)
+        rows[key] = (
+            loaded["training_top_s"],
+            saturated["inference_top_s"],
+            saturated["batch_service_us"] / 1e3,
         )
-        latency_ms = probe.batch_service_us() / 1e3
-
-        # Max inference throughput: saturating offered load, no training.
-        acc = build_accelerator(latency_class, inference_model=spec, chunk_us=chunk_us)
-        saturated = simulate_load_point(acc, load=1.2, batches=batches, seed=seed)
-        max_inference = saturated.inference_top_s
-
-        # Training throughput at 60 % load, same model training.
-        acc = build_accelerator(
-            latency_class, inference_model=spec, training_model=spec,
-            chunk_us=chunk_us,
-        )
-        report = simulate_load_point(acc, load=load, batches=batches, seed=seed)
-        rows[key] = (report.training_top_s, max_inference, latency_ms)
     return Table2Result(rows=rows)
 
 

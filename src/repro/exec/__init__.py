@@ -1,8 +1,10 @@
 """repro.exec — parallel, cache-aware experiment execution.
 
-Turns every experiment into a pure, hashable :class:`Job` and runs job
-batches through a worker pool with deterministic ordered aggregation
-and a content-addressed on-disk result cache:
+Turns each independent work unit of an experiment (a load point, a
+scenario, a chunk of the design grid) into a pure, hashable
+:class:`Job` and runs job batches through a worker pool with
+deterministic ordered aggregation and a content-addressed on-disk
+result cache:
 
 * :mod:`repro.exec.canonical` — the one config/result serializer
   (sorted keys, numpy coercion, the obs inf/nan policy) plus the

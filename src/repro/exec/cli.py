@@ -4,8 +4,9 @@ Two pieces, both consumed by ``python -m repro``:
 
 * :func:`add_executor_arguments` / :func:`executor_args_error` /
   :func:`runner_from_args` — the shared ``--jobs N|auto`` /
-  ``--cache-dir`` / checkpoint flags every experiment subcommand grows,
-  checked once after parsing and resolved into one :class:`JobRunner`;
+  ``--cache-dir`` / checkpoint flags of every subcommand that runs
+  jobs, checked once after parsing and resolved into one
+  :class:`JobRunner`;
 * the ``sweep`` subcommand — the Figure 6 design-space sweep fanned
   out through the engine, with a byte-deterministic ``sweep.json``
   RunReport artifact (identical for any ``--jobs`` value).
@@ -112,8 +113,8 @@ def runner_from_args(
     args: argparse.Namespace, shutdown: Optional[Any] = None
 ) -> Optional[JobRunner]:
     """A runner when ``--jobs``/``--cache-dir``/``--checkpoint-dir``
-    was given, else None (experiments keep their historical in-process
-    path).
+    was given, else None (callers then run their jobs through
+    ``JobRunner(jobs=1)``).
 
     ``shutdown`` is the CLI's :class:`repro.state.GracefulShutdown`
     instance; its ``check`` is polled between jobs so a SIGINT/SIGTERM

@@ -48,45 +48,70 @@ def dse_points(config: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
 
 
 def eval_load_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One inference load point on one accelerator variant (Figure 7).
+    """One offered-load point on one named Equinox variant.
 
-    Config: ``latency_class``, ``encoding``, ``load``, ``batches``,
-    plus optional ``training`` (default false; when true the variant
-    carries the DeepBench LSTM training workload, the Figure 9 shape —
-    the key is optional so pre-existing Figure 7 cache digests are
-    untouched). Returns the headline measurements plus the full
-    observability capture state, so the parent process can fold the
-    point into its :class:`repro.eval.runner.ExperimentCapture` exactly
-    as a serial run would have.
+    Config: ``latency_class``, ``load`` and ``batches``, plus optional
+    ``encoding``, ``model`` (``lstm``, ``gru`` with ``steps`` or
+    ``resnet50`` with ``image_size``), ``training`` (true: the variant
+    also trains its own inference model), ``scheduler``, ``batching``,
+    ``batch_timeout_x`` and ``chunk_us``; an absent key takes
+    :func:`repro.eval.runner.build_accelerator`'s default. Returns what
+    the figures read plus the point's observability capture state, so
+    the parent folds it into its
+    :class:`repro.eval.runner.ExperimentCapture`.
     """
-    from repro.eval.runner import ExperimentCapture, build_accelerator
+    from repro.eval.runner import (
+        ExperimentCapture,
+        build_accelerator,
+        simulate_load_point,
+    )
 
-    training_model = None
+    kwargs = {
+        key: config[key]
+        for key in ("encoding", "scheduler", "batching", "batch_timeout_x",
+                    "chunk_us")
+        if key in config
+    }
+    if "model" in config:
+        kwargs["inference_model"] = _model_spec(config)
     if config.get("training"):
         from repro.models.lstm import deepbench_lstm
 
-        training_model = deepbench_lstm()
-    accelerator = build_accelerator(
-        latency_class=str(config["latency_class"]),
-        encoding=str(config["encoding"]),
-        training_model=training_model,
-    )
-    batches = int(config["batches"])
-    requests = max(500, batches * accelerator.batch_slots)
-    report = accelerator.run(
-        load=float(config["load"]), requests=requests, seed=seed
+        kwargs["training_model"] = kwargs.get("inference_model") or deepbench_lstm()
+    accelerator = build_accelerator(str(config["latency_class"]), **kwargs)
+    report = simulate_load_point(
+        accelerator, float(config["load"]), int(config["batches"]), seed
     )
     capture = ExperimentCapture("load_point")
     capture.observe(accelerator)
     return {
         "inference_top_s": report.inference_top_s,
         "training_top_s": report.training_top_s,
-        "p50_latency_us": report.p50_latency_us,
         "p99_latency_us": report.p99_latency_us,
-        "mean_latency_us": report.mean_latency_us,
-        "requests_completed": report.requests_completed,
+        "batches_completed": report.batches_completed,
+        "incomplete_batches": report.incomplete_batches,
+        "cycle_breakdown": report.cycle_breakdown,
+        "batch_service_us": accelerator.batch_service_us(),
         "capture": capture.state_dict(),
     }
+
+
+def _model_spec(config: Dict[str, Any]) -> Any:
+    """The inference model a load point's ``model`` key names."""
+    model = config["model"]
+    if model == "lstm":
+        from repro.models.lstm import deepbench_lstm
+
+        return deepbench_lstm()
+    if model == "gru":
+        from repro.models.gru import deepbench_gru
+
+        return deepbench_gru(steps=int(config["steps"]))
+    if model == "resnet50":
+        from repro.models.resnet import resnet50
+
+        return resnet50(image_size=int(config["image_size"]))
+    raise ValueError(f"unknown model {model!r}; expected lstm, gru or resnet50")
 
 
 def chaos_scenario(config: Dict[str, Any], seed: int) -> Dict[str, Any]:

@@ -1,18 +1,17 @@
 """``python -m repro metrics`` — dump, validate and diff run artifacts.
 
     python -m repro metrics smoke --out artifacts/smoke.json
-    python -m repro metrics fig9 --out artifacts/fig9.json
     python -m repro metrics validate artifacts/*.json
     python -m repro metrics diff run_a.json run_b.json
 
 ``smoke`` runs one small profiled accelerator experiment and emits its
 :class:`repro.obs.RunReport` — the CI metrics job runs exactly this and
 then ``validate``s the output, which fails (exit 1) on schema breakage
-or any ``nan`` latency/throughput field. An experiment name runs that
-experiment under :func:`repro.eval.runner.capture_run` and emits the
-sweep's aggregate artifact. ``diff`` compares two artifacts field by
-field (exit 1 when they differ), which is how byte-level determinism
-regressions and cross-version drifts are inspected.
+or any ``nan`` latency/throughput field. ``diff`` compares two
+artifacts field by field (exit 1 when they differ), which is how
+byte-level determinism regressions and cross-version drifts are
+inspected. An experiment's aggregate artifact comes from
+``python -m repro <experiment> --report-dir DIR``.
 
 Wall-clock profiling figures (events/sec, per-component callback time)
 are printed to *stderr* only: they are nondeterministic and therefore
@@ -41,8 +40,7 @@ SMOKE_SEED = 1
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "target",
-        help="'smoke', 'validate', 'diff', or an experiment name "
-        "(see 'python -m repro list')",
+        help="'smoke', 'validate' or 'diff'",
     )
     parser.add_argument(
         "paths", nargs="*",
@@ -55,10 +53,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rel-tolerance", type=float, default=0.0,
         help="relative tolerance for diff (default: exact)",
-    )
-    parser.add_argument(
-        "--loads", type=float, nargs="+", default=None,
-        help="override the load grid for load-sweep experiments",
     )
 
 
@@ -101,29 +95,6 @@ def _smoke(out: Optional[str]) -> int:
     for key, value in profiler.wall_summary().items():
         print(f"[wall] {key}: {value:.6g}", file=sys.stderr)
     return status
-
-
-def _experiment(name: str, loads, out: Optional[str]) -> int:
-    from repro.__main__ import EXPERIMENTS
-    from repro.eval.runner import capture_run
-
-    if name not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        print(
-            f"unknown metrics target {name!r}; expected 'smoke', "
-            f"'validate', 'diff' or one of: {known}",
-            file=sys.stderr,
-        )
-        return 2
-    module, _ = EXPERIMENTS[name]
-    kwargs = {}
-    if loads and hasattr(module.run, "__code__") and (
-        "loads" in module.run.__code__.co_varnames
-    ):
-        kwargs["loads"] = tuple(loads)
-    with capture_run(name) as capture:
-        module.run(**kwargs)
-    return _emit(capture.build_report(), out)
 
 
 def _validate(paths: List[str]) -> int:
@@ -175,4 +146,10 @@ def run(args: argparse.Namespace) -> int:
         return _validate(list(args.paths))
     if args.target == "diff":
         return _diff(list(args.paths), args.rel_tolerance)
-    return _experiment(args.target, args.loads, args.out)
+    print(
+        f"unknown metrics target {args.target!r}; expected 'smoke', "
+        "'validate' or 'diff' (an experiment writes its RunReport with "
+        "'python -m repro <experiment> --report-dir DIR')",
+        file=sys.stderr,
+    )
+    return 2

@@ -59,6 +59,11 @@ class TestAnalyticExperiments:
         )
 
 
+@pytest.fixture(scope="module")
+def small_table2():
+    return table2.run(gru_steps=40, resnet_side=64)
+
+
 class TestSimulationExperiments:
     def test_fig7_small(self):
         result = fig7.run(loads=(0.3, 0.9), batches=4, encodings=("hbfp8",))
@@ -91,11 +96,28 @@ class TestSimulationExperiments:
         assert result.static_violates_at_low_load()
         assert "Figure 11a" in fig11.render(result)
 
-    def test_table2_small(self):
-        result = table2.run(gru_steps=40, resnet_side=64)
+    def test_table2_small(self, small_table2):
+        result = small_table2
         assert set(result.rows) == {"lstm", "gru", "resnet50"}
         assert all(v[1] > 0 for v in result.rows.values())
         assert "Table 2" in table2.render(result)
+
+    def test_table2_latency_is_the_batch_service_time(self, small_table2):
+        """The saturated point's accelerator gives the latency column:
+        the unloaded batch service time of an inference-only build."""
+        from repro.models.gru import deepbench_gru
+        from repro.models.lstm import deepbench_lstm
+        from repro.models.resnet import resnet50
+
+        for key, spec, chunk_us in (
+            ("lstm", deepbench_lstm(), 2.0),
+            ("gru", deepbench_gru(steps=40), 20.0),
+            ("resnet50", resnet50(image_size=64), 4.0),
+        ):
+            probe = build_accelerator(
+                "500us", inference_model=spec, chunk_us=chunk_us
+            )
+            assert small_table2.rows[key][2] == probe.batch_service_us() / 1e3
 
 
 class TestSpike:

@@ -7,6 +7,8 @@ suite interactive; the guarantee itself is size-independent because it
 rests on ordered aggregation + canonical normalization, not on luck.
 """
 
+import pytest
+
 from repro.__main__ import main
 from repro.exec import JobRunner
 
@@ -59,15 +61,42 @@ class TestFig7Parity:
         assert r1 == r2
         assert report1 == report2, "experiment artifact must be byte-equal"
 
-    def test_executor_curves_match_inline(self):
-        from repro.eval import fig7
 
-        loads = (0.5,)
-        inline = fig7.run(loads=loads, encodings=("hbfp8",))
-        fanned = fig7.run(
-            loads=loads, encodings=("hbfp8",), executor=JobRunner(jobs=1)
-        )
-        assert inline == fanned
+#: experiment -> (small-size ``run`` kwargs, load points they make).
+LOAD_POINT_EXPERIMENTS = {
+    "fig7": ({"loads": (0.5,), "batches": 2, "encodings": ("hbfp8",)}, 4),
+    "fig8": ({"loads": (0.05,), "batches": 2}, 2),
+    "fig9": ({"loads": (0.6,), "classes": ("min", "500us"), "batches": 2}, 2),
+    "fig10": ({"loads": (0.5,), "batches": 2}, 3),
+    "fig11": ({"loads": (0.2,), "thresholds": (2.0,), "batches": 2}, 3),
+    "table2": ({"gru_steps": 40, "resnet_side": 64}, 6),
+}
+
+
+class TestLoadPointFanOut:
+    """Every simulator experiment runs its points as ``eval.load_point``
+    jobs: fanned out over two workers it returns the same result and
+    writes the same artifact bytes as a plain call, and each point is
+    exactly one executed job."""
+
+    @pytest.mark.parametrize("name", sorted(LOAD_POINT_EXPERIMENTS))
+    def test_two_workers_match_a_plain_run(self, name):
+        import importlib
+
+        from repro.eval.runner import capture_run
+
+        module = importlib.import_module(f"repro.eval.{name}")
+        kwargs, points = LOAD_POINT_EXPERIMENTS[name]
+        with capture_run(name) as capture:
+            plain = module.run(**kwargs)
+        plain_bytes = capture.build_report().to_json()
+
+        runner = JobRunner(jobs=2)
+        with capture_run(name) as capture:
+            fanned = module.run(**kwargs, executor=runner)
+        assert fanned == plain
+        assert capture.build_report().to_json() == plain_bytes
+        assert runner.counters["executed"] == points
 
 
 class TestChaosParity:
@@ -85,8 +114,3 @@ class TestChaosParity:
             for name, artifact in fanned["artifacts"].items()
         }
         assert all(row.reproducible for row in fanned["rows"])
-
-
-class TestExperimentFlags:
-    def test_fig6_accepts_jobs_flag(self, tmp_path, capsys):
-        assert main(["fig6", "--jobs", "2"]) == 0

@@ -46,7 +46,7 @@ def test_bad_argument_exits_2_before_any_job(
          "--checkpoint-every must be >= 0, got -1"),
         (["fig7", "--jobs", "1", "--kill-after", "0"],
          "--kill-after must be >= 1, got 0"),
-        (["table1", "--resume"],
+        (["fig8", "--resume"],
          "--resume needs --checkpoint-dir: there is no journal to replay"),
         (["fig7", "--jobs", "1", "--kill-after", "1"],
          "--kill-after needs --checkpoint-dir: the killed run would "
@@ -74,3 +74,32 @@ def test_bad_executor_flag_exits_2_before_dispatch(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == message + "\n"
+
+
+#: Experiments whose ``run`` takes no ``executor`` or no ``loads``.
+_IN_PROCESS = ("fig2", "fig6", "spike", "table1", "table3")
+_FIXED_GRID = ("fig2", "fig6", "spike", "table1", "table2", "table3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--jobs", "2"] for name in _IN_PROCESS]
+    + [["table3", "--cache-dir", "D"], ["table1", "--checkpoint-dir", "D"],
+       ["spike", "--cache-dir", "D"], ["fig2", "--checkpoint-dir", "D"]]
+    + [[name, "--loads", "0.3"] for name in _FIXED_GRID],
+    ids=lambda argv: argv[0] + argv[1],
+)
+def test_flag_the_experiment_cannot_use_exits_2(argv, capsys, monkeypatch):
+    """A subcommand offers ``--loads`` and the executor flags only when
+    its ``run`` takes them, so argparse rejects the rest before any
+    work — none is silently ignored."""
+    import repro.__main__ as cli
+
+    def no_dispatch(args, shutdown):
+        raise AssertionError("dispatched a flag the experiment ignores")
+
+    monkeypatch.setattr(cli, "_dispatch", no_dispatch)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
