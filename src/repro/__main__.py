@@ -91,7 +91,7 @@ def _run_one(name: str, loads, report_dir=None, executor=None) -> None:
     kwargs = {}
     if loads and "loads" in takes:
         kwargs["loads"] = tuple(loads)
-    if executor is not None and "executor" in takes:
+    if "executor" in takes:
         kwargs["executor"] = executor
     started = time.time()
     if report_dir is not None:
@@ -99,45 +99,22 @@ def _run_one(name: str, loads, report_dir=None, executor=None) -> None:
         from repro.state.signals import ShutdownRequested
 
         with capture_run(name) as capture:
-            _install_capture_checkpoint(executor, name, capture)
             try:
                 result = module.run(**kwargs)
             except ShutdownRequested:
-                # Final barrier on the way out: persist the capture and
-                # flush what was measured so far as a *partial* artifact
-                # — marked as such, never confused with a complete run.
-                _save_capture_checkpoint(executor, name, capture)
+                # On the way out, flush what was measured so far as a
+                # *partial* artifact — marked as such, never confused
+                # with a complete run.
                 _write_artifact(
                     capture.build_report(config={"partial": True}),
                     report_dir,
                 )
                 raise
-            finally:
-                if executor is not None:
-                    executor.set_checkpoint_cb(None)
         _write_artifact(capture.build_report(), report_dir)
     else:
         result = module.run(**kwargs)
     print(module.render(result))
     print(f"\n[{name} completed in {time.time() - started:.1f}s]\n")
-
-
-def _install_capture_checkpoint(executor, name: str, capture) -> None:
-    """Make the executor's periodic barrier checkpoint this experiment's
-    capture (lossless, mergeable state) under ``capture.<name>``."""
-    if executor is None or executor.checkpoint_store is None:
-        return
-    executor.set_checkpoint_cb(
-        lambda: _save_capture_checkpoint(executor, name, capture)
-    )
-
-
-def _save_capture_checkpoint(executor, name: str, capture) -> None:
-    if executor is None or executor.checkpoint_store is None:
-        return
-    executor.checkpoint_store.save(
-        f"capture.{name}", capture.state_dict(), step=capture.windows
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -273,11 +250,16 @@ def main(argv=None) -> int:
         print(problem, file=sys.stderr)
         return 2
 
-    # SIGINT/SIGTERM unwind through ShutdownRequested at the next job
-    # boundary (after its journal append): final checkpoint + partial
-    # artifact flush happen on the way out, then the process exits with
-    # the conventional 128+signum code and a named reason — never a
-    # traceback.
+    if not hasattr(args, "checkpoint_dir"):
+        # No executor flags, so no job boundary would ever poll a
+        # shutdown flag: the command keeps the default signal handling.
+        return _dispatch(args, None)
+
+    # In a job-running command, SIGINT/SIGTERM unwind through
+    # ShutdownRequested at the next job boundary (after its journal
+    # append): the partial artifact is flushed on the way out, then the
+    # process exits with the conventional 128+signum code and a named
+    # reason — never a traceback.
     from repro.state.signals import GracefulShutdown, ShutdownRequested
 
     with GracefulShutdown() as shutdown:
@@ -286,7 +268,7 @@ def main(argv=None) -> int:
         except ShutdownRequested as request:
             hint = (
                 " — restart with --resume to continue"
-                if getattr(args, "checkpoint_dir", None) is not None
+                if args.checkpoint_dir is not None
                 else ""
             )
             print(
@@ -322,9 +304,7 @@ def _dispatch(args, shutdown) -> int:
             kwargs["requests"] = args.requests
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        executor = exec_cli.runner_from_args(args, shutdown=shutdown)
-        if executor is not None:
-            kwargs["executor"] = executor
+        kwargs["executor"] = exec_cli.runner_from_args(args, shutdown=shutdown)
         started = time.time()
         result = chaos_mod.run(**kwargs)
         print(chaos_mod.render(result))
@@ -357,9 +337,7 @@ def _dispatch(args, shutdown) -> int:
             kwargs["requests_per_chip"] = args.requests_per_chip
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        executor = exec_cli.runner_from_args(args, shutdown=shutdown)
-        if executor is not None:
-            kwargs["executor"] = executor
+        kwargs["executor"] = exec_cli.runner_from_args(args, shutdown=shutdown)
         started = time.time()
         report = serve_mod.run(**kwargs)
         print(serve_mod.render(report))

@@ -25,7 +25,7 @@ trip, so ``--jobs 8``, ``--jobs 1`` and a cache replay produce
 bit-identical artifacts.
 """
 
-from repro.exec.cache import CacheStats, ResultCache, open_cache
+from repro.exec.cache import CacheStats, ResultCache
 from repro.exec.canonical import (
     canonical_json,
     code_fingerprint,
@@ -37,7 +37,6 @@ from repro.exec.scheduler import (
     JobRunner,
     ProcessPoolScheduler,
     resolve_jobs,
-    run_jobs,
 )
 
 __all__ = [
@@ -51,9 +50,7 @@ __all__ = [
     "canonical_json",
     "code_fingerprint",
     "config_digest",
-    "open_cache",
     "register_job",
     "resolve_job",
     "resolve_jobs",
-    "run_jobs",
 ]

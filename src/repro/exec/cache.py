@@ -20,13 +20,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.exec.canonical import config_digest, decode, encode
 from repro.exec.jobs import Job
 from repro.obs.report import SCHEMA_ID, validate_report
 
-__all__ = ["CacheStats", "ResultCache", "open_cache"]
+__all__ = ["CacheStats", "ResultCache"]
 
 #: Schema tag of one cache entry file.
 ENTRY_SCHEMA = "repro.exec/cache-entry/v1"
@@ -231,9 +231,3 @@ class ResultCache:
                 pass
         return removed
 
-
-def open_cache(directory: Optional["str | os.PathLike[str]"]) -> Optional[ResultCache]:
-    """``ResultCache`` for a directory, or ``None`` for ``None``."""
-    if directory is None:
-        return None
-    return ResultCache(directory)

@@ -4,8 +4,8 @@ Two pieces, both consumed by ``python -m repro``:
 
 * :func:`add_executor_arguments` / :func:`executor_args_error` /
   :func:`runner_from_args` — the shared ``--jobs N|auto`` /
-  ``--cache-dir`` / checkpoint flags of every subcommand that runs
-  jobs, checked once after parsing and resolved into one
+  ``--cache-dir`` / ``--checkpoint-dir`` flags of every subcommand
+  that runs jobs, checked once after parsing and resolved into one
   :class:`JobRunner`;
 * the ``sweep`` subcommand — the Figure 6 design-space sweep fanned
   out through the engine, with a byte-deterministic ``sweep.json``
@@ -20,19 +20,12 @@ from typing import Any, Optional
 from repro.exec.scheduler import JobRunner, resolve_jobs
 
 __all__ = [
-    "DEFAULT_CHECKPOINT_EVERY",
     "add_executor_arguments",
     "add_sweep_arguments",
     "executor_args_error",
     "run_sweep",
     "runner_from_args",
 ]
-
-#: Default ``--checkpoint-every`` period (executed jobs between
-#: progress checkpoints). Chosen so checkpoint overhead stays well
-#: under the 5% budget that CI measures on a checkpointed fig7 load
-#: curve, while a preempted sweep loses at most a few jobs' work.
-DEFAULT_CHECKPOINT_EVERY = 8
 
 
 # ----------------------------------------------------------------------
@@ -54,16 +47,8 @@ def add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="crash-consistent run state: a completed-work journal "
-        "(fsynced per job) plus periodic checkpoint files; a killed run "
-        "restarted with --resume skips journaled jobs and converges to "
-        "the byte-identical artifact",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
-        metavar="N",
-        help="write a progress checkpoint every N executed jobs "
-        f"(default {DEFAULT_CHECKPOINT_EVERY}; 0 disables the periodic "
-        "barrier — the journal is still written per job)",
+        "(fsynced per job); a killed run restarted with --resume skips "
+        "journaled jobs and converges to the byte-identical artifact",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -92,9 +77,6 @@ def executor_args_error(args: argparse.Namespace) -> Optional[str]:
             resolve_jobs(jobs)
         except ValueError:
             return f"--jobs must be an integer >= 1 or 'auto', got {jobs!r}"
-    every = getattr(args, "checkpoint_every", DEFAULT_CHECKPOINT_EVERY)
-    if every < 0:
-        return f"--checkpoint-every must be >= 0, got {every}"
     kill_after = getattr(args, "kill_after", None)
     if kill_after is not None and kill_after < 1:
         return f"--kill-after must be >= 1, got {kill_after}"
@@ -111,22 +93,18 @@ def executor_args_error(args: argparse.Namespace) -> Optional[str]:
 
 def runner_from_args(
     args: argparse.Namespace, shutdown: Optional[Any] = None
-) -> Optional[JobRunner]:
-    """A runner when ``--jobs``/``--cache-dir``/``--checkpoint-dir``
-    was given, else None (callers then run their jobs through
-    ``JobRunner(jobs=1)``).
+) -> JobRunner:
+    """The one runner a job-running command maps its jobs through.
 
-    ``shutdown`` is the CLI's :class:`repro.state.GracefulShutdown`
-    instance; its ``check`` is polled between jobs so a SIGINT/SIGTERM
-    unwinds at a journal-consistent boundary. ``--kill-after`` arms a
-    :class:`repro.faults.killswitch.KillSwitch` on the same boundary
-    (the drill dies *after* the Nth journal append, never mid-write).
+    Without executor flags it is ``JobRunner(jobs=1)``: the jobs run in
+    this process. ``shutdown`` is the CLI's
+    :class:`repro.state.GracefulShutdown` instance; its ``check`` is
+    polled between jobs, with or without executor flags, so a
+    SIGINT/SIGTERM unwinds at a journal-consistent boundary.
+    ``--kill-after`` arms a :class:`repro.faults.killswitch.KillSwitch`
+    on the same boundary (the drill dies *after* the Nth journal
+    append, never mid-write).
     """
-    jobs = getattr(args, "jobs", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if jobs is None and cache_dir is None and checkpoint_dir is None:
-        return None
     kill_after = getattr(args, "kill_after", None)
     on_unit_done = None
     if kill_after is not None:
@@ -134,12 +112,9 @@ def runner_from_args(
 
         on_unit_done = KillSwitch(kill_after).note_unit_done
     return JobRunner(
-        jobs=jobs if jobs is not None else 1,
-        cache_dir=cache_dir,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=getattr(
-            args, "checkpoint_every", DEFAULT_CHECKPOINT_EVERY
-        ),
+        jobs=getattr(args, "jobs", None),
+        cache_dir=getattr(args, "cache_dir", None),
+        checkpoint_dir=getattr(args, "checkpoint_dir", None),
         resume=bool(getattr(args, "resume", False)),
         shutdown_check=shutdown.check if shutdown is not None else None,
         on_unit_done=on_unit_done,
@@ -194,19 +169,7 @@ def run_sweep(
                 file=sys.stderr,
             )
             return 2
-    runner = runner_from_args(args, shutdown=shutdown) or JobRunner(jobs=1)
-    if runner.checkpoint_store is not None:
-        # Periodic barrier: persist sweep progress next to the journal.
-        # The journal alone carries the resume contract; the checkpoint
-        # is the cheap observable marker (how far did the run get?).
-        def _sweep_checkpoint() -> None:
-            counters = runner.counters
-            runner.checkpoint_store.save(
-                "sweep", {"counters": counters},
-                step=counters["executed"],
-            )
-
-        runner.set_checkpoint_cb(_sweep_checkpoint)
+    runner = runner_from_args(args, shutdown=shutdown)
     clouds = {}
     frontiers = {}
     for encoding in args.encodings:

@@ -41,7 +41,6 @@ __all__ = [
     "JobRunner",
     "ProcessPoolScheduler",
     "resolve_jobs",
-    "run_jobs",
 ]
 
 #: Default per-job retry budget for *infrastructure* failures (worker
@@ -99,10 +98,6 @@ class ProcessPoolScheduler:
             fsynced output — and appended after every execution, which
             is the crash-consistency barrier: a job whose result made
             the journal is never re-run on ``--resume``.
-        checkpoint_every: Invoke ``checkpoint_cb`` after every N
-            completed (executed, not cached/journaled) jobs; 0 disables.
-        checkpoint_cb: The periodic checkpoint barrier hook (e.g. flush
-            a partial RunReport).
         shutdown_check: Polled between jobs; expected to raise (e.g.
             :class:`repro.state.ShutdownRequested`) to stop cleanly at
             a job boundary, after the journal append.
@@ -120,8 +115,6 @@ class ProcessPoolScheduler:
         max_retries: int = DEFAULT_MAX_RETRIES,
         max_in_flight: Optional[int] = None,
         journal: Optional["CompletionJournal"] = None,
-        checkpoint_every: int = 0,
-        checkpoint_cb: Optional[Callable[[], None]] = None,
         shutdown_check: Optional[Callable[[], None]] = None,
         on_unit_done: Optional[Callable[[], None]] = None,
     ):
@@ -129,10 +122,6 @@ class ProcessPoolScheduler:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
         self.workers = workers
         self.cache = cache
         self.timeout_s = timeout_s
@@ -143,11 +132,8 @@ class ProcessPoolScheduler:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.journal = journal
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_cb = checkpoint_cb
         self.shutdown_check = shutdown_check
         self.on_unit_done = on_unit_done
-        self._since_checkpoint = 0
         #: Faults-style counters: how the run degraded, never hidden.
         self.counters: Dict[str, int] = {
             "executed": 0, "cache_hits": 0, "journal_hits": 0,
@@ -187,10 +173,10 @@ class ProcessPoolScheduler:
 
     def _complete(self, job: Job, value: Any) -> None:
         """Post-execution barrier, in crash-consistency order: journal
-        (durable) first, then cache (advisory), then the work-unit and
-        checkpoint hooks — so any interruption after this method began
-        either left no journal line (job re-runs) or a complete one
-        (job is skipped on resume)."""
+        (durable) first, then cache (advisory), then the work-unit hook
+        — so any interruption after this method began either left no
+        journal line (job re-runs) or a complete one (job is skipped on
+        resume)."""
         self.counters["executed"] += 1
         if self.journal is not None:
             self.journal.append(job.digest(), value)
@@ -198,11 +184,6 @@ class ProcessPoolScheduler:
             self.cache.put(job, value)
         if self.on_unit_done is not None:
             self.on_unit_done()
-        if self.checkpoint_every and self.checkpoint_cb is not None:
-            self._since_checkpoint += 1
-            if self._since_checkpoint >= self.checkpoint_every:
-                self._since_checkpoint = 0
-                self.checkpoint_cb()
 
     # ------------------------------------------------------------------
     # Serial fast path
@@ -339,8 +320,6 @@ class JobRunner:
         timeout_s: Optional[float] = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
         checkpoint_dir: "str | os.PathLike[str] | None" = None,
-        checkpoint_every: int = 0,
-        checkpoint_cb: Optional[Callable[[], None]] = None,
         resume: bool = False,
         shutdown_check: Optional[Callable[[], None]] = None,
         on_unit_done: Optional[Callable[[], None]] = None,
@@ -348,12 +327,11 @@ class JobRunner:
         self.jobs = resolve_jobs(jobs)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.journal = None
-        self.checkpoint_store = None
         if checkpoint_dir is not None:
             # Imported here, not at module level: repro.state.checkpoint
             # imports repro.exec.canonical, whose package init imports
             # this module — a top-level import would close the cycle.
-            from repro.state.checkpoint import CheckpointStore, CompletionJournal
+            from repro.state.checkpoint import CompletionJournal
 
             journal_path = os.path.join(
                 os.fspath(checkpoint_dir), "journal.jsonl"
@@ -363,30 +341,18 @@ class JobRunner:
                 # previous campaign's completions.
                 os.unlink(journal_path)
             self.journal = CompletionJournal(journal_path)
-            self.checkpoint_store = CheckpointStore(checkpoint_dir)
         self.scheduler = ProcessPoolScheduler(
             workers=self.jobs,
             cache=self.cache,
             timeout_s=timeout_s,
             max_retries=max_retries,
             journal=self.journal,
-            checkpoint_every=checkpoint_every,
-            checkpoint_cb=checkpoint_cb,
             shutdown_check=shutdown_check,
             on_unit_done=on_unit_done,
         )
 
     def map(self, jobs: Sequence[Job]) -> List[Any]:
         return self.scheduler.run(jobs)
-
-    def set_checkpoint_cb(self, cb: Optional[Callable[[], None]]) -> None:
-        """(Re)bind the periodic checkpoint barrier hook.
-
-        Callers that only learn what to checkpoint *after* building the
-        runner (e.g. an experiment's capture context) install the hook
-        here; it fires every ``checkpoint_every`` completed jobs.
-        """
-        self.scheduler.checkpoint_cb = cb
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -398,16 +364,3 @@ class JobRunner:
         )
         return f"JobRunner(jobs={self.jobs}, cache_dir={cache!r})"
 
-
-def run_jobs(
-    jobs: Sequence[Job],
-    n_jobs: "str | int | None" = 1,
-    cache_dir: "str | os.PathLike[str] | None" = None,
-    timeout_s: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> List[Any]:
-    """One-shot convenience: build a runner, map, return results."""
-    return JobRunner(
-        jobs=n_jobs, cache_dir=cache_dir, timeout_s=timeout_s,
-        max_retries=max_retries,
-    ).map(jobs)

@@ -265,15 +265,13 @@ def run_scenario(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
 def _map_scenarios(
     specs: List[Dict[str, Any]], seed: int, executor: Optional[Any]
 ) -> List[Dict[str, Any]]:
-    """Run scenario specs, in order — inline, or fanned out as
-    ``serve.fleet_scenario`` jobs. Both paths execute
-    :func:`run_scenario` on identical data, so the report is
-    byte-identical either way."""
-    if executor is None:
-        return [run_scenario(spec, seed) for spec in specs]
-    from repro.exec.jobs import Job
+    """Run scenario specs, in order, as ``serve.fleet_scenario`` jobs
+    through ``executor``, or in this process through
+    ``JobRunner(jobs=1)`` when there is none."""
+    from repro.exec import Job, JobRunner
 
-    return executor.map(
+    runner = executor if executor is not None else JobRunner(jobs=1)
+    return runner.map(
         [Job("serve.fleet_scenario", spec, seed=seed) for spec in specs]
     )
 

@@ -1,163 +1,37 @@
-"""Checkpoint files and the completed-work journal.
+"""The completed-work journal: the one crash-recovery record.
 
-Two persistence primitives with one durability story:
+The **completion journal** is the resume log of the execution engine:
+one line per finished work unit, appended with flush+fsync before the
+result is reported. Each line carries its own payload checksum, and a
+torn trailing line (the crash case) is silently dropped on load —
+everything before it is intact by construction. ``--resume`` replays
+the journal the way the scheduler consults the result cache: completed
+jobs are served from the log, in-flight work restarts.
 
-* **Checkpoint files** hold one canonical-JSON state dict (a sweep's
-  job counters, an experiment capture's ``state_dict()``) under the
-  ``repro.state/checkpoint/v1`` schema. They are written
-  atomically — canonical JSON to a temp file in the target directory,
-  fsync, then ``os.replace`` — and carry a sha256 over their own
-  payload, so a reader sees either a complete, verified checkpoint or
-  none at all. A kill -9 mid-write leaves the previous checkpoint
-  intact.
-
-* The **completion journal** is the resume log of the execution
-  engine: one line per finished work unit, appended with flush+fsync
-  before the result is reported. Each line carries its own payload
-  checksum, and a torn trailing line (the crash case) is silently
-  dropped on load — everything before it is intact by construction.
-  ``--resume`` replays the journal the way the scheduler consults the
-  result cache: completed jobs are served from the log, in-flight work
-  restarts.
-
-Both go through :mod:`repro.exec.canonical`, so checkpoint bytes are a
-pure function of the state they record — the foundation of the
+Lines go through :mod:`repro.exec.canonical`, so journal bytes are a
+pure function of the results they record — the foundation of the
 bit-exact resume contract.
 """
 
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.exec.canonical import canonical_json, config_digest, decode
 
-__all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CheckpointError",
-    "CheckpointStore",
-    "CompletionJournal",
-    "read_checkpoint",
-    "write_checkpoint",
-]
+__all__ = ["CheckpointError", "CompletionJournal"]
 
-#: Schema tag of every checkpoint document (bump on layout changes).
-CHECKPOINT_SCHEMA = "repro.state/checkpoint/v1"
-
-#: Journal lines carry their own schema: the journal is a different
-#: artifact (append-only log vs. single document) with its own layout.
+#: Schema tag of every journal line (bump on layout changes).
 JOURNAL_SCHEMA = "repro.state/journal/v1"
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file exists but cannot be trusted (schema mismatch,
-    checksum failure, malformed JSON). Never raised for *absent*
-    checkpoints — missing means "start from zero", broken means stop."""
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp + fsync + replace)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile(
-        "w", dir=path.parent, prefix=".tmp-", suffix=".json",
-        delete=False, encoding="utf-8",
-    ) as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-        temp_name = handle.name
-    os.replace(temp_name, path)
-
-
-def write_checkpoint(
-    path: Path, state: Any, *, kind: str, step: int = 0
-) -> str:
-    """Atomically persist one state dict; returns its payload digest.
-
-    ``kind`` names what was saved (e.g. ``"sweep"``, ``"capture.fig7"``)
-    and is verified on read so a checkpoint cannot be read by the wrong
-    consumer. ``step`` is the consumer's progress marker (jobs
-    completed, capture windows) — informational, but part of the
-    checksummed payload.
-    """
-    payload = {"kind": str(kind), "step": int(step), "state": state}
-    payload_text = canonical_json(payload)
-    digest = config_digest(payload)
-    document = {
-        "schema": CHECKPOINT_SCHEMA,
-        "payload": payload_text,
-        "payload_sha256": digest,
-    }
-    _atomic_write_text(path, canonical_json(document))
-    return digest
-
-
-def read_checkpoint(path: Path, *, kind: Optional[str] = None) -> Dict[str, Any]:
-    """Load and verify one checkpoint; returns the payload dict
-    (``kind`` / ``step`` / ``state``).
-
-    Raises :class:`CheckpointError` on any integrity failure and
-    ``FileNotFoundError`` when the file is absent — the two cases
-    demand different reactions (stop vs. cold start), so they are
-    different exceptions.
-    """
-    text = path.read_text(encoding="utf-8")
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise CheckpointError(f"{path}: checkpoint document is not an object")
-    if document.get("schema") != CHECKPOINT_SCHEMA:
-        raise CheckpointError(
-            f"{path}: schema {document.get('schema')!r}, "
-            f"expected {CHECKPOINT_SCHEMA!r}"
-        )
-    payload_text = document.get("payload")
-    if not isinstance(payload_text, str):
-        raise CheckpointError(f"{path}: missing payload")
-    if config_digest(decode(payload_text)) != document.get("payload_sha256"):
-        raise CheckpointError(f"{path}: payload checksum mismatch")
-    payload = decode(payload_text)
-    if kind is not None and payload.get("kind") != kind:
-        raise CheckpointError(
-            f"{path}: checkpoint kind {payload.get('kind')!r}, "
-            f"expected {kind!r}"
-        )
-    return payload
-
-
-class CheckpointStore:
-    """Latest-wins checkpoint files, one per ``kind``, in one directory.
-
-    Each ``save`` atomically replaces ``<dir>/<kind>.ckpt.json``; the
-    store never keeps history (the bit-exact contract makes any valid
-    checkpoint as good as any other — resuming from an older one just
-    recomputes more). ``load`` returns ``None`` when no checkpoint of
-    that kind exists yet.
-    """
-
-    def __init__(self, directory: Path):
-        self.directory = Path(directory)
-
-    def path_for(self, kind: str) -> Path:
-        return self.directory / f"{kind}.ckpt.json"
-
-    def save(self, kind: str, state: Any, *, step: int = 0) -> Path:
-        path = self.path_for(kind)
-        write_checkpoint(path, state, kind=kind, step=step)
-        return path
-
-    def load(self, kind: str) -> Optional[Dict[str, Any]]:
-        """The latest payload of ``kind``, or ``None`` before the first
-        save. Corrupt files raise :class:`CheckpointError`."""
-        path = self.path_for(kind)
-        try:
-            return read_checkpoint(path, kind=kind)
-        except FileNotFoundError:
-            return None
+    """A journal exists but cannot be trusted (schema mismatch,
+    checksum failure, corruption before the last line). Never raised
+    for an *absent* journal — missing means "start from zero", broken
+    means stop."""
 
 
 class CompletionJournal:

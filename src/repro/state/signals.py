@@ -1,14 +1,14 @@
 """Graceful SIGINT/SIGTERM handling for ``python -m repro`` runs.
 
-The CLI wraps its dispatch in :class:`GracefulShutdown`; work loops
-call ``check()`` at their barriers (between jobs, between scenarios).
-A signal does not interrupt mid-computation — it flips a flag, and the
-next ``check()`` raises :class:`ShutdownRequested`, at which point the
-caller writes its final checkpoint, flushes any partial RunReport, and
-exits with the conventional ``128 + signum`` code and a named reason
-instead of a traceback. A second signal while the first is still
-pending restores the default handler, so an impatient double Ctrl-C
-still kills the process immediately.
+The CLI wraps the dispatch of every job-running command in
+:class:`GracefulShutdown`; the job scheduler calls ``check()`` at its
+barriers (between jobs). A signal does not interrupt mid-computation —
+it flips a flag, and the next ``check()`` raises
+:class:`ShutdownRequested`, at which point the caller flushes any
+partial RunReport and exits with the conventional ``128 + signum``
+code and a named reason instead of a traceback. A second signal while
+the first is still pending restores the default handler, so an
+impatient double Ctrl-C still kills the process immediately.
 """
 
 import signal
@@ -21,7 +21,7 @@ _HANDLED = (signal.SIGINT, signal.SIGTERM)
 
 
 class ShutdownRequested(RuntimeError):
-    """A handled signal arrived; unwind through a checkpoint and exit."""
+    """A handled signal arrived; unwind from a job boundary and exit."""
 
     def __init__(self, signum: int):
         self.signum = int(signum)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.exec.cache import ENTRY_SCHEMA, ResultCache, open_cache
+from repro.exec.cache import ENTRY_SCHEMA, ResultCache
 from repro.exec.jobs import Job
 
 
@@ -135,10 +135,6 @@ class TestMaintenance:
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
-
-    def test_open_cache_none_passthrough(self, tmp_path):
-        assert open_cache(None) is None
-        assert isinstance(open_cache(tmp_path), ResultCache)
 
     def test_two_level_fanout(self, cache):
         job = _job()

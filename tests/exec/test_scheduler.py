@@ -8,7 +8,6 @@ from repro.exec.scheduler import (
     JobRunner,
     ProcessPoolScheduler,
     resolve_jobs,
-    run_jobs,
 )
 
 
@@ -52,10 +51,6 @@ class TestSerial:
         runner = JobRunner(jobs=1)
         runner.map(_echo_jobs(3))
         assert runner.counters["executed"] == 3
-
-    def test_run_jobs_one_shot(self):
-        results = run_jobs(_echo_jobs(2), n_jobs=1)
-        assert [r["payload"] for r in results] == [0, 1]
 
 
 class TestPool:

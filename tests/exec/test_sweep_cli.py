@@ -5,10 +5,13 @@ A bad argument is a usage error (exit 2, one line on stderr), decided
 before any job runs; exit 1 is reserved for a job that failed.
 """
 
+import signal
+
 import pytest
 
 from repro.__main__ import main
 from repro.exec import JobRunner
+from repro.state.signals import GracefulShutdown
 
 
 @pytest.mark.parametrize(
@@ -42,8 +45,6 @@ def test_bad_argument_exits_2_before_any_job(
          "--jobs must be an integer >= 1 or 'auto', got '0'"),
         (["fig7", "--jobs", "abc"],
          "--jobs must be an integer >= 1 or 'auto', got 'abc'"),
-        (["fig7", "--jobs", "1", "--checkpoint-every", "-1"],
-         "--checkpoint-every must be >= 0, got -1"),
         (["fig7", "--jobs", "1", "--kill-after", "0"],
          "--kill-after must be >= 1, got 0"),
         (["fig8", "--resume"],
@@ -53,9 +54,8 @@ def test_bad_argument_exits_2_before_any_job(
          "leave no journal to resume from"),
     ],
     ids=[
-        "jobs-zero", "jobs-not-a-number", "checkpoint-every-negative",
-        "kill-after-zero", "resume-without-checkpoint-dir",
-        "kill-after-without-checkpoint-dir",
+        "jobs-zero", "jobs-not-a-number", "kill-after-zero",
+        "resume-without-checkpoint-dir", "kill-after-without-checkpoint-dir",
     ],
 )
 def test_bad_executor_flag_exits_2_before_dispatch(
@@ -85,14 +85,16 @@ _FIXED_GRID = ("fig2", "fig6", "spike", "table1", "table2", "table3")
     "argv",
     [[name, "--jobs", "2"] for name in _IN_PROCESS]
     + [["table3", "--cache-dir", "D"], ["table1", "--checkpoint-dir", "D"],
-       ["spike", "--cache-dir", "D"], ["fig2", "--checkpoint-dir", "D"]]
+       ["spike", "--cache-dir", "D"], ["fig2", "--checkpoint-dir", "D"],
+       ["fig7", "--checkpoint-every", "8"]]
     + [[name, "--loads", "0.3"] for name in _FIXED_GRID],
     ids=lambda argv: argv[0] + argv[1],
 )
 def test_flag_the_experiment_cannot_use_exits_2(argv, capsys, monkeypatch):
     """A subcommand offers ``--loads`` and the executor flags only when
     its ``run`` takes them, so argparse rejects the rest before any
-    work — none is silently ignored."""
+    work — none is silently ignored. No subcommand offers the deleted
+    ``--checkpoint-every``."""
     import repro.__main__ as cli
 
     def no_dispatch(args, shutdown):
@@ -103,3 +105,32 @@ def test_flag_the_experiment_cannot_use_exits_2(argv, capsys, monkeypatch):
         cli.main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: Commands that run no jobs, and commands that do.
+_NO_JOBS = ("table1", "fig2", "list", "analyze")
+_RUNS_JOBS = ("fig7", "sweep", "chaos", "all")
+
+
+@pytest.mark.parametrize("command", _NO_JOBS + _RUNS_JOBS)
+def test_only_job_running_commands_trap_sigterm(command, monkeypatch):
+    """SIGINT/SIGTERM become a polled flag only where a job boundary
+    polls it; a command that runs no jobs keeps the default signal
+    handling, so a signal stops it at once instead of being
+    swallowed."""
+    import repro.__main__ as cli
+
+    before = signal.getsignal(signal.SIGTERM)
+    seen = []
+
+    def record(args, shutdown):
+        seen.append(signal.getsignal(signal.SIGTERM))
+        return 0
+
+    monkeypatch.setattr(cli, "_dispatch", record)
+    assert cli.main([command]) == 0
+    if command in _RUNS_JOBS:
+        assert isinstance(getattr(seen[0], "__self__", None), GracefulShutdown)
+    else:
+        assert seen[0] is before
+    assert signal.getsignal(signal.SIGTERM) is before

@@ -1,2 +1,2 @@
-"""Tests for repro.state: checkpoint files, the completion journal,
-graceful shutdown and the kill/``--resume`` drills."""
+"""Tests for repro.state: the completion journal, graceful shutdown
+and the kill/``--resume`` drills."""

@@ -1,88 +1,14 @@
-"""Checkpoint files and the completion journal: atomicity, checksums,
-torn-tail tolerance and canonical-form byte identity."""
-
-import json
+"""The completion journal: checksums, torn-tail tolerance and
+canonical-form byte identity."""
 
 import pytest
 
 from repro.exec.canonical import canonical_json, config_digest
 from repro.state.checkpoint import (
-    CHECKPOINT_SCHEMA,
+    JOURNAL_SCHEMA,
     CheckpointError,
-    CheckpointStore,
     CompletionJournal,
-    read_checkpoint,
-    write_checkpoint,
 )
-from repro.state.checkpoint import JOURNAL_SCHEMA
-
-
-class TestCheckpointFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "run.ckpt.json"
-        write_checkpoint(path, {"cursor": 7, "rows": [1, 2]},
-                         kind="demo", step=7)
-        payload = read_checkpoint(path, kind="demo")
-        assert payload["kind"] == "demo"
-        assert payload["step"] == 7
-        assert payload["state"] == {"cursor": 7, "rows": [1, 2]}
-
-    def test_document_is_canonical_and_self_checksummed(self, tmp_path):
-        path = tmp_path / "run.ckpt.json"
-        digest = write_checkpoint(path, {"a": 1}, kind="demo")
-        document = json.loads(path.read_text())
-        assert document["schema"] == CHECKPOINT_SCHEMA
-        assert document["payload_sha256"] == digest
-        assert config_digest(json.loads(document["payload"])) == digest
-
-    def test_kind_mismatch_raises(self, tmp_path):
-        path = tmp_path / "run.ckpt.json"
-        write_checkpoint(path, {}, kind="sweep")
-        with pytest.raises(CheckpointError, match="kind"):
-            read_checkpoint(path, kind="chaos")
-
-    def test_tampered_payload_raises(self, tmp_path):
-        path = tmp_path / "run.ckpt.json"
-        write_checkpoint(path, {"cursor": 7}, kind="demo")
-        document = json.loads(path.read_text())
-        document["payload"] = document["payload"].replace("7", "8")
-        path.write_text(json.dumps(document))
-        with pytest.raises(CheckpointError, match="checksum"):
-            read_checkpoint(path)
-
-    def test_garbage_raises_missing_is_file_not_found(self, tmp_path):
-        path = tmp_path / "run.ckpt.json"
-        path.write_text("{not json")
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            read_checkpoint(path)
-        with pytest.raises(FileNotFoundError):
-            read_checkpoint(tmp_path / "absent.ckpt.json")
-
-    def test_write_leaves_no_temp_files(self, tmp_path):
-        path = tmp_path / "run.ckpt.json"
-        for step in range(3):
-            write_checkpoint(path, {"step": step}, kind="demo", step=step)
-        assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt.json"]
-
-
-class TestCheckpointStore:
-    def test_latest_wins(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("sweep", {"executed": 8}, step=8)
-        store.save("sweep", {"executed": 16}, step=16)
-        payload = store.load("sweep")
-        assert payload["step"] == 16
-        assert payload["state"] == {"executed": 16}
-
-    def test_absent_kind_loads_none(self, tmp_path):
-        assert CheckpointStore(tmp_path).load("never-saved") is None
-
-    def test_kinds_are_isolated(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("sweep", {"n": 1})
-        store.save("chaos", {"n": 2})
-        assert store.load("sweep")["state"] == {"n": 1}
-        assert store.load("chaos")["state"] == {"n": 2}
 
 
 class TestCompletionJournal:
