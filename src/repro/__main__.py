@@ -358,10 +358,17 @@ def _dispatch(args, shutdown) -> int:
     )
     executor = exec_cli.runner_from_args(args, shutdown=shutdown)
     for name in names:
+        # fig2, fig6, spike, table1 and table3 run no jobs, so no job
+        # boundary polls the flag while they run: poll it between
+        # experiments, and once after the last.
+        if shutdown is not None:
+            shutdown.check()
         _run_one(
             name, getattr(args, "loads", None), report_dir=args.report_dir,
             executor=executor,
         )
+    if shutdown is not None:
+        shutdown.check()
     return 0
 
 

@@ -672,22 +672,16 @@ class InferenceEngine:
         if not jobs:
             self._after_mmu(batch, step_index)
             return
-        remaining = [len(jobs)]
-
-        def _job_done() -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                self._after_mmu(batch, step_index)
-
         # The whole step's instruction stream goes down in one batch —
         # a single arbiter wake-up instead of one per job, with the
         # per-instruction grant policy unchanged (the unit is busy from
-        # the first grant, so the scalar path's extra pumps were no-ops).
+        # the first grant, so the scalar path's extra pumps were no-ops)
+        # — and one drain event, when the stream's last job drains.
         self.mmu.issue_batch(
             jobs,
             real_rows_fn=lambda job: min(batch.real_count, job.rows),
             context="inference",
-            on_done=_job_done,
+            on_done=lambda: self._after_mmu(batch, step_index),
         )
 
     def _after_mmu(self, batch: Batch, step_index: int) -> None:
@@ -768,15 +762,27 @@ class TrainingEngine:
             step.stream_bytes / len(step.mmu_jobs) if step.mmu_jobs else 0.0
             for step in program.steps
         ]
+        self._step_job_counts: List[int] = [
+            len(step.mmu_jobs) for step in program.steps
+        ]
         self._staging_bytes = config.staging_bytes
         self._useful_ops = program.total_useful_ops
+        # Software-committed blocks enter the inference FIFO (they are
+        # not revocable); hardware policies use the training queue. A
+        # per-policy constant, so it is read once.
+        self._blocks_preemption = scheduler.training_blocks_preemption()
+        self._mmu_queue = "inference" if self._blocks_preemption else "training"
         self.iterations: List[TrainingIterationRecord] = []
         self.jobs_issued = 0
         self._started = False
         # Pipeline state.
         self._exec_step = 0  # step whose jobs may enter the MMU queue
-        self._exec_jobs_done = 0
-        self._prefetch_cursor: Tuple[int, int] = (0, 0)  # (step, job)
+        # Jobs of ``_exec_step`` handed to the MMU so far; the one that
+        # completes the count carries the step's only drain callback.
+        self._exec_jobs_issued = 0
+        #: (step, job) of the next job to prefetch; None once the
+        #: iteration's last job is prefetched.
+        self._prefetch_cursor = self._advance_cursor(0, 0)
         self._staged: List[Tuple[int, int]] = []
         self._staged_bytes = 0.0
         self._inflight_prefetch_bytes = 0.0
@@ -817,19 +823,24 @@ class TrainingEngine:
     # Prefetch stage
     # ------------------------------------------------------------------
 
-    def _advance_cursor(self) -> Optional[Tuple[int, int]]:
-        """Skip over empty steps to the next prefetchable job."""
-        step_idx, job_idx = self._prefetch_cursor
-        while step_idx < len(self.program.steps):
-            jobs = self.program.steps[step_idx].mmu_jobs
-            if job_idx < len(jobs):
+    def _advance_cursor(
+        self, step_idx: int, job_idx: int
+    ) -> Optional[Tuple[int, int]]:
+        """The first job at or after ``(step_idx, job_idx)``, skipping
+        empty steps; ``None`` past the program's last job."""
+        counts = self._step_job_counts
+        while step_idx < len(counts):
+            if job_idx < counts[step_idx]:
                 return step_idx, job_idx
             step_idx += 1
             job_idx = 0
         return None
 
     def _maybe_prefetch(self) -> None:
-        position = self._advance_cursor()
+        # Most calls find the staging slice full, so the cursor always
+        # points at the next job to prefetch and the capacity test
+        # comes first.
+        position = self._prefetch_cursor
         if position is None:
             return
         step_idx, job_idx = position
@@ -842,7 +853,10 @@ class TrainingEngine:
             and outstanding + stream > self._staging_bytes
         ):
             return
-        self._prefetch_cursor = (step_idx, job_idx + 1)
+        if job_idx + 1 < self._step_job_counts[step_idx]:
+            self._prefetch_cursor = (step_idx, job_idx + 1)
+        else:
+            self._prefetch_cursor = self._advance_cursor(step_idx + 1, 0)
         self._prefetch_outstanding += 1
         self._inflight_prefetch_bytes += stream
         prefetch_issued = self.sim.now
@@ -880,7 +894,7 @@ class TrainingEngine:
             step_idx, job_idx = self._staged[0]
             if step_idx != self._exec_step:
                 break  # staged job belongs to a future step
-            if self.scheduler.training_blocks_preemption():
+            if self._blocks_preemption:
                 # Software scheduling: commit whole steps; once the
                 # first job of a step is dispatched the block cannot be
                 # revoked, but a new block needs the quiet-queue gate.
@@ -894,16 +908,8 @@ class TrainingEngine:
             self._issue_job(step_idx, job_idx)
 
     def _issue_job(self, step_idx: int, job_idx: int) -> None:
-        step = self.program.steps[step_idx]
-        job = step.mmu_jobs[job_idx]
+        job = self.program.steps[step_idx].mmu_jobs[job_idx]
         stream = self._job_stream_bytes[step_idx]
-        # Software-committed blocks enter the inference FIFO (they are
-        # not revocable); hardware policies use the training queue.
-        queue = (
-            "inference"
-            if self.scheduler.training_blocks_preemption()
-            else "training"
-        )
 
         def _issued() -> None:
             # The arrays consume the staged tiles as the job starts;
@@ -912,19 +918,24 @@ class TrainingEngine:
             self._prefetch_outstanding -= 1
             self._maybe_prefetch()
 
-        def _done() -> None:
-            self._exec_jobs_done += 1
-            if self._exec_jobs_done == len(step.mmu_jobs):
-                self._finish_step(step_idx)
-
+        # All of a step's jobs enter one FIFO queue of the one MMU,
+        # which grants one job at a time and drains each a constant
+        # delay after its issue completes. So the step's last job to be
+        # handed over — not its last by job index, which an ECC retry
+        # can stage late — is the last to drain (DESIGN.md, "One
+        # completion per MMU step").
+        self._exec_jobs_issued += 1
+        on_done = None
+        if self._exec_jobs_issued == self._step_job_counts[step_idx]:
+            on_done = lambda: self._finish_step(step_idx)
         self.jobs_issued += 1
         self.mmu.issue(
             job,
             real_rows=job.rows,
             context="training",
             on_issue=_issued,
-            on_done=_done,
-            queue=queue,
+            on_done=on_done,
+            queue=self._mmu_queue,
         )
 
     def _finish_step(self, step_idx: int) -> None:
@@ -980,7 +991,7 @@ class TrainingEngine:
             self._finish_iteration()
             return
         self._exec_step = next_idx
-        self._exec_jobs_done = 0
+        self._exec_jobs_issued = 0
         self._exec_step_started = self.sim.now
         self._maybe_issue()
         self._maybe_prefetch()
@@ -1001,9 +1012,9 @@ class TrainingEngine:
         # always available (paper §5).
         self._iteration_start = self.sim.now
         self._exec_step = 0
-        self._exec_jobs_done = 0
+        self._exec_jobs_issued = 0
         self._exec_step_started = self.sim.now
-        self._prefetch_cursor = (0, 0)
+        self._prefetch_cursor = self._advance_cursor(0, 0)
         self._staged.clear()
         self._staged_bytes = 0.0
         self._inflight_prefetch_bytes = 0.0

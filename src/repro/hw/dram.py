@@ -19,7 +19,7 @@ budget falls back to the slow host-side correction path (delivered,
 counted ``hbm_retry_exhausted``) rather than wedging the pipeline.
 """
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.hw.config import AcceleratorConfig
 from repro.sim.engine import Simulator
@@ -48,6 +48,8 @@ class HBMInterface:
         )
         self.bytes_by_kind: dict = {}
         self._fault_injector = None
+        #: ``_block_align`` memo: transfer size -> block-aligned size.
+        self._aligned: Dict[float, float] = {}
 
     def set_fault_injector(self, injector) -> None:
         """Attach a fault injector sampling transient ECC errors."""
@@ -62,9 +64,13 @@ class HBMInterface:
         return self._channel.bytes_transferred
 
     def _block_align(self, size_bytes: float) -> float:
-        block = self.config.dram.block_bytes
-        blocks = max(1, -(-int(size_bytes) // block)) if size_bytes > 0 else 0
-        return float(blocks * block)
+        # A program streams a few distinct sizes over and over.
+        aligned = self._aligned.get(size_bytes)
+        if aligned is None:
+            block = self.config.dram.block_bytes
+            blocks = max(1, -(-int(size_bytes) // block)) if size_bytes > 0 else 0
+            aligned = self._aligned[size_bytes] = float(blocks * block)
+        return aligned
 
     def transfer(
         self,

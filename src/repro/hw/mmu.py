@@ -68,6 +68,14 @@ class MatrixMultiplyUnit:
         self._fault_injector = None
         self._busy = False
         self._last_granted = TRAINING  # so the first round-robin pick is inference
+        # The one job in service, with the amounts its completion books.
+        self._svc_context = INFERENCE
+        self._svc_on_done: Optional[Callable[[], None]] = None
+        self._svc_occupancy = 0.0
+        self._svc_working = 0.0
+        self._svc_dummy = 0.0
+        self._svc_other = 0.0
+        self._svc_useful_ops = 0.0
         self.accounting = CycleAccounting()
         self.throughput = ThroughputMeter()
         #: Throughput attributed per context (Figure 9's split).
@@ -135,7 +143,8 @@ class MatrixMultiplyUnit:
         self._queues[target].append(
             _QueuedJob(job, real_rows, context, on_done, on_issue)
         )
-        self.pump()
+        if not self._busy:
+            self.pump()
 
     def issue_batch(
         self,
@@ -148,18 +157,25 @@ class MatrixMultiplyUnit:
     ) -> int:
         """Enqueue a tile's whole instruction stream with one pump.
 
-        Timing-identical to issuing each job via :meth:`issue`: while
-        the unit is busy (which it is from the first grant on),
-        ``pump()`` is a no-op, so the per-job pumps of the scalar path
-        do nothing but burn cycles. Arbitration still happens *per
-        instruction* at every completion — the paper's §3.2 contract —
-        only the redundant wake-ups are elided. Returns the number of
-        jobs enqueued.
+        Issue timing is identical to issuing each job via
+        :meth:`issue`: while the unit is busy (which it is from the
+        first grant on), ``pump()`` is a no-op, so the per-job pumps of
+        the scalar path do nothing but burn cycles. Arbitration still
+        happens *per instruction* at every completion — the paper's
+        §3.2 contract — only the redundant wake-ups are elided.
+
+        ``on_done`` rides on the last job only and fires once, when
+        that job's results have drained. That is when the whole stream
+        has drained: the jobs share one FIFO queue of the one unit,
+        which grants one job at a time, and the drain delay is a
+        constant. ``on_issue`` fires at every job's grant. Returns the
+        number of jobs enqueued.
         """
         target = queue or context
         if target not in self._queues:
             raise KeyError(f"unknown MMU queue {target!r}")
         q = self._queues[target]
+        entry = None
         count = 0
         for job in jobs:
             real_rows = real_rows_fn(job)
@@ -167,10 +183,13 @@ class MatrixMultiplyUnit:
                 raise ValueError(
                     f"real_rows {real_rows} outside 0..{job.rows}"
                 )
-            q.append(_QueuedJob(job, real_rows, context, on_done, on_issue))
+            entry = _QueuedJob(job, real_rows, context, None, on_issue)
+            q.append(entry)
             count += 1
-        if count:
-            self.pump()
+        if entry is not None:
+            entry.on_done = on_done
+            if not self._busy:
+                self.pump()
         return count
 
     def pump(self) -> None:
@@ -201,10 +220,6 @@ class MatrixMultiplyUnit:
     def _grant(self, entry: _QueuedJob) -> None:
         job = entry.job
         real_frac = entry.real_rows / job.rows if job.rows else 0.0
-        working = job.cycles * job.utilization * real_frac
-        dummy = job.cycles * job.utilization * (1.0 - real_frac)
-        other = job.cycles * (1.0 - job.utilization)
-        useful_ops = 2.0 * job.macs * job.utilization * real_frac
         # Injected tile/PE stall: the job holds the unit for extra
         # cycles doing no useful work — Figure 8's "other" category.
         stall = (
@@ -212,42 +227,49 @@ class MatrixMultiplyUnit:
             if self._fault_injector is not None else 0.0
         )
         occupancy = job.cycles + stall
-        other += stall
+        self._svc_context = entry.context
+        self._svc_on_done = entry.on_done
+        self._svc_occupancy = occupancy
+        self._svc_working = job.cycles * job.utilization * real_frac
+        self._svc_dummy = job.cycles * job.utilization * (1.0 - real_frac)
+        self._svc_other = job.cycles * (1.0 - job.utilization) + stall
+        self._svc_useful_ops = 2.0 * job.macs * job.utilization * real_frac
 
         self._busy = True
         self.jobs_issued += 1
         if entry.on_issue is not None:
             entry.on_issue()
-
-        def _issue_complete() -> None:
-            self._busy = False
-            # Accounting accrues at completion so a measurement window
-            # never contains cycles that have not elapsed yet.
-            self.busy_cycles += occupancy
-            self.busy_by_context[entry.context] = (
-                self.busy_by_context.get(entry.context, 0.0) + occupancy
-            )
-            self.accounting.add("working", working)
-            self.accounting.add("dummy", dummy)
-            self.accounting.add("other", other)
-            self.throughput.record(useful_ops, self.sim.now)
-            meter = self.throughput_by_context.get(entry.context)
-            if meter is None:
-                meter = self.throughput_by_context[entry.context] = (
-                    ThroughputMeter()
-                )
-            meter.record(useful_ops, self.sim.now)
-            if entry.on_done is not None:
-                # Results drain through the array after the last row
-                # enters; the unit itself is free for the next job.
-                self.sim.after_call(self._drain_cycles, entry.on_done)
-            self.pump()
-
         # A granted job is never revoked (the arbiter commits at grant),
         # so both completion hops ride the anonymous fire-and-forget
         # lane — these are the two densest event classes in the whole
-        # simulation.
-        self.sim.after_call(occupancy, _issue_complete)
+        # simulation. One job is in service at a time, so its numbers
+        # live on the unit and the completion is a bound method.
+        self.sim.after_call(occupancy, self._issue_complete)
+
+    def _issue_complete(self) -> None:
+        context = self._svc_context
+        occupancy = self._svc_occupancy
+        useful_ops = self._svc_useful_ops
+        self._busy = False
+        # Accounting accrues at completion so a measurement window
+        # never contains cycles that have not elapsed yet.
+        self.busy_cycles += occupancy
+        self.busy_by_context[context] = (
+            self.busy_by_context.get(context, 0.0) + occupancy
+        )
+        self.accounting.add("working", self._svc_working)
+        self.accounting.add("dummy", self._svc_dummy)
+        self.accounting.add("other", self._svc_other)
+        self.throughput.record(useful_ops, self.sim.now)
+        meter = self.throughput_by_context.get(context)
+        if meter is None:
+            meter = self.throughput_by_context[context] = ThroughputMeter()
+        meter.record(useful_ops, self.sim.now)
+        if self._svc_on_done is not None:
+            # Results drain through the array after the last row
+            # enters; the unit itself is free for the next job.
+            self.sim.after_call(self._drain_cycles, self._svc_on_done)
+        self.pump()
 
     # ------------------------------------------------------------------
     # Measurements

@@ -15,7 +15,9 @@ relationship at the heart of the paper's §4 analysis.
 The compiler aggregates the instructions of one step into a small
 number of jobs (see :mod:`repro.hw.isa` for why this is behaviour-
 preserving) sized to a configurable occupancy target so the hardware
-scheduler keeps a fine interleaving granularity.
+scheduler keeps a fine interleaving granularity. A layer's pass is
+chunked once: its repeats (the time steps of a recurrent layer) get one
+``list`` each of the same frozen :class:`MMUJob` objects.
 """
 
 import math
@@ -172,12 +174,11 @@ class TileCompiler:
             rows = batch * layer.rows_per_sample
             tiling = tile_gemm(rows, layer.k, layer.n_out, config)
             simd = _simd_job(batch * layer.simd_ops_per_sample, tiling, config)
+            jobs = _chunk_jobs(tiling, config, batch, 0.0, self.chunk_us)
             for rep in range(layer.repeats):
                 steps.append(
                     StepProgram(
-                        mmu_jobs=_chunk_jobs(
-                            tiling, config, batch, 0.0, self.chunk_us
-                        ),
+                        mmu_jobs=list(jobs),
                         simd=simd,
                         label=f"{layer.name}[{rep}]",
                     )
@@ -234,14 +235,15 @@ class TileCompiler:
             tiling = tile_gemm(rows, layer.k, layer.n_out, config)
             simd = _simd_job(batch * layer.simd_ops_per_sample, tiling, config)
             stash = DRAMRequest(rows * layer.k * stash_bytes, kind="stash_out")
+            jobs = _chunk_jobs(
+                tiling, config, batch, w_bytes, self.chunk_us,
+                stream_bytes=w_bytes,
+                max_stream_bytes=max_stream_bytes,
+            )
             for rep in range(layer.repeats):
                 steps.append(
                     StepProgram(
-                        mmu_jobs=_chunk_jobs(
-                            tiling, config, batch, w_bytes, self.chunk_us,
-                            stream_bytes=w_bytes,
-                            max_stream_bytes=max_stream_bytes,
-                        ),
+                        mmu_jobs=list(jobs),
                         simd=simd,
                         dram=[stash],
                         label=f"fwd:{layer.name}[{rep}]",
@@ -260,14 +262,15 @@ class TileCompiler:
                 tiling = tile_gemm(rows, layer.n_out, layer.k, config)
                 simd = _simd_job(batch * layer.simd_ops_per_sample, tiling, config)
                 stash = DRAMRequest(rows * layer.n_out * stash_bytes, kind="stash_out")
+                jobs = _chunk_jobs(
+                    tiling, config, batch, w_bytes, self.chunk_us,
+                    stream_bytes=w_bytes,
+                    max_stream_bytes=max_stream_bytes,
+                )
                 for rep in range(layer.repeats):
                     steps.append(
                         StepProgram(
-                            mmu_jobs=_chunk_jobs(
-                                tiling, config, batch, w_bytes, self.chunk_us,
-                                stream_bytes=w_bytes,
-                                max_stream_bytes=max_stream_bytes,
-                            ),
+                            mmu_jobs=list(jobs),
                             simd=simd,
                             dram=[stash],
                             label=f"dgrad:{layer.name}[{rep}]",

@@ -25,7 +25,11 @@ import math
 import re
 from typing import Any, Callable, Dict, Mapping, Union
 
-from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from repro.obs.sketch import (
+    DEFAULT_RELATIVE_ACCURACY,
+    QuantileSketch,
+    check_sample,
+)
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -87,10 +91,26 @@ class Gauge:
             self.set(value)
 
 
-class Histogram:
-    """A streaming distribution backed by :class:`QuantileSketch`."""
+#: Distinct values a :class:`Histogram` buffers before folding them into
+#: its sketch. Span durations repeat heavily (a training load point's
+#: prefetch spans take about 120 distinct values), request spans hardly at
+#: all; the cap bounds the buffer's memory for the latter.
+_BUFFER_LIMIT = 256
 
-    __slots__ = ("name", "help", "sketch")
+
+class Histogram:
+    """A streaming distribution backed by :class:`QuantileSketch`.
+
+    ``observe`` only counts ``value -> count`` in a buffer; the buffer
+    is folded into the sketch (one ``observe(value, count)`` per
+    distinct value) when any reader asks, or when it holds
+    :data:`_BUFFER_LIMIT` distinct values. The fold is exact: every
+    reading of the sketch — buckets (collapsed ones included), zero/inf
+    counts, min, max and the exact-expansion ``sum`` — depends only on
+    the multiset of samples, not on their order.
+    """
+
+    __slots__ = ("name", "help", "_sketch", "_pending")
 
     def __init__(
         self,
@@ -100,10 +120,32 @@ class Histogram:
     ):
         self.name = _check_name(name)
         self.help = help
-        self.sketch = QuantileSketch(relative_accuracy=relative_accuracy)
+        self._sketch = QuantileSketch(relative_accuracy=relative_accuracy)
+        self._pending: Dict[float, int] = {}
 
     def observe(self, value: float) -> None:
-        self.sketch.observe(value)
+        pending = self._pending
+        count = pending.get(value)
+        if count is not None:
+            # Equal to a buffered key, which was checked when added.
+            pending[value] = count + 1
+            return
+        pending[check_sample(value)] = 1
+        if len(pending) >= _BUFFER_LIMIT:
+            self._fold()
+
+    def _fold(self) -> None:
+        pending = self._pending
+        if pending:
+            observe = self._sketch.observe
+            for value, count in pending.items():
+                observe(value, count)
+            pending.clear()
+
+    @property
+    def sketch(self) -> QuantileSketch:
+        self._fold()
+        return self._sketch
 
     @property
     def count(self) -> int:

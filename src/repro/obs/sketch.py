@@ -44,6 +44,18 @@ def _grow_expansion(partials: List[float], x: float) -> None:
         x = hi
     partials[i:] = [x]
 
+
+def check_sample(value: float) -> float:
+    """``value`` as a float, or ``ValueError`` for NaN and negatives (a
+    NaN sample is always an upstream bug)."""
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError("cannot observe NaN")
+    if value < 0:
+        raise ValueError(f"cannot observe negative value {value}")
+    return value
+
+
 #: Default guaranteed relative accuracy of quantile estimates.
 DEFAULT_RELATIVE_ACCURACY = 0.005
 
@@ -104,18 +116,22 @@ class QuantileSketch:
         negatives and NaN (a NaN sample is always an upstream bug)."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError("cannot observe NaN")
-        if value < 0:
-            raise ValueError(f"cannot observe negative value {value}")
+        value = check_sample(value)
         self._count += count
         self._min = value if self._min is None else min(self._min, value)
         self._max = value if self._max is None else max(self._max, value)
         if math.isinf(value):
             self._inf_count += count
             return
-        _grow_expansion(self._partials, value * count)
+        # ``value * count`` would round; one ``value * 2**k`` term per
+        # set bit ``k`` of ``count`` is exact, so the expansion equals
+        # that of ``count`` single observations.
+        bits, k = count, 0
+        while bits:
+            if bits & 1:
+                _grow_expansion(self._partials, math.ldexp(value, k))
+            bits >>= 1
+            k += 1
         if value == 0.0:
             self._zero_count += count
             return
@@ -153,7 +169,12 @@ class QuantileSketch:
             self._collapse_lowest()
 
     def _collapse_lowest(self) -> None:
-        """Fold the lowest bucket into its neighbour (bounded memory)."""
+        """Fold the lowest bucket into its neighbour (bounded memory).
+
+        Collapsing does not depend on observation order: the buckets
+        always hold the ``max_buckets - 1`` highest indices seen with
+        their own counts, and the next highest with every lower count.
+        """
         lowest, second = sorted(self._buckets)[:2]
         self._buckets[second] += self._buckets.pop(lowest)
 

@@ -8,6 +8,7 @@ host) that serialize transfers at a given bytes-per-cycle rate.
 
 import heapq
 import itertools
+from collections import deque
 from typing import Callable, Optional
 
 from repro.sim.engine import Simulator
@@ -32,6 +33,11 @@ class SerialResource:
         self._queue: list = []
         self._seq = itertools.count()
         self._busy_until = 0.0
+        #: ``on_done`` of every started, not yet completed service, in
+        #: start order — which is completion order: a service starts
+        #: only once the previous one's completion time has come, so it
+        #: completes no earlier, and a tie fires in schedule order.
+        self._in_service: deque = deque()
         self.busy_cycles = 0.0
         self.busy_by_tag: dict = {}
 
@@ -56,6 +62,11 @@ class SerialResource:
         """Enqueue a request for ``duration`` cycles of exclusive service."""
         if duration < 0:
             raise ValueError(f"negative duration {duration}")
+        if not self._queue and self._busy_until <= self.sim.now:
+            # Idle with nobody waiting: the request would be pushed and
+            # popped straight back, so start it directly.
+            self._start(duration, on_grant, on_done, tag)
+            return
         heapq.heappush(
             self._queue,
             (priority, next(self._seq), duration, on_grant, on_done, tag),
@@ -66,21 +77,36 @@ class SerialResource:
         # While busy, the in-service request's completion re-pumps.
         if not self._queue or self._busy_until > self.sim.now:
             return
-        priority, _seq, duration, on_grant, on_done, tag = heapq.heappop(self._queue)
+        _priority, _seq, duration, on_grant, on_done, tag = heapq.heappop(
+            self._queue
+        )
+        self._start(duration, on_grant, on_done, tag)
+
+    def _start(
+        self,
+        duration: float,
+        on_grant: Optional[Callable[[], None]],
+        on_done: Optional[Callable[[], None]],
+        tag: str,
+    ) -> None:
         self._busy_until = self.sim.now + duration
         self.busy_cycles += duration
         self.busy_by_tag[tag] = self.busy_by_tag.get(tag, 0.0) + duration
+        # Completions are never cancelled: use the anonymous lane and
+        # skip the Event allocation on the busiest event class. The
+        # completion is scheduled before ``on_grant`` runs, so a service
+        # that ``on_grant`` starts re-entrantly (possible only after a
+        # zero-duration one) is scheduled, and completes, after it.
+        self._in_service.append(on_done)
+        self.sim.after_call(duration, self._complete)
         if on_grant is not None:
             on_grant()
 
-        def _complete() -> None:
-            if on_done is not None:
-                on_done()
-            self._pump()
-
-        # Completions are never cancelled: use the anonymous lane and
-        # skip the Event allocation on the busiest event class.
-        self.sim.after_call(duration, _complete)
+    def _complete(self) -> None:
+        on_done = self._in_service.popleft()
+        if on_done is not None:
+            on_done()
+        self._pump()
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of cycles busy over ``horizon`` (default: now)."""

@@ -10,14 +10,17 @@ from repro.core.dispatcher import (
     TenantShare,
     TrainingEngine,
 )
+from repro.core.equinox import EquinoxAccelerator
 from repro.core.scheduler import InferenceOnlyScheduler, PriorityScheduler
 from repro.eval.runner import build_accelerator, simulate_load_point
+from repro.faults import FaultPlan, HBMFaultSpec, MMUFaultSpec
 from repro.faults.admission import AdmissionControl
 from repro.hw.dram import HBMInterface
 from repro.hw.isa import StepProgram
 from repro.hw.mmu import MatrixMultiplyUnit
 from repro.hw.simd import SIMDUnit
 from repro.models.compiler import TileCompiler
+from repro.models.graph import GemmLayer, ModelSpec
 from repro.models.gru import deepbench_gru
 from repro.models.lstm import deepbench_lstm
 from repro.models.resnet import resnet50
@@ -383,6 +386,79 @@ class TestTrainingEngine:
         assert all(
             record.duration_cycles > 0 for record in bench.training.iterations
         )
+
+
+class TestOneDrainPerStep:
+    """Only a step's last job to reach the MMU carries a drain callback.
+    ECC retries land a step's streams out of job order and MMU stalls
+    stretch occupancies, yet the step must finish exactly once, when
+    that job drains."""
+
+    def test_step_finishes_when_its_last_granted_job_drains(self, small_config):
+        model = ModelSpec(
+            name="rnn",
+            layers=(
+                GemmLayer(
+                    name="cell", k=256, n_out=512, repeats=2,
+                    simd_ops_per_sample=64.0,
+                ),
+            ),
+        )
+        accelerator = EquinoxAccelerator(
+            small_config, model, training_model=model, training_batch=8,
+            chunk_us=0.05,
+            fault_plan=FaultPlan(
+                seed=3,
+                hbm=HBMFaultSpec(error_rate=0.3, max_retries=2),
+                mmu=MMUFaultSpec(stall_rate=0.3, stall_cycles=50.0),
+            ),
+        )
+        sim, mmu = accelerator.sim, accelerator.mmu
+        engine = accelerator.training_engine
+        handoffs, granted, completed, finished = [], [], [], []
+
+        def spy(owner, name, record):
+            method = getattr(owner, name)
+
+            def wrapper(*args):
+                record(*args)
+                method(*args)
+
+            setattr(owner, name, wrapper)
+
+        # (iteration, step, job) in MMU hand-off order; the MMU queues
+        # are FIFO, so training grants and completions follow it.
+        spy(engine, "_issue_job", lambda step, job: handoffs.append(
+            (len(engine.iterations), step, job)
+        ))
+        spy(engine, "_finish_step", lambda step: finished.append(
+            (len(engine.iterations), step, sim.now)
+        ))
+        spy(mmu, "_grant", lambda entry: granted.append(entry.context))
+        spy(mmu, "_issue_complete", lambda: completed.append(
+            (granted[len(completed)], sim.now)
+        ))
+        accelerator.run(load=0.3, requests=200, seed=5)
+
+        assert accelerator.fault_counters.hbm_retries > 0
+        assert accelerator.fault_counters.mmu_stalls > 0
+        training_done = [now for context, now in completed if context == "training"]
+        jobs_of, last_done = {}, {}
+        for (iteration, step, job), done in zip(handoffs, training_done):
+            jobs_of.setdefault((iteration, step), []).append(job)
+            last_done[(iteration, step)] = done
+        assert any(jobs != sorted(jobs) for jobs in jobs_of.values())
+
+        drain = small_config.pipeline_drain_cycles
+        step_jobs = [len(step.mmu_jobs) for step in engine.program.steps]
+        drained = {
+            key: done + drain for key, done in last_done.items()
+            if len(jobs_of[key]) == step_jobs[key[1]] and done + drain <= sim.now
+        }
+        assert len(drained) > 10
+        finishes = {(iteration, step): now for iteration, step, now in finished}
+        assert len(finishes) == len(finished)  # none finished twice
+        assert finishes == drained
 
 
 class TestTrainingStreamSizing:

@@ -49,20 +49,22 @@ class TestIssue:
 
 class TestIssueBatch:
     def test_timing_identical_to_scalar_issues(self, sim, tiny_config):
-        """One pump for a whole stream must reproduce the per-job-pump
-        schedule exactly — pump() is a no-op while the unit is busy."""
+        """One pump for a whole stream reproduces the per-job-pump issue
+        schedule — pump() is a no-op while the unit is busy — and the
+        stream's one drain callback fires when the scalar path's last
+        job drains: one issue completion per job plus that one drain."""
         records = {}
+        jobs = [_job(10, rows=4), _job(7, rows=4), _job(3, rows=2)]
         for mode in ("scalar", "batch"):
             local = type(sim)()
             mmu = MatrixMultiplyUnit(local, tiny_config)
-            events = []
-            jobs = [_job(10, rows=4), _job(7, rows=4), _job(3, rows=2)]
+            issued, done = [], []
 
-            def on_issue(events=events, local=local):
-                events.append(("issue", local.now))
+            def on_issue(issued=issued, local=local):
+                issued.append(local.now)
 
-            def on_done(events=events, local=local):
-                events.append(("done", local.now))
+            def on_done(done=done, local=local):
+                done.append(local.now)
 
             if mode == "scalar":
                 for job in jobs:
@@ -78,8 +80,13 @@ class TestIssueBatch:
                 )
                 assert count == 3
             local.run()
-            records[mode] = (events, local.now, local.events_processed)
-        assert records["scalar"] == records["batch"]
+            records[mode] = (issued, done, local.events_processed)
+        scalar_issued, scalar_done, _ = records["scalar"]
+        batch_issued, batch_done, batch_events = records["batch"]
+        assert batch_issued == scalar_issued == [0.0, 10.0, 17.0]
+        assert len(scalar_done) == len(jobs)
+        assert batch_done == [scalar_done[-1]]
+        assert batch_events == len(jobs) + 1
 
     def test_empty_stream_is_a_no_op(self, sim, mmu):
         assert mmu.issue_batch([], lambda job: 0, "inference") == 0

@@ -1,5 +1,7 @@
 """Tile compiler: Figure 4 tiling, chunking, utilization, training plans."""
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -13,7 +15,11 @@ from repro.models.compiler import (
     tile_gemm,
     tiling_utilization,
 )
+from repro.dse.table1 import equinox_configuration
+from repro.exec.canonical import canonical_json
+from repro.models.gru import deepbench_gru
 from repro.models.lstm import deepbench_lstm
+from repro.models.resnet import resnet50
 
 
 class TestTiling:
@@ -154,3 +160,55 @@ class TestTrainingCompilation:
         program = compile_training(tiny_mlp_model, small_config, batch=8)
         dgrads = [s.label for s in program.steps if s.label.startswith("dgrad")]
         assert dgrads == ["dgrad:fc1[0]"]
+
+
+class TestCompiledProgramsPinned:
+    """The compiled programs of the paper's three models on the 500us
+    hbfp8 design, value for value: canonical-JSON sha256 of each."""
+
+    PINS = {
+        ("lstm", "inference"):
+            "7a5d493fc1c392ebe5a4ee3d7b15e40b796cf1ff0df9ba0c5be5715def759821",
+        ("lstm", "training"):
+            "a64cc8ab40eb5e8e5f5eb9a404356853b13111a645935d450ebd799b435e4a45",
+        ("gru", "inference"):
+            "07047324553f03c60bdf588ab779cb0856e0d0be7782266b562a19e168af68cd",
+        ("gru", "training"):
+            "a489cdccc893f919ff1fe41e3fff40945dca53e770cd7c2a932a5c5811fed95f",
+        ("resnet50", "inference"):
+            "9ebfd12a1f21b1b87a298d85eff8f85186664dc7edf0d6dadd9219ea543daf62",
+        ("resnet50", "training"):
+            "338659c4ee4fa1a8160ffe9eb9ffe7d9396cad8d183475d07ce5452b68031ef0",
+    }
+    MODELS = {
+        "lstm": deepbench_lstm,
+        "gru": lambda: deepbench_gru(steps=60),
+        "resnet50": resnet50,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_programs_match_their_pins(self, name):
+        config = equinox_configuration("500us")
+        compiler = TileCompiler(config)
+        model = self.MODELS[name]()
+        programs = {
+            "inference": compiler.compile_inference(model),
+            "training": compiler.compile_training(
+                model, batch=128, max_stream_bytes=config.staging_bytes / 2.0
+            ),
+        }
+        for kind, program in programs.items():
+            text = canonical_json(dataclasses.asdict(program))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == self.PINS[(name, kind)], (name, kind)
+
+    def test_repeats_share_one_job_list(self, tiny_model, small_config):
+        """A recurrent layer is chunked once per pass: its steps hold
+        the same frozen jobs, each in a list of its own."""
+        program = compile_training(tiny_model, small_config, batch=8)
+        fwd = [s for s in program.steps if s.label.startswith("fwd:")]
+        assert len(fwd) == 2
+        assert fwd[0].mmu_jobs is not fwd[1].mmu_jobs
+        assert all(
+            a is b for a, b in zip(fwd[0].mmu_jobs, fwd[1].mmu_jobs)
+        )

@@ -2,10 +2,12 @@
 
 import json
 import math
+import random
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.sketch import QuantileSketch
 
 
 class TestInstruments:
@@ -35,6 +37,61 @@ class TestInstruments:
             with pytest.raises(ValueError):
                 Counter(bad)
         Counter("request.latency_us.p99")  # valid
+
+
+def _span_like_samples(seed, n=3000):
+    """Zeros, +inf, heavy repeats and well over 256 distinct values."""
+    rng = random.Random(seed)
+    repeated = [rng.uniform(1.0, 5e4) for _ in range(40)]
+    samples = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.05:
+            samples.append(0.0)
+        elif roll < 0.07:
+            samples.append(math.inf)
+        elif roll < 0.6:
+            samples.append(rng.choice(repeated))
+        else:
+            samples.append(rng.lognormvariate(5.0, 3.0))
+    return samples
+
+
+class TestBufferedHistogram:
+    """``Histogram`` buffers ``value -> count`` and folds on read; every
+    read must equal an eagerly fed sketch's."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_buckets", [None, 16])
+    def test_reads_equal_an_eager_sketch(self, seed, max_buckets):
+        histogram = Histogram("span.cycles")
+        eager = QuantileSketch()
+        if max_buckets is not None:
+            # Histogram takes the default cap; a tiny one drives the
+            # order-dependent collapse path.
+            histogram._sketch = QuantileSketch(max_buckets=max_buckets)
+            eager = QuantileSketch(max_buckets=max_buckets)
+        samples = _span_like_samples(seed)
+        assert len(set(samples)) > 256
+        for index, value in enumerate(samples):
+            histogram.observe(value)
+            eager.observe(value)
+            if index % 700 == 0:
+                assert histogram.count == eager.count
+                assert histogram.quantile(50) == eager.quantile(50)
+        assert histogram.to_dict() == eager.to_dict()
+        assert histogram.sketch.to_dict() == eager.to_dict()
+        if max_buckets is not None:
+            assert len(histogram.sketch._buckets) == max_buckets
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_rejects_nan_and_negatives_in_observe(self, bad):
+        histogram = Histogram("span.cycles")
+        histogram.observe(3.0)
+        with pytest.raises(ValueError):
+            histogram.observe(bad)
+        assert histogram.count == 1
+        assert histogram.sketch.sum == 3.0
 
 
 class TestRegistry:

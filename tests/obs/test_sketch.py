@@ -120,6 +120,22 @@ class TestBoundedMemory:
         )
 
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_collapse_does_not_depend_on_order(self, seed):
+        """What lets a buffered histogram fold its samples in any order
+        and still match the sketch fed one at a time."""
+        rng = np.random.RandomState(seed)
+        values = (10.0 ** rng.uniform(0, 4, size=60)).tolist()
+        values += rng.choice(values, size=60).tolist()
+        shuffled = list(values)
+        rng.shuffle(shuffled)
+        sketches = [QuantileSketch(max_buckets=4) for _ in range(2)]
+        for sketch, order in zip(sketches, (values, shuffled)):
+            sketch.observe_many(order)
+        assert sketches[0]._buckets == sketches[1]._buckets
+        assert sketches[0].to_dict() == sketches[1].to_dict()
+
+
 class TestMerge:
     def test_merge_equals_union(self):
         left, right, union = (
@@ -138,6 +154,19 @@ class TestMerge:
             assert left.quantile(q) == union.quantile(q)
         assert left.min == union.min and left.max == union.max
         assert left.sum == pytest.approx(union.sum)
+
+    def test_repeated_observe_is_exact(self):
+        """``observe(v, count)`` folds ``count`` samples exactly: the
+        rounded ``v * count`` lost the low bits of this sum."""
+        grouped, single = QuantileSketch(), QuantileSketch()
+        grouped.observe(117.91870367106105, 50)
+        for _ in range(50):
+            single.observe(117.91870367106105)
+        for sketch in (grouped, single):
+            sketch.observe(4.4949106478873815e-11)
+        assert single.sum == 5895.935183553098
+        assert grouped.sum == single.sum
+        assert grouped.to_dict() == single.to_dict()
 
     def test_merge_rejects_accuracy_mismatch(self):
         with pytest.raises(ValueError):

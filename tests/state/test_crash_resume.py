@@ -167,16 +167,17 @@ class TestExperimentDrill:
 
 class TestPlainRunShutdown:
     @pytest.mark.parametrize(
-        "argv, partial",
+        "argv, partial, quiet_checks",
         [
-            (["fig9", "--loads", "0.6"], "fig9.json"),
-            (["chaos", "--requests", "48"], None),
-            (["serve", "--fleet", "2", "4"], None),
+            # An experiment's first check is the poll before it starts.
+            (["fig9", "--loads", "0.6"], "fig9.json", 2),
+            (["chaos", "--requests", "48"], None, 1),
+            (["serve", "--fleet", "2", "4"], None, 1),
         ],
         ids=["fig9", "chaos", "serve"],
     )
     def test_no_executor_flags_still_stop_at_a_job_boundary(
-        self, argv, partial, tmp_path
+        self, argv, partial, quiet_checks, tmp_path
     ):
         """Without ``--jobs``, ``--cache-dir`` or ``--checkpoint-dir``
         the jobs run in-process through the same runner, which polls
@@ -188,12 +189,50 @@ class TestPlainRunShutdown:
             argv + ["--report-dir", str(tmp_path)]
         )
         with pytest.raises(ShutdownRequested):
-            _dispatch(args, _StubShutdown(after=1))
+            _dispatch(args, _StubShutdown(after=quiet_checks))
         if partial is None:
             assert not any(tmp_path.iterdir())
         else:
             report = json.loads((tmp_path / partial).read_text())
             assert report["config"]["partial"] is True
+
+
+class _FlagShutdown:
+    """GracefulShutdown's polling surface with the flag set by hand."""
+
+    def __init__(self):
+        self.pending = None
+
+    def check(self):
+        if self.pending is not None:
+            raise ShutdownRequested(self.pending)
+
+
+class TestAllStopsBetweenExperiments:
+    """fig2, fig6, spike, table1 and table3 run no jobs, so no job
+    boundary polls the flag while they run; ``all`` polls it between
+    experiments and after the last."""
+
+    @pytest.mark.parametrize("landing", ["fig2", "table3"])
+    def test_signal_in_a_jobless_experiment_stops_the_run(
+        self, monkeypatch, landing
+    ):
+        import repro.__main__ as cli
+
+        shutdown = _FlagShutdown()
+        started = []
+
+        def run_one(name, loads, report_dir=None, executor=None):
+            started.append(name)
+            if name == landing:
+                shutdown.pending = signal.SIGTERM
+
+        monkeypatch.setattr(cli, "_run_one", run_one)
+        args = cli._build_parser().parse_args(["all"])
+        with pytest.raises(ShutdownRequested):
+            cli._dispatch(args, shutdown)
+        names = sorted(cli.EXPERIMENTS)
+        assert started == names[: names.index(landing) + 1]
 
 
 class TestSignalExit:
