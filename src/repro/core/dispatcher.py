@@ -672,15 +672,12 @@ class InferenceEngine:
         if not jobs:
             self._after_mmu(batch, step_index)
             return
-        # The whole step's instruction stream goes down in one batch —
-        # a single arbiter wake-up instead of one per job, with the
-        # per-instruction grant policy unchanged (the unit is busy from
-        # the first grant, so the scalar path's extra pumps were no-ops)
-        # — and one drain event, when the stream's last job drains.
+        # The whole step's instruction stream goes down as one queue
+        # entry — a single arbiter wake-up instead of one per job, with
+        # the per-instruction grant policy unchanged — and one drain
+        # event, when the stream's last job drains.
         self.mmu.issue_batch(
-            jobs,
-            real_rows_fn=lambda job: min(batch.real_count, job.rows),
-            context="inference",
+            jobs, batch.real_count, "inference",
             on_done=lambda: self._after_mmu(batch, step_index),
         )
 

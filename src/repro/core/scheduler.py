@@ -14,8 +14,8 @@ plane that can only dispatch training at batch granularity with a long
 decision turnaround — which, as §6 reports, ends up unable to schedule
 training without violating the latency target.
 
-Policies are consulted by the MMU arbiter at every grant through
-:meth:`SchedulingPolicy.select_queue`.
+Policies are consulted by the MMU arbiter at every grant while a
+training job waits, through :meth:`SchedulingPolicy.select_queue`.
 """
 
 from typing import Dict, Optional
@@ -49,17 +49,12 @@ class SchedulingPolicy:
 
     @property
     def decisions(self) -> Dict[str, int]:
-        """Grant tally per outcome (``inference``/``training``/``idle``),
-        recorded by the MMU arbiter at every arbitration."""
+        """Grant tally per outcome (``inference``/``training``/``idle``).
+        The MMU arbiter adds one per arbitration into this very dict,
+        including the lone-inference grants it makes without asking."""
         if self._decisions is None:
             self._decisions = {}
         return self._decisions
-
-    def record_decision(self, choice: Optional[str]) -> None:
-        """Tally one arbitration outcome (``None`` counts as idle)."""
-        key = choice if choice is not None else "idle"
-        tally = self.decisions
-        tally[key] = tally.get(key, 0) + 1
 
     def metrics(self) -> Dict[str, float]:
         """Deferred-source view for a ``MetricsRegistry``."""
@@ -75,7 +70,15 @@ class SchedulingPolicy:
         inference_backlog: int,
         last_granted: str,
     ) -> Optional[str]:
-        """Which queue gets the next issue slot (None = hold idle)."""
+        """Which queue gets the next issue slot (None = hold idle).
+
+        Contract: with the inference queue the only one ready, every
+        policy returns ``"inference"``, degraded or not and at any
+        backlog — the spike guard and degraded mode only ever withhold
+        training. The MMU arbiter relies on it: it grants a lone
+        inference queue without calling this method or reading the
+        backlog signal.
+        """
         raise NotImplementedError
 
     def can_commit_training_block(

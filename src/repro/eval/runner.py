@@ -93,8 +93,9 @@ class ExperimentCapture:
     def observe(self, accelerator: EquinoxAccelerator) -> None:
         """Fold one finished accelerator's totals."""
         config = accelerator.config
-        for sample in accelerator.engine.latency.samples_since(0):
-            self.latency_us.observe(config.cycles_to_us(sample))
+        self.latency_us.observe_many(
+            map(config.cycles_to_us, accelerator.engine.latency.samples_since(0))
+        )
         self.duration_cycles += accelerator.sim.now
         for context in self.ops:
             meter = accelerator.mmu.throughput_by_context.get(context)
@@ -224,19 +225,22 @@ def run_load_points(
 
     ``executor`` is a :class:`repro.exec.JobRunner`; without one the
     points run in this process through ``JobRunner(jobs=1)``. Either
-    way each result's ``capture`` is folded into the active capture in
-    submission order, so a serial and a fanned-out run aggregate alike.
+    way each result's ``capture`` is folded into the active capture as
+    it completes, in submission order, so a serial and a fanned-out run
+    aggregate alike, and a run stopped part-way has folded every point
+    that finished.
     """
     from repro.exec import Job, JobRunner
 
     runner = executor if executor is not None else JobRunner(jobs=1)
-    results = runner.map(
-        [Job("eval.load_point", point, seed=seed) for point in points]
+    capture = _ACTIVE_CAPTURE
+    fold = None
+    if capture is not None:
+        fold = lambda result: capture.merge_state(result["capture"])
+    return runner.map(
+        [Job("eval.load_point", point, seed=seed) for point in points],
+        on_result=fold,
     )
-    if _ACTIVE_CAPTURE is not None:
-        for result in results:
-            _ACTIVE_CAPTURE.merge_state(result["capture"])
-    return results
 
 
 def latency_target_us(encoding: str = "hbfp8") -> float:

@@ -75,6 +75,27 @@ def _execute(fn_id: str, config: Any, seed: int) -> Any:
     return run_job(fn_id, config, seed)
 
 
+class _OrderedResults:
+    """One batch's results by submission index, handed to ``on_result``
+    in submission order as the settled prefix grows."""
+
+    def __init__(
+        self, size: int, on_result: Optional[Callable[[Any], None]]
+    ) -> None:
+        self.values: List[Any] = [None] * size
+        self._settled = [False] * size
+        self._on_result = on_result
+        self._next = 0
+
+    def settle(self, index: int, value: Any) -> None:
+        self.values[index] = value
+        self._settled[index] = True
+        while self._next < len(self.values) and self._settled[self._next]:
+            if self._on_result is not None:
+                self._on_result(self.values[self._next])
+            self._next += 1
+
+
 class ProcessPoolScheduler:
     """Runs job batches on a reusable worker pool.
 
@@ -144,32 +165,42 @@ class ProcessPoolScheduler:
     # Entry point
     # ------------------------------------------------------------------
 
-    def run(self, jobs: Sequence[Job]) -> List[Any]:
-        """Execute ``jobs``, returning results in submission order."""
+    def run(
+        self,
+        jobs: Sequence[Job],
+        on_result: Optional[Callable[[Any], None]] = None,
+    ) -> List[Any]:
+        """Execute ``jobs``, returning results in submission order.
+
+        ``on_result`` receives each result in submission order as soon
+        as every earlier job's result is in, so a run stopped part-way
+        (a shutdown check raising) has handed over exactly its
+        completed prefix.
+        """
         jobs = list(jobs)
-        results: List[Any] = [None] * len(jobs)
+        results = _OrderedResults(len(jobs), on_result)
         todo: List[int] = []
         for index, job in enumerate(jobs):
             if self.journal is not None:
                 key = job.digest()
                 if key in self.journal:
-                    results[index] = self.journal.get(key)
+                    results.settle(index, self.journal.get(key))
                     self.counters["journal_hits"] += 1
                     continue
             if self.cache is not None:
                 hit, value = self.cache.get(job)
                 if hit:
-                    results[index] = value
+                    results.settle(index, value)
                     self.counters["cache_hits"] += 1
                     continue
             todo.append(index)
         if not todo:
-            return results
+            return results.values
         if self.workers <= 1:
             self._run_serial(jobs, todo, results)
         else:
             self._run_pool(jobs, todo, results)
-        return results
+        return results.values
 
     def _complete(self, job: Job, value: Any) -> None:
         """Post-execution barrier, in crash-consistency order: journal
@@ -190,7 +221,8 @@ class ProcessPoolScheduler:
     # ------------------------------------------------------------------
 
     def _run_serial(
-        self, jobs: Sequence[Job], todo: Sequence[int], results: List[Any]
+        self, jobs: Sequence[Job], todo: Sequence[int],
+        results: "_OrderedResults",
     ) -> None:
         for index in todo:
             if self.shutdown_check is not None:
@@ -200,8 +232,8 @@ class ProcessPoolScheduler:
                 value = _execute(job.fn_id, job.config, job.seed)
             except Exception as exc:
                 raise JobExecutionError(job, f"raised {exc!r}") from exc
-            results[index] = value
             self._complete(job, value)
+            results.settle(index, value)
 
     # ------------------------------------------------------------------
     # Pool path
@@ -222,7 +254,8 @@ class ProcessPoolScheduler:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def _run_pool(
-        self, jobs: Sequence[Job], todo: Sequence[int], results: List[Any]
+        self, jobs: Sequence[Job], todo: Sequence[int],
+        results: "_OrderedResults",
     ) -> None:
         queue = deque(todo)
         attempts = {index: 0 for index in todo}
@@ -264,8 +297,8 @@ class ProcessPoolScheduler:
                     raise JobExecutionError(
                         jobs[index], f"raised {exc!r}"
                     ) from exc
-                results[index] = value
                 self._complete(jobs[index], value)
+                results.settle(index, value)
         finally:
             self._kill_pool(pool)
 
@@ -351,8 +384,13 @@ class JobRunner:
             on_unit_done=on_unit_done,
         )
 
-    def map(self, jobs: Sequence[Job]) -> List[Any]:
-        return self.scheduler.run(jobs)
+    def map(
+        self,
+        jobs: Sequence[Job],
+        on_result: Optional[Callable[[Any], None]] = None,
+    ) -> List[Any]:
+        """Run ``jobs``; see :meth:`ProcessPoolScheduler.run`."""
+        return self.scheduler.run(jobs, on_result)
 
     @property
     def counters(self) -> Dict[str, int]:

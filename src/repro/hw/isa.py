@@ -16,6 +16,8 @@ uses (it never preempts a tile mid-stream).
 from dataclasses import dataclass, field
 from typing import List
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class MMUJob:
@@ -42,8 +44,14 @@ class MMUJob:
     instruction_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.cycles < 0 or self.macs < 0 or self.weight_bytes < 0:
-            raise ValueError(f"negative job field: {self}")
+        # Chained comparisons are False for NaN, so NaN and ±inf fail
+        # here too: the MMU books these fields with plain arithmetic.
+        if not (
+            0.0 <= self.cycles < _INF
+            and 0.0 <= self.macs < _INF
+            and 0.0 <= self.weight_bytes < _INF
+        ):
+            raise ValueError(f"job field not finite and non-negative: {self}")
         if not 0.0 <= self.utilization <= 1.0:
             raise ValueError(f"utilization out of range: {self.utilization}")
 

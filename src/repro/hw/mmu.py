@@ -23,7 +23,7 @@ derived from the accounting window.
 """
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.hw.config import AcceleratorConfig
 from repro.hw.isa import MMUJob
@@ -35,48 +35,54 @@ INFERENCE = "inference"
 TRAINING = "training"
 
 
-class _QueuedJob:
-    __slots__ = ("job", "real_rows", "context", "on_done", "on_issue")
+class _StreamQueue(deque):
+    """One arbiter queue: issued streams in FIFO order, each the tuple
+    ``(jobs, real_rows, context, on_issue, on_done)``. ``head`` indexes
+    the first stream's next job, so a grant allocates nothing."""
 
-    def __init__(self, job, real_rows, context, on_done, on_issue):
-        self.job = job
-        self.real_rows = real_rows
-        self.context = context
-        self.on_done = on_done
-        self.on_issue = on_issue
+    __slots__ = ("head",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.head = 0
 
 
 class MatrixMultiplyUnit:
     """Event-driven model of the MMU with per-context job queues.
 
     The scheduling policy (see :mod:`repro.core.scheduler`) is consulted
-    at every grant; ``pressure_fn`` supplies the inference queue-size
-    signal the spike guard monitors (Figure 5's "Inference Queue Size"
-    wire).
+    at every grant while a training job waits; ``pressure_fn`` supplies
+    the inference queue-size signal the spike guard monitors (Figure 5's
+    "Inference Queue Size" wire). Every policy grants a lone inference
+    queue (:meth:`SchedulingPolicy.select_queue`), so the arbiter grants
+    it without asking and tallies the decision itself.
     """
 
     def __init__(self, sim: Simulator, config: AcceleratorConfig):
         self.sim = sim
         self.config = config
         self._drain_cycles = config.pipeline_drain_cycles
-        self._queues: Dict[str, Deque[_QueuedJob]] = {
-            INFERENCE: deque(),
-            TRAINING: deque(),
+        self._inference = _StreamQueue()
+        self._training = _StreamQueue()
+        self._queues: Dict[str, _StreamQueue] = {
+            INFERENCE: self._inference,
+            TRAINING: self._training,
         }
         self._policy = None  # set via set_policy; None = FIFO inference first
         self._pressure_fn: Callable[[], int] = lambda: 0
+        #: The attached policy's decision tally (a private one without).
+        self._decisions: Dict[str, int] = {}
         self._fault_injector = None
-        self._busy = False
         self._last_granted = TRAINING  # so the first round-robin pick is inference
-        # The one job in service, with the amounts its completion books.
-        self._svc_context = INFERENCE
+        # The job in service (None while the unit is free), the stream
+        # it came from, its stall, and the stream's ``on_done`` if it is
+        # the stream's last job.
+        self._svc_job: Optional[MMUJob] = None
+        self._svc_stream: tuple = ()
+        self._svc_stall = 0.0
         self._svc_on_done: Optional[Callable[[], None]] = None
-        self._svc_occupancy = 0.0
-        self._svc_working = 0.0
-        self._svc_dummy = 0.0
-        self._svc_other = 0.0
-        self._svc_useful_ops = 0.0
         self.accounting = CycleAccounting()
+        self._cycles = self.accounting.cycles
         self.throughput = ThroughputMeter()
         #: Throughput attributed per context (Figure 9's split).
         self.throughput_by_context: Dict[str, ThroughputMeter] = {}
@@ -90,6 +96,7 @@ class MatrixMultiplyUnit:
         """Attach the instruction-controller scheduling policy and the
         inference-pressure signal."""
         self._policy = policy
+        self._decisions = policy.decisions
         if pressure_fn is not None:
             self._pressure_fn = pressure_fn
 
@@ -102,11 +109,13 @@ class MatrixMultiplyUnit:
     # ------------------------------------------------------------------
 
     def queue_depth_of(self, context: str) -> int:
-        return len(self._queues[context])
+        """Jobs waiting in one queue (the one in service excluded)."""
+        queue = self._queues[context]
+        return sum(len(stream[0]) for stream in queue) - queue.head
 
     @property
     def queue_depth(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return sum(self.queue_depth_of(name) for name in self._queues)
 
     # ------------------------------------------------------------------
     # Issue path
@@ -137,32 +146,33 @@ class MatrixMultiplyUnit:
         """
         if not 0 <= real_rows <= job.rows:
             raise ValueError(f"real_rows {real_rows} outside 0..{job.rows}")
-        target = queue or context
-        if target not in self._queues:
-            raise KeyError(f"unknown MMU queue {target!r}")
-        self._queues[target].append(
-            _QueuedJob(job, real_rows, context, on_done, on_issue)
-        )
-        if not self._busy:
-            self.pump()
+        target = self._queues.get(queue or context)
+        if target is None:
+            raise KeyError(f"unknown MMU queue {queue or context!r}")
+        target.append(((job,), real_rows, context, on_issue, on_done))
+        if self._svc_job is None:
+            self._advance()
 
     def issue_batch(
         self,
-        jobs,
-        real_rows_fn: Callable[[MMUJob], int],
+        jobs: Sequence[MMUJob],
+        real_rows: int,
         context: str,
         on_done: Optional[Callable[[], None]] = None,
         on_issue: Optional[Callable[[], None]] = None,
         queue: Optional[str] = None,
     ) -> int:
-        """Enqueue a tile's whole instruction stream with one pump.
+        """Enqueue a tile's whole instruction stream as one queue entry.
+
+        ``real_rows`` is the batch's real request count: each job
+        carries ``min(real_rows, job.rows)`` real rows. The queue holds
+        ``jobs`` itself, not a copy, so the caller must not mutate it
+        while it is queued (a compiled step's job list never is).
 
         Issue timing is identical to issuing each job via
-        :meth:`issue`: while the unit is busy (which it is from the
-        first grant on), ``pump()`` is a no-op, so the per-job pumps of
-        the scalar path do nothing but burn cycles. Arbitration still
-        happens *per instruction* at every completion — the paper's
-        §3.2 contract — only the redundant wake-ups are elided.
+        :meth:`issue`: arbitration still happens *per instruction* at
+        every completion — the paper's §3.2 contract — only the
+        per-job queue entries and wake-ups are elided.
 
         ``on_done`` rides on the last job only and fires once, when
         that job's results have drained. That is when the whole stream
@@ -171,105 +181,147 @@ class MatrixMultiplyUnit:
         constant. ``on_issue`` fires at every job's grant. Returns the
         number of jobs enqueued.
         """
-        target = queue or context
-        if target not in self._queues:
-            raise KeyError(f"unknown MMU queue {target!r}")
-        q = self._queues[target]
-        entry = None
-        count = 0
-        for job in jobs:
-            real_rows = real_rows_fn(job)
-            if not 0 <= real_rows <= job.rows:
-                raise ValueError(
-                    f"real_rows {real_rows} outside 0..{job.rows}"
-                )
-            entry = _QueuedJob(job, real_rows, context, None, on_issue)
-            q.append(entry)
-            count += 1
-        if entry is not None:
-            entry.on_done = on_done
-            if not self._busy:
-                self.pump()
-        return count
+        if real_rows < 0:
+            raise ValueError(f"real_rows {real_rows} is negative")
+        target = self._queues.get(queue or context)
+        if target is None:
+            raise KeyError(f"unknown MMU queue {queue or context!r}")
+        if not jobs:
+            return 0
+        target.append((jobs, real_rows, context, on_issue, on_done))
+        if self._svc_job is None:
+            self._advance()
+        return len(jobs)
 
     def pump(self) -> None:
         """Grant the next job if the unit is free and the policy allows.
 
-        Called on job arrival, on completion, and by the front-end when
-        the inference queue-size signal drops (a spike subsiding can
-        unblock training grants).
+        Called on job arrival and by the front-end when the inference
+        queue-size signal drops (a spike subsiding can unblock training
+        grants); a completion grants the next job itself.
         """
-        if self._busy:
-            return
-        inf_ready = bool(self._queues[INFERENCE])
-        train_ready = bool(self._queues[TRAINING])
-        if not inf_ready and not train_ready:
-            return
-        if self._policy is None:
-            choice = INFERENCE if inf_ready else TRAINING
-        else:
-            choice = self._policy.select_queue(
-                inf_ready, train_ready, self._pressure_fn(), self._last_granted
-            )
-            self._policy.record_decision(choice)
-        if choice is None:
-            return
-        self._grant(self._queues[choice].popleft())
-        self._last_granted = choice
+        if self._svc_job is None:
+            self._advance()
 
-    def _grant(self, entry: _QueuedJob) -> None:
-        job = entry.job
-        real_frac = entry.real_rows / job.rows if job.rows else 0.0
+    def _arbitrate(self) -> Optional[_StreamQueue]:
+        """The queue the policy grants while a training job waits, with
+        the decision tallied; ``None`` holds the unit idle."""
+        policy = self._policy
+        inference_ready = bool(self._inference)
+        if policy is None:
+            choice = INFERENCE if inference_ready else TRAINING
+        else:
+            choice = policy.select_queue(
+                inference_ready, True, self._pressure_fn(), self._last_granted
+            )
+            key = choice if choice is not None else "idle"
+            decisions = self._decisions
+            decisions[key] = decisions.get(key, 0) + 1
+        if choice is None:
+            return None
+        self._last_granted = choice
+        return self._queues[choice]
+
+    def _advance(self) -> None:
+        """Retire the job in service, if any, then grant the next one.
+
+        This is every granted job's issue-completion event; ``pump``
+        calls it on a free unit.
+        """
+        job = self._svc_job
+        if job is not None:
+            # Book the retiring job with plain float additions, in a
+            # fixed order (DESIGN.md, "Cheap grants"). Every input was
+            # checked where it entered: MMUJob fields are finite and
+            # non-negative, real rows lie in 0..rows, stalls are >= 0.
+            _, real_rows, context, _, _ = self._svc_stream
+            stall = self._svc_stall
+            now = self.sim.now
+            cycles = job.cycles
+            utilization = job.utilization
+            occupancy = cycles + stall
+            meter = self.throughput_by_context.get(context)
+            if meter is None:
+                meter = self._open_context(context, now)
+            self.busy_cycles += occupancy
+            self.busy_by_context[context] += occupancy
+            booked = self._cycles
+            useful_ops = 2.0 * job.macs * utilization
+            rows = job.rows
+            if real_rows >= rows > 0:
+                # A full job: ``x * 1.0`` is ``x`` and its dummy share
+                # adds 0.0, so both are skipped.
+                booked["working"] += cycles * utilization
+            else:
+                real_frac = real_rows / rows if rows else 0.0
+                useful_ops *= real_frac
+                booked["working"] += cycles * utilization * real_frac
+                booked["dummy"] += cycles * utilization * (1.0 - real_frac)
+            booked["other"] += cycles * (1.0 - utilization) + stall
+            total = self.throughput
+            total.total_ops += useful_ops
+            total.last_cycle = now
+            meter.total_ops += useful_ops
+            meter.last_cycle = now
+            on_done = self._svc_on_done
+            if on_done is not None:
+                # Results drain through the array after the last row
+                # enters; the unit itself is free for the next job.
+                self.sim.after_call(self._drain_cycles, on_done)
+
+        # Every policy grants a lone inference queue, so the policy and
+        # the spike-guard signal are consulted only while training waits.
+        if self._training:
+            queue = self._arbitrate()
+            if queue is None:
+                self._svc_job = None
+                return
+        elif self._inference:
+            queue = self._inference
+            decisions = self._decisions
+            decisions[INFERENCE] = decisions.get(INFERENCE, 0) + 1
+            self._last_granted = INFERENCE
+        else:
+            self._svc_job = None
+            return
+
+        stream = queue[0]
+        jobs, _, _, on_issue, on_done = stream
+        index = queue.head
+        job = jobs[index]
+        index += 1
+        if index < len(jobs):
+            queue.head = index
+            on_done = None  # rides on the stream's last job
+        else:
+            queue.popleft()
+            queue.head = 0
         # Injected tile/PE stall: the job holds the unit for extra
         # cycles doing no useful work — Figure 8's "other" category.
-        stall = (
-            self._fault_injector.mmu_stall_cycles()
-            if self._fault_injector is not None else 0.0
-        )
-        occupancy = job.cycles + stall
-        self._svc_context = entry.context
-        self._svc_on_done = entry.on_done
-        self._svc_occupancy = occupancy
-        self._svc_working = job.cycles * job.utilization * real_frac
-        self._svc_dummy = job.cycles * job.utilization * (1.0 - real_frac)
-        self._svc_other = job.cycles * (1.0 - job.utilization) + stall
-        self._svc_useful_ops = 2.0 * job.macs * job.utilization * real_frac
-
-        self._busy = True
+        injector = self._fault_injector
+        stall = injector.mmu_stall_cycles() if injector is not None else 0.0
+        self._svc_job = job
+        self._svc_stream = stream
+        self._svc_stall = stall
+        self._svc_on_done = on_done
         self.jobs_issued += 1
-        if entry.on_issue is not None:
-            entry.on_issue()
+        if on_issue is not None:
+            on_issue()
         # A granted job is never revoked (the arbiter commits at grant),
-        # so both completion hops ride the anonymous fire-and-forget
-        # lane — these are the two densest event classes in the whole
-        # simulation. One job is in service at a time, so its numbers
-        # live on the unit and the completion is a bound method.
-        self.sim.after_call(occupancy, self._issue_complete)
+        # so its completion rides the anonymous fire-and-forget lane —
+        # the densest event class in the whole simulation.
+        self.sim.after_call(job.cycles + stall, self._advance)
 
-    def _issue_complete(self) -> None:
-        context = self._svc_context
-        occupancy = self._svc_occupancy
-        useful_ops = self._svc_useful_ops
-        self._busy = False
-        # Accounting accrues at completion so a measurement window
-        # never contains cycles that have not elapsed yet.
-        self.busy_cycles += occupancy
-        self.busy_by_context[context] = (
-            self.busy_by_context.get(context, 0.0) + occupancy
-        )
-        self.accounting.add("working", self._svc_working)
-        self.accounting.add("dummy", self._svc_dummy)
-        self.accounting.add("other", self._svc_other)
-        self.throughput.record(useful_ops, self.sim.now)
-        meter = self.throughput_by_context.get(context)
-        if meter is None:
-            meter = self.throughput_by_context[context] = ThroughputMeter()
-        meter.record(useful_ops, self.sim.now)
-        if self._svc_on_done is not None:
-            # Results drain through the array after the last row
-            # enters; the unit itself is free for the next job.
-            self.sim.after_call(self._drain_cycles, self._svc_on_done)
-        self.pump()
+    def _open_context(self, context: str, now: float) -> ThroughputMeter:
+        """The first completion on behalf of ``context``: its busy tally
+        and meter start here, and the first completion of all starts
+        the global meter."""
+        if self.throughput.first_cycle is None:
+            self.throughput.first_cycle = now
+        meter = self.throughput_by_context[context] = ThroughputMeter()
+        meter.first_cycle = now
+        self.busy_by_context[context] = 0.0
+        return meter
 
     # ------------------------------------------------------------------
     # Measurements

@@ -8,7 +8,8 @@
 :class:`repro.obs.RunReport` — the CI metrics job runs exactly this and
 then ``validate``s the output, which fails (exit 1) on schema breakage
 or any ``nan`` latency/throughput field. ``diff`` compares two
-artifacts field by field (exit 1 when they differ), which is how
+artifacts field by field (exit 1 when they differ, 2 when either one
+is missing, not JSON or not a RunReport), which is how
 byte-level determinism regressions and cross-version drifts are
 inspected. An experiment's aggregate artifact comes from
 ``python -m repro <experiment> --report-dir DIR``.
@@ -126,8 +127,14 @@ def _diff(paths: List[str], rel_tolerance: float) -> int:
         return 2
     reports = []
     for path in paths:
-        with open(path) as handle:
-            reports.append(RunReport.from_dict(json.load(handle)))
+        try:
+            with open(path) as handle:
+                reports.append(RunReport.from_dict(json.load(handle)))
+        except (OSError, ValueError) as error:
+            # Exit 1 means "the artifacts differ"; an input that cannot
+            # be compared at all is a usage error.
+            print(f"{path}: unreadable ({error})", file=sys.stderr)
+            return 2
     delta = diff_reports(reports[0], reports[1], rel_tolerance=rel_tolerance)
     if not delta:
         print("identical")

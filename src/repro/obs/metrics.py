@@ -102,8 +102,8 @@ class Histogram:
     """A streaming distribution backed by :class:`QuantileSketch`.
 
     ``observe`` only counts ``value -> count`` in a buffer; the buffer
-    is folded into the sketch (one ``observe(value, count)`` per
-    distinct value) when any reader asks, or when it holds
+    is folded into the sketch (one ``(value, count)`` pair per distinct
+    value, in insertion order) when any reader asks, or when it holds
     :data:`_BUFFER_LIMIT` distinct values. The fold is exact: every
     reading of the sketch — buckets (collapsed ones included), zero/inf
     counts, min, max and the exact-expansion ``sum`` — depends only on
@@ -137,9 +137,8 @@ class Histogram:
     def _fold(self) -> None:
         pending = self._pending
         if pending:
-            observe = self._sketch.observe
-            for value, count in pending.items():
-                observe(value, count)
+            # Every buffered key passed ``check_sample`` when added.
+            self._sketch.ingest_checked(pending.items())
             pending.clear()
 
     @property

@@ -17,7 +17,7 @@ counted in its own bucket rather than poisoning interpolation.
 """
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["QuantileSketch"]
 
@@ -116,33 +116,63 @@ class QuantileSketch:
         negatives and NaN (a NaN sample is always an upstream bug)."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        value = check_sample(value)
-        self._count += count
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
-        if math.isinf(value):
-            self._inf_count += count
-            return
-        # ``value * count`` would round; one ``value * 2**k`` term per
-        # set bit ``k`` of ``count`` is exact, so the expansion equals
-        # that of ``count`` single observations.
-        bits, k = count, 0
-        while bits:
-            if bits & 1:
-                _grow_expansion(self._partials, math.ldexp(value, k))
-            bits >>= 1
-            k += 1
-        if value == 0.0:
-            self._zero_count += count
-            return
-        index = math.ceil(math.log(value) / self._log_gamma)
-        self._buckets[index] = self._buckets.get(index, 0) + count
-        if len(self._buckets) > self.max_buckets:
-            self._collapse_lowest()
+        self.ingest_checked(((check_sample(value), count),))
 
     def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
+        """Record each of ``values`` once, in order; every value is
+        checked before any is recorded."""
+        self.ingest_checked([(check_sample(value), 1) for value in values])
+
+    def ingest_checked(self, pairs: Iterable[Tuple[float, int]]) -> None:
+        """Record ``(value, count)`` pairs in order: the one ingest loop
+        behind :meth:`observe`, :meth:`observe_many` and the buffer fold
+        of :class:`repro.obs.metrics.Histogram`.
+
+        Each value must already be a float that passed
+        :func:`check_sample` and each count must be >= 1; nothing is
+        re-checked here.
+        """
+        buckets = self._buckets
+        partials = self._partials
+        log_gamma = self._log_gamma
+        max_buckets = self.max_buckets
+        total = self._count
+        lowest, highest = self._min, self._max
+        try:
+            for value, count in pairs:
+                total += count
+                if lowest is None:
+                    lowest = highest = value
+                elif value < lowest:
+                    lowest = value
+                elif value > highest:
+                    highest = value
+                if value == math.inf:
+                    self._inf_count += count
+                    continue
+                if count == 1:
+                    _grow_expansion(partials, value)
+                else:
+                    # ``value * count`` would round; one ``value * 2**k``
+                    # term per set bit ``k`` of ``count`` is exact, so the
+                    # expansion equals that of ``count`` single
+                    # observations.
+                    bits, k = count, 0
+                    while bits:
+                        if bits & 1:
+                            _grow_expansion(partials, math.ldexp(value, k))
+                        bits >>= 1
+                        k += 1
+                if value == 0.0:
+                    self._zero_count += count
+                    continue
+                index = math.ceil(math.log(value) / log_gamma)
+                buckets[index] = buckets.get(index, 0) + count
+                if len(buckets) > max_buckets:
+                    self._collapse_lowest()
+        finally:
+            self._count = total
+            self._min, self._max = lowest, highest
 
     def merge(self, other: "QuantileSketch") -> None:
         """Accumulate another sketch (bucket layouts must match)."""

@@ -116,21 +116,24 @@ class ThroughputMeter:
     """Integrates useful operations over time to report TOp/s.
 
     ``record(ops)`` is called as work retires; ``top_s`` converts to
-    TOp/s given the clock frequency that maps cycles to seconds.
+    TOp/s given the clock frequency that maps cycles to seconds. The
+    MMU books every job completion into ``total_ops``, ``first_cycle``
+    and ``last_cycle`` directly, from amounts that are non-negative by
+    construction; ``record`` checks its amount for every other caller.
     """
 
     def __init__(self) -> None:
         self.total_ops = 0.0
-        self._first_cycle: Optional[float] = None
-        self._last_cycle: Optional[float] = None
+        self.first_cycle: Optional[float] = None
+        self.last_cycle: Optional[float] = None
 
     def record(self, ops: float, cycle: float) -> None:
         if ops < 0:
             raise ValueError(f"negative op count {ops}")
         self.total_ops += ops
-        if self._first_cycle is None:
-            self._first_cycle = cycle
-        self._last_cycle = cycle
+        if self.first_cycle is None:
+            self.first_cycle = cycle
+        self.last_cycle = cycle
 
     def ops_per_cycle(self, horizon_cycles: float) -> float:
         if horizon_cycles <= 0:
@@ -146,10 +149,10 @@ class ThroughputMeter:
         the active cycle range; rates need a window, so the artifact
         layer computes TOp/s itself)."""
         out = {"total_ops": self.total_ops}
-        if self._first_cycle is not None:
-            out["first_cycle"] = self._first_cycle
-        if self._last_cycle is not None:
-            out["last_cycle"] = self._last_cycle
+        if self.first_cycle is not None:
+            out["first_cycle"] = self.first_cycle
+        if self.last_cycle is not None:
+            out["last_cycle"] = self.last_cycle
         return out
 
 
@@ -164,25 +167,31 @@ class CycleAccounting:
     components as they occupy the unit; idle is the remainder of the
     accounting window. ``breakdown`` normalizes to fractions that sum to
     one.
+
+    ``cycles`` holds the busy accumulators. The MMU adds each job's
+    amounts into it directly, from inputs checked where they enter;
+    ``add`` checks its category and amount for every other caller.
     """
 
     def __init__(self) -> None:
-        self._busy: Dict[str, float] = {c: 0.0 for c in CYCLE_CATEGORIES if c != "idle"}
+        self.cycles: Dict[str, float] = {
+            c: 0.0 for c in CYCLE_CATEGORIES if c != "idle"
+        }
 
     def add(self, category: str, cycles: float) -> None:
         if category == "idle":
             raise ValueError("idle cycles are derived, not recorded")
-        if category not in self._busy:
+        if category not in self.cycles:
             raise ValueError(
                 f"unknown cycle category {category!r}; "
-                f"choose from {sorted(self._busy)}"
+                f"choose from {sorted(self.cycles)}"
             )
         if cycles < 0:
             raise ValueError(f"negative cycles {cycles}")
-        self._busy[category] += cycles
+        self.cycles[category] += cycles
 
     def busy_total(self) -> float:
-        return sum(self._busy.values())
+        return sum(self.cycles.values())
 
     def breakdown(self, window_cycles: float) -> Dict[str, float]:
         """Fractions per category over ``window_cycles`` (sums to 1.0)."""
@@ -193,17 +202,17 @@ class CycleAccounting:
             raise ValueError(
                 f"busy cycles {busy} exceed the window {window_cycles}"
             )
-        result = {c: self._busy[c] / window_cycles for c in self._busy}
+        result = {c: self.cycles[c] / window_cycles for c in self.cycles}
         result["idle"] = max(0.0, 1.0 - busy / window_cycles)
         return result
 
     def busy_cycles(self) -> Dict[str, float]:
         """Raw accumulated busy cycles per category (windowless — what
         delta-based captures over a shared accelerator subtract)."""
-        return dict(self._busy)
+        return dict(self.cycles)
 
     def metrics(self) -> Dict[str, float]:
         """Deferred-source view for a ``MetricsRegistry``."""
-        out = {c: self._busy[c] for c in sorted(self._busy)}
+        out = {c: self.cycles[c] for c in sorted(self.cycles)}
         out["busy_total"] = self.busy_total()
         return out

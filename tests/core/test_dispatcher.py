@@ -415,7 +415,7 @@ class TestOneDrainPerStep:
         )
         sim, mmu = accelerator.sim, accelerator.mmu
         engine = accelerator.training_engine
-        handoffs, granted, completed, finished = [], [], [], []
+        handoffs, completed, finished = [], [], []
 
         def spy(owner, name, record):
             method = getattr(owner, name)
@@ -434,9 +434,10 @@ class TestOneDrainPerStep:
         spy(engine, "_finish_step", lambda step: finished.append(
             (len(engine.iterations), step, sim.now)
         ))
-        spy(mmu, "_grant", lambda entry: granted.append(entry.context))
-        spy(mmu, "_issue_complete", lambda: completed.append(
-            (granted[len(completed)], sim.now)
+        # ``_advance`` retires the job in service, if any: its stream
+        # entry is ``(jobs, real_rows, context, on_issue, on_done)``.
+        spy(mmu, "_advance", lambda: mmu._svc_job is not None and completed.append(
+            (mmu._svc_stream[2], sim.now)
         ))
         accelerator.run(load=0.3, requests=200, seed=5)
 

@@ -107,3 +107,31 @@ class TestFactory:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_scheduler("lottery")
+
+
+class TestLoneInferenceContract:
+    """Every policy grants inference when its queue is the only one
+    ready: the spike guard and degraded mode only ever withhold
+    training. The MMU arbiter relies on this to skip the policy while
+    no training job waits."""
+
+    POLICIES = {
+        "priority": lambda: PriorityScheduler(queue_threshold=10),
+        "fair": FairScheduler,
+        "inference_only": InferenceOnlyScheduler,
+        "software": lambda: SoftwareScheduler(10),
+        "software_greedy": lambda: SoftwareScheduler(10, conservative=False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("backlog", [0, 10**9])
+    @pytest.mark.parametrize("last_granted", ["inference", "training"])
+    def test_lone_inference_queue_is_granted(
+        self, name, degraded, backlog, last_granted
+    ):
+        policy = self.POLICIES[name]()
+        policy.set_degraded(degraded)
+        assert policy.select_queue(True, False, backlog, last_granted) == (
+            "inference"
+        )

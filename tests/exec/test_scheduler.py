@@ -53,6 +53,39 @@ class TestSerial:
         assert runner.counters["executed"] == 3
 
 
+class TestOnResult:
+    """``on_result`` sees each result in submission order, as soon as
+    every earlier one is in — so a stopped run has handed over exactly
+    its completed prefix."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sees_every_result_in_order(self, workers):
+        seen = []
+        results = JobRunner(jobs=workers).map(_echo_jobs(6), seen.append)
+        assert seen == results
+        assert [r["payload"] for r in seen] == list(range(6))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_stopped_run_handed_over_its_completed_prefix(self, workers):
+        class Stop(Exception):
+            pass
+
+        checks = []
+
+        def shutdown_check():
+            checks.append(None)
+            if len(checks) > 3:
+                raise Stop
+
+        seen = []
+        runner = JobRunner(jobs=workers, shutdown_check=shutdown_check)
+        with pytest.raises(Stop):
+            runner.map(_echo_jobs(8), seen.append)
+        completed = runner.counters["executed"]
+        assert 0 < completed < 8
+        assert [r["payload"] for r in seen] == list(range(completed))
+
+
 class TestPool:
     def test_parallel_equals_serial(self):
         jobs = _echo_jobs(12)

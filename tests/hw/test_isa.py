@@ -17,6 +17,18 @@ class TestMMUJob:
         with pytest.raises(ValueError):
             _job(cycles=-1)
 
+    @pytest.mark.parametrize("field", ["cycles", "macs", "weight_bytes"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_non_finite_fields(self, field, value):
+        """The MMU books these fields with plain float arithmetic, so a
+        NaN or inf would poison every total without an error."""
+        fields = dict(cycles=10.0, rows=4, macs=100.0, utilization=0.8)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            MMUJob(**fields)
+
     def test_rejects_bad_utilization(self):
         with pytest.raises(ValueError):
             _job(util=1.5)

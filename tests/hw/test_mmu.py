@@ -1,10 +1,18 @@
 """MMU arbiter: queues, accounting, pipelining, policy interaction."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.core.equinox import EquinoxAccelerator
 from repro.core.scheduler import FairScheduler, PriorityScheduler
+from repro.exec.canonical import canonical_json
+from repro.faults.admission import AdmissionControl
+from repro.faults.plan import FaultPlan, HBMFaultSpec, MMUFaultSpec
 from repro.hw.isa import MMUJob
 from repro.hw.mmu import MatrixMultiplyUnit
+from repro.models.graph import GemmLayer, ModelSpec
 
 
 def _job(cycles=10.0, rows=4, util=1.0):
@@ -73,7 +81,7 @@ class TestIssueBatch:
             else:
                 count = mmu.issue_batch(
                     jobs,
-                    real_rows_fn=lambda job: min(3, job.rows),
+                    real_rows=3,
                     context="inference",
                     on_done=on_done,
                     on_issue=on_issue,
@@ -89,21 +97,41 @@ class TestIssueBatch:
         assert batch_events == len(jobs) + 1
 
     def test_empty_stream_is_a_no_op(self, sim, mmu):
-        assert mmu.issue_batch([], lambda job: 0, "inference") == 0
+        assert mmu.issue_batch([], 0, "inference") == 0
         sim.run()
         assert sim.events_processed == 0
 
     def test_rejects_bad_real_rows(self, mmu):
         with pytest.raises(ValueError):
-            mmu.issue_batch(
-                [_job(rows=4)], lambda job: job.rows + 1, "inference"
-            )
+            mmu.issue_batch([_job(rows=4)], -1, "inference")
 
     def test_rejects_unknown_queue(self, mmu):
         with pytest.raises(KeyError):
-            mmu.issue_batch(
-                [_job()], lambda job: job.rows, "inference", queue="prefetch"
-            )
+            mmu.issue_batch([_job()], 4, "inference", queue="prefetch")
+
+    def test_negative_real_rows_enqueue_nothing(self, sim, mmu):
+        with pytest.raises(ValueError):
+            mmu.issue_batch([_job(rows=4), _job(rows=4)], -1, "inference")
+        assert mmu.queue_depth == 0
+        sim.run()
+        assert sim.events_processed == 0
+        assert mmu.jobs_issued == 0
+
+    def test_real_rows_cap_at_each_jobs_rows(self, sim, mmu):
+        """Three real requests over jobs of 4 and 2 rows: the first job
+        carries 3 of its 4 rows, the second both of its 2."""
+        first = _job(cycles=8.0, rows=4, util=0.5)
+        second = _job(cycles=6.0, rows=2, util=0.5)
+        assert mmu.issue_batch([first, second], 3, "inference") == 2
+        assert mmu.queue_depth_of("inference") == 1  # first is in service
+        sim.run()
+        booked = mmu.accounting.busy_cycles()
+        assert booked["working"] == 8.0 * 0.5 * (3 / 4) + 6.0 * 0.5 * (2 / 2)
+        assert booked["dummy"] == 8.0 * 0.5 * (1 / 4)
+        assert booked["other"] == 8.0 * 0.5 + 6.0 * 0.5
+        assert mmu.throughput.total_ops == (
+            2.0 * first.macs * 0.5 * (3 / 4) + 2.0 * second.macs * 0.5
+        )
 
 
 class TestAccounting:
@@ -186,3 +214,98 @@ class TestPolicyArbitration:
         assert mmu.queue_depth_of("inference") == 1  # one already granted
         assert mmu.queue_depth_of("training") == 1
         assert mmu.queue_depth == 2
+
+
+def _fence_model():
+    return ModelSpec(
+        name="rnn",
+        layers=(
+            GemmLayer(
+                name="cell", k=256, n_out=512, repeats=2,
+                simd_ops_per_sample=64.0,
+            ),
+        ),
+    )
+
+
+class TestArbiterPinned:
+    """Everything the arbiter decides and books, value for value, under
+    each policy: canonical-JSON sha256 of the run's report (with its
+    event count), the MMU's accounting and meters, and the policy's
+    decision tally. A faster arbiter must leave every digest alone."""
+
+    PINS = {
+        "fair":
+            "25b68a4dad899c59609352cdcf48aa67b4477624df2055710f60754f50915514",
+        "inference_only":
+            "363da6ab1f863de32193706f68a7326fb17e52f7403f9e041a4e9f9e861986b9",
+        "priority_faults":
+            "0cd20f77836e2572c763bd7fd592508431d5c4d0c94c9e4450701d2d9661fec1",
+        "priority_spiky":
+            "13833da92cdd5cc9a26b3dc67b9a6c4935cdc41e6dfc51c361895ecf8d6269af",
+        "software_conservative":
+            "8a1d306ab6d11adbc1a2e8ca4b0e8bf059e08744493e962440e39f18c0f8939f",
+        "software_greedy":
+            "c0e49620099d22df5f6b16312f7c74e1b3843472e5c41fe406e7d7a82dc08321",
+    }
+    SETUPS = {
+        "priority_spiky": dict(scheduler="priority", queue_threshold=1),
+        "fair": dict(scheduler="fair"),
+        "software_conservative": dict(
+            scheduler="software", software_conservative=True,
+            decision_latency_us=0.2,
+        ),
+        "software_greedy": dict(
+            scheduler="software", software_conservative=False,
+            decision_latency_us=0.2,
+        ),
+        "inference_only": dict(training=False),
+        "priority_faults": dict(
+            scheduler="priority",
+            fault_plan=FaultPlan(
+                seed=3,
+                hbm=HBMFaultSpec(error_rate=0.2, max_retries=2),
+                mmu=MMUFaultSpec(stall_rate=0.2, stall_cycles=200.0),
+            ),
+            admission=AdmissionControl(max_queue_requests=64),
+            degrade_threshold=2,
+        ),
+    }
+
+    @staticmethod
+    def _run(small_config, setup):
+        setup = dict(setup)
+        model = _fence_model()
+        training = model if setup.pop("training", True) else None
+        accelerator = EquinoxAccelerator(
+            small_config, model, training_model=training, training_batch=8,
+            chunk_us=0.05, **setup,
+        )
+        report = accelerator.run(load=0.7, requests=300, seed=11)
+        mmu = accelerator.mmu
+        return accelerator, {
+            "report": dataclasses.asdict(report),
+            "busy_cycles": mmu.accounting.busy_cycles(),
+            "busy_by_context": mmu.busy_by_context,
+            "jobs_issued": mmu.jobs_issued,
+            "throughput": mmu.throughput.metrics(),
+            "throughput_by_context": {
+                context: meter.metrics()
+                for context, meter in mmu.throughput_by_context.items()
+            },
+            "decisions": accelerator.scheduler.decisions,
+        }
+
+    @pytest.mark.parametrize("name", sorted(SETUPS))
+    def test_arbiter_matches_its_pin(self, name, small_config):
+        accelerator, state = self._run(small_config, self.SETUPS[name])
+        if name == "priority_spiky":
+            assert state["decisions"].get("idle", 0) > 0  # spikes held training
+        if name == "priority_faults":
+            counters = accelerator.fault_counters
+            assert counters.degraded_intervals > 0
+            assert counters.mmu_stalls > 0 and counters.hbm_retries > 0
+        if name != "inference_only":
+            assert state["busy_by_context"].get("training", 0.0) > 0.0
+        digest = hashlib.sha256(canonical_json(state).encode()).hexdigest()
+        assert digest == self.PINS[name], name

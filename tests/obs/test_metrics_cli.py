@@ -77,6 +77,24 @@ class TestDiff:
     def test_wrong_arity_is_a_usage_error(self, smoke_artifact):
         assert main(["metrics", "diff", str(smoke_artifact)]) == 2
 
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", json.dumps({"name": "x"})],
+        ids=["missing", "bad-json", "not-a-run-report"],
+    )
+    def test_unreadable_artifact_is_a_usage_error(
+        self, smoke_artifact, tmp_path, capsys, content
+    ):
+        """Exit 1 means the artifacts differ; an input that cannot be
+        compared exits 2 with one line on stderr, either side."""
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        for pair in ([smoke_artifact, bad], [bad, smoke_artifact]):
+            assert main(["metrics", "diff"] + [str(p) for p in pair]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{bad}: unreadable (")
+            assert len(err.splitlines()) == 1
+
 
 class TestUnknownTarget:
     def test_unknown_experiment_name(self, capsys):

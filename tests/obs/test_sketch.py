@@ -1,12 +1,16 @@
 """QuantileSketch: accuracy guarantees, merging, sentinel handling."""
 
+import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.exec.canonical import canonical_json
+from repro.obs.metrics import Histogram
 from repro.obs.sketch import QuantileSketch
 
 
@@ -189,3 +193,77 @@ class TestExport:
 
     def test_empty_to_dict(self):
         assert QuantileSketch().to_dict() == {"count": 0.0}
+
+
+def _ingest_corpus(seed):
+    """Zeros, +inf, heavy repeats and > 256 distinct latency-like values."""
+    rng = random.Random(seed)
+    values = []
+    for _ in range(3000):
+        draw = rng.random()
+        if draw < 0.05:
+            values.append(0.0)
+        elif draw < 0.08:
+            values.append(math.inf)
+        elif draw < 0.3:
+            values.append(rng.choice([1.0, 2.5, 1e-3, 7.0, 1e6]))
+        else:
+            values.append(rng.lognormvariate(3.0, 4.0))
+    return values
+
+
+class TestOneIngestLoop:
+    """``observe``, ``observe_many`` and ``Histogram``'s buffer fold share
+    one ingest loop; each leaves the lossless state (buckets, counts,
+    min, max and the expansion's partials) it left when each was a loop
+    of per-value ``observe`` calls: sha256 of the canonical JSON of the
+    three ``to_state()`` dumps, pinned."""
+
+    PINS = {
+        (0, None):
+            "1855096aa2d4eaea83967b93b04d52e32c6f28ef10251d9a424388eb7cbe3741",
+        (0, 16):
+            "3f798c79b82ca8e9059635929b0dcc1f64451863590de67331c06f8a5913c862",
+        (1, None):
+            "3f2165b9822724e05b005991fb499c7df09cd7de1ab2957cea5e41335110b92f",
+        (1, 16):
+            "5fa03476e3e30a5eea7e33f2f21e26857ce57452a515405cb839e54bb6756f37",
+        (2, None):
+            "f492ec1af4930ad82c277d94069fd261949944706a8f622b0fc716793e9af1d4",
+        (2, 16):
+            "ee5aa999c982e5e1a1b43ad7703e04a94d186796d4956c5dec99c4350e9475ec",
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("max_buckets", [None, 16])
+    def test_states_match_their_pins(self, seed, max_buckets):
+        def sketch():
+            if max_buckets is None:
+                return QuantileSketch()
+            return QuantileSketch(max_buckets=max_buckets)
+
+        values = _ingest_corpus(seed)
+        assert len(set(values)) > 256
+        eager, many = sketch(), sketch()
+        for value in values:
+            eager.observe(value)
+        many.observe_many(values)
+        histogram = Histogram("span.cycles")
+        histogram._sketch = sketch()
+        for value in values:
+            histogram.observe(value)
+        if max_buckets is not None:
+            assert len(eager._buckets) == max_buckets  # it collapsed
+        states = {
+            "observe": eager.to_state(),
+            "observe_many": many.to_state(),
+            "fold": histogram.sketch.to_state(),
+        }
+        digest = hashlib.sha256(canonical_json(states).encode()).hexdigest()
+        assert digest == self.PINS[(seed, max_buckets)]
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_observe_many_checks_every_value(self, bad):
+        sketch = QuantileSketch()
+        with pytest.raises(ValueError):
+            sketch.observe_many([1.0, bad])

@@ -197,6 +197,32 @@ class TestPlainRunShutdown:
             assert report["config"]["partial"] is True
 
 
+class TestPartialArtifactHoldsFinishedPoints:
+    @pytest.mark.parametrize(
+        "quiet_checks, windows", [(1, 0), (2, 1)],
+        ids=["before-first-job", "before-second-job"],
+    )
+    def test_partial_fig9_folds_the_load_points_that_finished(
+        self, quiet_checks, windows, tmp_path
+    ):
+        """fig9 at one load runs four jobs. A stop before the second
+        one leaves the first job's capture in the partial artifact; a
+        stop before the first leaves an empty one."""
+        from repro.__main__ import _build_parser, _dispatch
+
+        args = _build_parser().parse_args(
+            ["fig9", "--loads", "0.6", "--report-dir", str(tmp_path)]
+        )
+        with pytest.raises(ShutdownRequested):
+            _dispatch(args, _StubShutdown(after=quiet_checks))
+        report = json.loads((tmp_path / "fig9.json").read_text())
+        assert report["config"] == {"partial": True, "windows": windows}
+        if windows:
+            assert report["latency_us"]["p99"] > 0
+        else:
+            assert report["latency_us"]["p99"] is None
+
+
 class _FlagShutdown:
     """GracefulShutdown's polling surface with the flag set by hand."""
 
