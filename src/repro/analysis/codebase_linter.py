@@ -13,9 +13,9 @@ parsed module. Shipping rules:
   ``datetime.now``...), unseeded RNG (``np.random.*`` without a seed,
   ``random.*`` module functions, ``uuid4``), environment reads
   (``os.environ``, ``os.getenv``) and ``id()``, anywhere in the package
-  except the three timing modules (``obs.profile``, ``exec.tasks``,
-  ``__main__``). Any module may run inside a cached job, so none may
-  depend on the host, the process or the run.
+  except the two timing modules (``exec.tasks``, ``__main__``). Any
+  module may run inside a cached job, so none may depend on the host,
+  the process or the run.
 * **EQX303 swallowed-exception** — bare ``except:`` and
   ``except Exception: pass`` handlers.
 * **EQX305 unbounded-retry** — ``while True`` retry loops whose except
@@ -207,9 +207,9 @@ def _qualify(dotted: str, imports: Mapping[str, str]) -> str:
 class NondeterminismRule(LintRule):
     """EQX302: wall clock, unseeded RNG, environment reads or ``id()``.
 
-    Every source is an **error** in every module except the three whose
-    job is measurement (the profiler whose clock is injectable, the
-    deliberately impure exec probe, and the CLI's progress timers).
+    Every source is an **error** in every module except the two whose
+    job is measurement (the deliberately impure exec probe and the
+    CLI's progress timers).
     Calls resolve through the module's import table, so
     ``from time import perf_counter`` and ``np.random.default_rng``
     both match. Inside ``repro.serve``, ``random``/``numpy.random`` use
@@ -241,7 +241,6 @@ class NondeterminismRule(LintRule):
     _ENV_CALLS = frozenset({"os.getenv"})
     #: Modules audited to read the wall clock: measurement is their job.
     _AUDITED_MODULES = (
-        "repro/obs/profile.py",   # profiler (clock is an injectable arg)
         "repro/exec/tasks.py",    # exec_probe sleeps on request
         "repro/__main__.py",      # CLI progress timers
     )

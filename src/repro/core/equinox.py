@@ -42,7 +42,6 @@ from repro.hw.simd import SIMDUnit
 from repro.models.compiler import TileCompiler
 from repro.models.graph import ModelSpec
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import SimProfiler
 from repro.obs.report import RunReport, report_from_simulation
 from repro.obs.spans import SpanTracer
 from repro.sim.engine import Simulator
@@ -163,7 +162,6 @@ class EquinoxAccelerator:
         fault_plan: Optional[FaultPlan] = None,
         admission: Optional[AdmissionControl] = None,
         degrade_threshold: Optional[int] = None,
-        profiler: Optional[SimProfiler] = None,
     ):
         self.config = config
         self.inference_model = inference_model
@@ -176,10 +174,7 @@ class EquinoxAccelerator:
         # Observability: one metrics namespace + span tracer per
         # accelerator; every collector below registers into it.
         self.obs = MetricsRegistry()
-        self.spans = SpanTracer(self.sim, registry=self.obs)
-        self.profiler = profiler
-        if profiler is not None:
-            self.sim.set_profiler(profiler)
+        self.spans = SpanTracer(registry=self.obs)
         self.mmu = MatrixMultiplyUnit(self.sim, config)
         self.simd = SIMDUnit(self.sim, config)
         self.hbm = HBMInterface(self.sim, config)
@@ -691,15 +686,9 @@ class EquinoxAccelerator:
         """Package one measured run as the structured JSON artifact.
 
         Bundles the :class:`SimulationReport` headline numbers with the
-        full metrics-registry snapshot, the span aggregates and (when a
-        profiler is attached) the deterministic kernel figures. The
+        full metrics-registry snapshot and the span aggregates. The
         result serializes byte-identically for identically seeded runs.
         """
-        profile = (
-            self.profiler.deterministic_metrics()
-            if self.profiler is not None
-            else {}
-        )
         return report_from_simulation(
             name,
             sim_report,
@@ -711,5 +700,4 @@ class EquinoxAccelerator:
             },
             metrics=self.obs.snapshot(),
             spans=self.spans.summary(),
-            profile=profile,
         )

@@ -21,14 +21,11 @@ from repro.models.lstm import deepbench_lstm
 from repro.obs.report import RunReport
 from repro.obs.sketch import QuantileSketch
 from repro.sim.stats import CYCLE_CATEGORIES
+from repro.workload.metrics import SLO_MULTIPLE
 
 #: Batches of measurement per load point; enough for a stable p99 at
 #: batch sizes in the hundreds while keeping sweeps interactive.
 DEFAULT_BATCHES = 12
-
-#: The paper's service-level objective: p99 at 10× the mean service
-#: time of the workload on Equinox_500µs.
-SLO_MULTIPLE = 10.0
 
 
 def build_accelerator(

@@ -8,16 +8,13 @@ can be exported, compared and correlated:
 * :mod:`repro.obs.sketch` — a bounded-memory streaming quantile sketch
   (DDSketch-style log buckets) so p50/p99/p999 work without retaining
   every sample.
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
-  gauges, histograms and deferred sources (the migration path for the
-  pre-existing collectors in :mod:`repro.sim.stats` and
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with histograms
+  and deferred sources (the migration path for the pre-existing
+  collectors in :mod:`repro.sim.stats` and
   :mod:`repro.faults.counters`).
-* :mod:`repro.obs.spans` — hierarchical span tracing layered on the
-  :class:`repro.sim.trace.Tracer` (request lifecycle: arrival →
-  dispatch → tile execution → completion; training lifecycle:
-  prefetch → step → aggregate).
-* :mod:`repro.obs.profile` — simulator hot-path profiling (events/sec,
-  heap depth, per-component callback time).
+* :mod:`repro.obs.spans` — per-name span aggregates of simulated-time
+  intervals (request lifecycle: arrival → dispatch → tile execution →
+  completion; training lifecycle: prefetch → step → aggregate).
 * :mod:`repro.obs.report` — the structured JSON run artifact
   (:class:`RunReport`) every experiment and the chaos CLI emit, with
   its schema validator and differ.
@@ -26,12 +23,11 @@ can be exported, compared and correlated:
 
 Determinism contract: everything serialized into a
 :class:`RunReport` derives from simulation state only — two runs with
-the same seed emit byte-identical JSON. Wall-clock profiling data stays
-on the :class:`SimProfiler` object and is reported out-of-band.
+the same seed emit byte-identical JSON. No module here reads the wall
+clock.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import SimProfiler
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.report import (
     RunReport,
     diff_reports,
@@ -39,17 +35,13 @@ from repro.obs.report import (
     validate_report,
 )
 from repro.obs.sketch import QuantileSketch
-from repro.obs.spans import Span, SpanTracer
+from repro.obs.spans import SpanTracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
     "RunReport",
-    "SimProfiler",
-    "Span",
     "SpanTracer",
     "diff_reports",
     "report_from_simulation",

@@ -4,8 +4,9 @@
     python -m repro metrics validate artifacts/*.json
     python -m repro metrics diff run_a.json run_b.json
 
-``smoke`` runs one small profiled accelerator experiment and emits its
-:class:`repro.obs.RunReport` — the CI metrics job runs exactly this and
+``smoke`` runs one small accelerator experiment and emits its
+:class:`repro.obs.RunReport`, whose ``profile`` section carries the
+run's simulator event count — the CI metrics job runs exactly this and
 then ``validate``s the output, which fails (exit 1) on schema breakage
 or any ``nan`` latency/throughput field. ``diff`` compares two
 artifacts field by field (exit 1 when they differ, 2 when either one
@@ -13,10 +14,6 @@ is missing, not JSON or not a RunReport), which is how
 byte-level determinism regressions and cross-version drifts are
 inspected. An experiment's aggregate artifact comes from
 ``python -m repro <experiment> --report-dir DIR``.
-
-Wall-clock profiling figures (events/sec, per-component callback time)
-are printed to *stderr* only: they are nondeterministic and therefore
-deliberately kept out of the artifact itself.
 
 Everything heavier than the artifact helpers is imported lazily inside
 the handlers, so ``metrics validate``/``diff`` stay instant.
@@ -28,7 +25,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.obs.profile import SimProfiler
 from repro.obs.report import RunReport, diff_reports, validate_report
 
 #: Smoke-run shape: small enough for CI, big enough to exercise the
@@ -80,22 +76,16 @@ def _smoke(out: Optional[str]) -> int:
     from repro.dse.table1 import equinox_configuration
     from repro.models.lstm import deepbench_lstm
 
-    profiler = SimProfiler()
     model = deepbench_lstm()
     accelerator = EquinoxAccelerator(
-        equinox_configuration("500us"),
-        model,
-        training_model=model,
-        profiler=profiler,
+        equinox_configuration("500us"), model, training_model=model
     )
     sim_report = accelerator.run(
         load=SMOKE_LOAD, requests=SMOKE_REQUESTS, seed=SMOKE_SEED
     )
     report = accelerator.run_report(sim_report, "smoke")
-    status = _emit(report, out)
-    for key, value in profiler.wall_summary().items():
-        print(f"[wall] {key}: {value:.6g}", file=sys.stderr)
-    return status
+    report.profile = {"events": float(sim_report.events_processed)}
+    return _emit(report, out)
 
 
 def _validate(paths: List[str]) -> int:

@@ -1,4 +1,4 @@
-"""Counters, gauges, histograms and the :class:`MetricsRegistry`.
+"""Histograms, deferred sources and the :class:`MetricsRegistry`.
 
 Metric names are lowercase dotted paths (``request.latency_us``,
 ``mmu.cycles.working``) — the dots are the namespace hierarchy the run
@@ -6,9 +6,9 @@ artifact and the ``metrics diff`` CLI flatten on.
 
 Two kinds of producers feed a registry:
 
-* **Live instruments** — :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` created through the registry and updated on the
-  hot path.
+* **Histograms** — :class:`Histogram` instruments created through the
+  registry and fed on the hot path (the span tracer's
+  ``span.<name>.cycles`` durations).
 * **Deferred sources** — callables returning a flat ``{leaf: value}``
   dict, read once per :meth:`MetricsRegistry.snapshot`. This is how the
   pre-existing collectors (:class:`repro.sim.stats.LatencyStats`,
@@ -21,7 +21,6 @@ Snapshots are plain nested dicts with deterministically ordered keys,
 so two identically seeded runs serialize byte-identically.
 """
 
-import math
 import re
 from typing import Any, Callable, Dict, Mapping, Union
 
@@ -31,7 +30,7 @@ from repro.obs.sketch import (
     check_sample,
 )
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Histogram", "MetricsRegistry"]
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
@@ -43,52 +42,6 @@ def _check_name(name: str) -> str:
             "like 'request.latency_us'"
         )
     return name
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "help", "_value")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = _check_name(name)
-        self.help = help
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        self._value += amount
-
-
-class Gauge:
-    """A point-in-time value (queue depth, degraded flag, ...)."""
-
-    __slots__ = ("name", "help", "_value")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = _check_name(name)
-        self.help = help
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError(f"gauge {self.name} cannot be set to NaN")
-        self._value = value
-
-    def track_max(self, value: float) -> None:
-        """Keep the high-water mark (heap depth, backlog peaks)."""
-        if value > self._value:
-            self.set(value)
 
 
 #: Distinct values a :class:`Histogram` buffers before folding them into
@@ -164,46 +117,15 @@ SourceFn = Callable[[], Mapping[str, Union[int, float]]]
 class MetricsRegistry:
     """One namespace of metrics for a run (accelerator, fleet, CLI).
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: asking twice
-    for the same name returns the same instrument, so components can
-    share metrics without threading objects around. Creating a name as
-    two different kinds is an error.
+    ``histogram`` is get-or-create: asking twice for the same name
+    returns the same instrument, so components can share metrics
+    without threading objects around. A name is either a histogram or
+    a source, never both.
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._sources: Dict[str, SourceFn] = {}
-
-    # ------------------------------------------------------------------
-    # Instrument factories
-    # ------------------------------------------------------------------
-
-    def _claim(self, name: str, kind: str) -> None:
-        owners = {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-            "source": self._sources,
-        }
-        for other_kind, table in owners.items():
-            if other_kind != kind and name in table:
-                raise ValueError(
-                    f"metric {name!r} already registered as a {other_kind}"
-                )
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        self._claim(name, "counter")
-        if name not in self._counters:
-            self._counters[name] = Counter(name, help)
-        return self._counters[name]
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        self._claim(name, "gauge")
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name, help)
-        return self._gauges[name]
 
     def histogram(
         self,
@@ -211,7 +133,8 @@ class MetricsRegistry:
         help: str = "",
         relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
     ) -> Histogram:
-        self._claim(name, "histogram")
+        if name in self._sources:
+            raise ValueError(f"metric {name!r} already registered as a source")
         if name not in self._histograms:
             self._histograms[name] = Histogram(name, help, relative_accuracy)
         return self._histograms[name]
@@ -224,23 +147,21 @@ class MetricsRegistry:
         legacy collectors, whose public APIs stay untouched.
         """
         _check_name(name)
-        self._claim(name, "source")
+        if name in self._histograms:
+            raise ValueError(
+                f"metric {name!r} already registered as a histogram"
+            )
         if name in self._sources:
             raise ValueError(f"source {name!r} already registered")
         self._sources[name] = fn
 
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
     def snapshot(self) -> Dict[str, Any]:
-        """Deterministic nested dict of every metric's current value."""
-        counters = {
-            name: self._counters[name].value for name in sorted(self._counters)
-        }
-        gauges = {
-            name: self._gauges[name].value for name in sorted(self._gauges)
-        }
+        """Deterministic nested dict of every metric's current value.
+
+        ``counters`` and ``gauges`` are always empty: they are sections
+        of the v1 artifact layout, kept so every artifact keeps its
+        shape.
+        """
         histograms = {
             name: self._histograms[name].to_dict()
             for name in sorted(self._histograms)
@@ -252,25 +173,8 @@ class MetricsRegistry:
                 leaf: float(values[leaf]) for leaf in sorted(values)
             }
         return {
-            "counters": counters,
-            "gauges": gauges,
+            "counters": {},
+            "gauges": {},
             "histograms": histograms,
             "sources": sources,
         }
-
-    def flat(self) -> Dict[str, float]:
-        """Flattened ``{dotted.path: value}`` view of :meth:`snapshot`
-        (what ``python -m repro metrics diff`` compares)."""
-        out: Dict[str, float] = {}
-        snap = self.snapshot()
-        for name, value in snap["counters"].items():
-            out[name] = value
-        for name, value in snap["gauges"].items():
-            out[name] = value
-        for name, fields in snap["histograms"].items():
-            for leaf, value in fields.items():
-                out[f"{name}.{leaf}"] = value
-        for name, fields in snap["sources"].items():
-            for leaf, value in fields.items():
-                out[f"{name}.{leaf}"] = value
-        return out

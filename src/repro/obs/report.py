@@ -11,8 +11,8 @@ paper's headline quantities in fixed fields —
 * ``faults`` — the full :class:`repro.faults.FaultCounters` snapshot,
 
 plus the free-form ``metrics`` (a :class:`MetricsRegistry` snapshot),
-``spans`` (per-name aggregates) and ``profile`` (deterministic kernel
-figures) sections.
+``spans`` (per-name aggregates) and ``profile`` (the simulator event
+count, filled only by ``python -m repro metrics smoke``) sections.
 
 Serialization is canonical — keys sorted, NaN/Infinity encoded as the
 strings ``"nan"``/``"inf"`` so the output is *valid* JSON — which makes
@@ -319,7 +319,6 @@ def report_from_simulation(
     config: Optional[Dict[str, Any]] = None,
     metrics: Optional[Dict[str, Any]] = None,
     spans: Optional[Dict[str, Dict[str, float]]] = None,
-    profile: Optional[Dict[str, float]] = None,
 ) -> RunReport:
     """Build an artifact from a ``SimulationReport``-shaped object.
 
@@ -364,5 +363,4 @@ def report_from_simulation(
         faults={key: float(faults[key]) for key in sorted(faults)},
         metrics=metrics or {},
         spans=spans or {},
-        profile=profile or {},
     )

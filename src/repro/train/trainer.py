@@ -5,7 +5,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
 from repro.train.data import batch_iterator
 from repro.train.nn import Sequential, softmax_cross_entropy
 from repro.train.optimizer import SGD
@@ -50,9 +49,6 @@ class Trainer:
         batch: Minibatch size.
         seed: Shuffling seed, fixed so encodings see identical batches
             and the curves are directly comparable.
-        registry: Optional :class:`MetricsRegistry` — the loop then
-            maintains ``train.epochs``/``train.batches`` counters, a
-            ``train.batch_loss`` histogram and validation gauges.
     """
 
     def __init__(
@@ -61,30 +57,21 @@ class Trainer:
         optimizer: Optional[SGD] = None,
         batch: int = 64,
         seed: int = 0,
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.model = model
         self.optimizer = optimizer or SGD(lr=0.05, momentum=0.9)
         self.batch = batch
         self.seed = seed
-        self.registry = registry
 
     def train_epoch(self, x: np.ndarray, y: np.ndarray, epoch: int) -> float:
         """One epoch of SGD; returns the mean training loss."""
         losses = []
-        registry = self.registry
         for bx, by in batch_iterator(x, y, self.batch, seed=self.seed + epoch):
             logits = self.model(bx)
             loss, grad = softmax_cross_entropy(logits, by)
             self.model.backward(grad)
             self.optimizer.step(self.model.parameters(), self.model.gradients())
             losses.append(loss)
-            if registry is not None:
-                registry.counter("train.batches").inc()
-                if loss >= 0:
-                    registry.histogram("train.batch_loss").observe(loss)
-        if registry is not None:
-            registry.counter("train.epochs").inc()
         return float(np.mean(losses))
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
@@ -112,7 +99,4 @@ class Trainer:
             curve.epochs.append(epoch)
             curve.validation_error.append(error)
             curve.validation_loss.append(loss)
-            if self.registry is not None:
-                self.registry.gauge("train.validation_error").set(error)
-                self.registry.gauge("train.validation_loss").set(loss)
         return curve

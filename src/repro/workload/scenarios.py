@@ -45,7 +45,7 @@ def spike_load_profile(
 ) -> List[float]:
     """A flat load with one rectangular spike — the scenario the spike
     guard (priority scheduler threshold) exists for."""
-    if not 0.0 <= base <= 1.0 and 0.0 <= spike <= 1.0:
+    if not (0.0 <= base <= 1.0 and 0.0 <= spike <= 1.0):
         raise ValueError("load fractions must be in [0, 1]")
     if spike_start < 0 or spike_len < 0 or spike_start + spike_len > points:
         raise ValueError("spike window must fit in the profile")

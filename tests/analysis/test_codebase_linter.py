@@ -106,12 +106,15 @@ class TestNondeterminism:
 
     def test_wall_clock_allowed_in_audited_modules(self):
         source = "import time\n\n\ndef now():\n    return time.time()\n"
-        for path in (
-            "src/repro/obs/profile.py",
-            "src/repro/exec/tasks.py",
-            "src/repro/__main__.py",
-        ):
+        for path in ("src/repro/exec/tasks.py", "src/repro/__main__.py"):
             assert lint_source(source, path=path) == []
+
+    def test_wall_clock_errors_in_obs(self):
+        """Only the two timing modules are exempt; no observability
+        module is on the audited list."""
+        source = "import time\n\n\ndef now():\n    return time.time()\n"
+        for path in ("src/repro/obs/profile.py", "src/repro/obs/spans.py"):
+            assert _ids(lint_source(source, path=path)) == ["EQX302"]
 
     def test_uuid_is_an_error_everywhere(self):
         source = "import uuid\n\nRUN_ID = uuid.uuid4()\n"

@@ -95,6 +95,19 @@ class TestRuns:
         assert report.training_top_s > 0
         assert report.requests_completed == 0
 
+    def test_run_records_request_and_training_spans(self, equinox):
+        report = equinox.run(load=0.3, requests=40)
+        summary = equinox.spans.summary()
+        assert {
+            "request", "request.queue", "request.execute",
+            "train.prefetch", "train.step",
+        } <= set(summary)
+        assert summary["request"]["count"] == report.requests_completed
+        histograms = equinox.obs.snapshot()["histograms"]
+        for name, entry in summary.items():
+            histogram = histograms[f"span.{name}.cycles"]
+            assert histogram["count"] == entry["count"]
+
     def test_run_idle_rejects_bad_duration(self, equinox):
         with pytest.raises(ValueError):
             equinox.run_idle(0.0)

@@ -36,6 +36,12 @@ class TestRunner:
             10 * reference.batch_service_us()
         )
 
+    def test_runner_shares_the_workload_slo_multiple(self):
+        from repro.eval import runner
+        from repro.workload import metrics
+
+        assert runner.SLO_MULTIPLE is metrics.SLO_MULTIPLE
+
 
 class TestAnalyticExperiments:
     def test_table1_runs_and_renders(self):

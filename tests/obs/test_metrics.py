@@ -1,4 +1,4 @@
-"""MetricsRegistry: instruments, deferred sources, snapshot contract."""
+"""MetricsRegistry: histograms, deferred sources, snapshot contract."""
 
 import json
 import math
@@ -6,37 +6,19 @@ import random
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.sketch import QuantileSketch
 
 
-class TestInstruments:
-    def test_counter_accumulates(self):
-        counter = Counter("requests.completed")
-        counter.inc()
-        counter.inc(3)
-        assert counter.value == 4.0
-
-    def test_counter_is_monotone(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
-
-    def test_gauge_set_and_track_max(self):
-        gauge = Gauge("queue.depth")
-        gauge.set(3)
-        gauge.track_max(7)
-        gauge.track_max(2)
-        assert gauge.value == 7.0
-
-    def test_gauge_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Gauge("x").set(math.nan)
-
+class TestNames:
     def test_metric_names_are_dotted_lowercase(self):
+        registry = MetricsRegistry()
         for bad in ("", "Request.Latency", "a..b", "a-b", "a b"):
             with pytest.raises(ValueError):
-                Counter(bad)
-        Counter("request.latency_us.p99")  # valid
+                Histogram(bad)
+            with pytest.raises(ValueError):
+                registry.register_source(bad, dict)
+        Histogram("request.latency_us.p99")  # valid
 
 
 def _span_like_samples(seed, n=3000):
@@ -95,21 +77,18 @@ class TestBufferedHistogram:
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
+    def test_get_or_create_returns_same_histogram(self):
         registry = MetricsRegistry()
-        assert registry.counter("a.b") is registry.counter("a.b")
-        assert registry.gauge("c") is registry.gauge("c")
         assert registry.histogram("d") is registry.histogram("d")
 
     def test_kind_collision_is_an_error(self):
         registry = MetricsRegistry()
-        registry.counter("a.b")
-        with pytest.raises(ValueError):
-            registry.gauge("a.b")
-        with pytest.raises(ValueError):
-            registry.histogram("a.b")
-        with pytest.raises(ValueError):
+        registry.histogram("a.b")
+        with pytest.raises(ValueError, match="already registered"):
             registry.register_source("a.b", dict)
+        registry.register_source("c", dict)
+        with pytest.raises(ValueError, match="already registered"):
+            registry.histogram("c")
 
     def test_duplicate_source_rejected(self):
         registry = MetricsRegistry()
@@ -125,22 +104,29 @@ class TestRegistry:
         state["count"] = 5
         assert registry.snapshot()["sources"]["latency"] == {"count": 5.0}
 
+    def test_empty_registry_snapshot_keeps_the_v1_layout(self):
+        assert MetricsRegistry().snapshot() == {
+            "counters": {},
+            "gauges": {},
+            "histograms": {},
+            "sources": {},
+        }
+
     def test_snapshot_sections_and_ordering(self):
         registry = MetricsRegistry()
-        registry.counter("z.second").inc()
-        registry.counter("a.first").inc(2)
-        registry.gauge("depth").set(4)
-        registry.histogram("lat").observe(10.0)
+        registry.histogram("z.lat").observe(10.0)
+        registry.histogram("a.lat").observe(1.0)
         registry.register_source("src", lambda: {"b": 2, "a": 1})
         snap = registry.snapshot()
+        # The v1 artifact layout keeps its empty counter/gauge sections.
         assert list(snap) == ["counters", "gauges", "histograms", "sources"]
-        assert list(snap["counters"]) == ["a.first", "z.second"]
+        assert snap["counters"] == {} and snap["gauges"] == {}
+        assert list(snap["histograms"]) == ["a.lat", "z.lat"]
         assert list(snap["sources"]["src"]) == ["a", "b"]
 
     def test_snapshot_is_deterministic(self):
         def build():
             registry = MetricsRegistry()
-            registry.counter("ops").inc(7)
             registry.histogram("lat").observe(3.0)
             registry.register_source("s", lambda: {"x": 1})
             return registry.snapshot()
@@ -148,18 +134,6 @@ class TestRegistry:
         assert json.dumps(build(), sort_keys=True) == json.dumps(
             build(), sort_keys=True
         )
-
-    def test_flat_view(self):
-        registry = MetricsRegistry()
-        registry.counter("ops").inc(2)
-        registry.gauge("depth").set(3)
-        registry.register_source("src", lambda: {"leaf": 4})
-        registry.histogram("lat").observe(1.0)
-        flat = registry.flat()
-        assert flat["ops"] == 2.0
-        assert flat["depth"] == 3.0
-        assert flat["src.leaf"] == 4.0
-        assert flat["lat.count"] == 1.0
 
 
 class TestLegacyCollectorSources:

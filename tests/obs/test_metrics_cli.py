@@ -1,10 +1,12 @@
 """``python -m repro metrics``: smoke, validate, diff."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.__main__ import main
+from repro.exec.canonical import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +27,34 @@ class TestSmoke:
         assert data["kind"] == "accelerator"
         assert data["latency_us"]["p99"] is not None
         assert data["throughput_top_s"]["training"] > 0
-        assert data["profile"]["events"] > 0
+
+    def test_profile_is_the_runs_event_count(self, smoke_artifact):
+        from repro.core.equinox import EquinoxAccelerator
+        from repro.dse.table1 import equinox_configuration
+        from repro.models.lstm import deepbench_lstm
+        from repro.obs.cli import SMOKE_LOAD, SMOKE_REQUESTS, SMOKE_SEED
+
+        model = deepbench_lstm()
+        sim_report = EquinoxAccelerator(
+            equinox_configuration("500us"), model, training_model=model
+        ).run(load=SMOKE_LOAD, requests=SMOKE_REQUESTS, seed=SMOKE_SEED)
+        data = json.loads(smoke_artifact.read_text())
+        assert data["profile"] == {
+            "events": float(sim_report.events_processed)
+        }
+        assert sim_report.events_processed > 0
+
+    def test_artifact_matches_its_pin(self, smoke_artifact):
+        """Everything the smoke run reports but its ``profile`` section:
+        headline numbers, the registry snapshot with every
+        ``span.*.cycles`` histogram, and the span aggregates. A change to
+        the span or metrics plumbing must leave this digest alone."""
+        data = json.loads(smoke_artifact.read_text())
+        data.pop("profile")
+        digest = hashlib.sha256(canonical_json(data).encode()).hexdigest()
+        assert digest == (
+            "df7384c61f37ddc0767217d7bf8075ae1a6688dfbde28b5aca6188bfad209541"
+        )
 
     def test_repeat_run_is_byte_identical(self, smoke_artifact, tmp_path):
         second = tmp_path / "smoke2.json"

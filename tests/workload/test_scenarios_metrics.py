@@ -39,6 +39,24 @@ class TestSpike:
         with pytest.raises(ValueError):
             spike_load_profile(points=10, spike_start=8, spike_len=5)
 
+    @pytest.mark.parametrize(
+        "loads",
+        [dict(spike=1.5), dict(base=-0.5, spike=2.0), dict(base=1.2)],
+        ids=["spike-above-one", "both-out-of-range", "base-above-one"],
+    )
+    def test_rejects_out_of_range_loads(self, loads):
+        with pytest.raises(ValueError, match="load fractions"):
+            spike_load_profile(**loads)
+
+
+    @pytest.mark.parametrize(
+        "base, spike", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)]
+    )
+    def test_accepts_boundary_loads(self, base, spike):
+        profile = spike_load_profile(points=4, base=base, spike=spike,
+                                     spike_start=1, spike_len=2)
+        assert profile == [base, spike, spike, base]
+
 
 class TestMetrics:
     def test_latency_target_default_multiple(self):
