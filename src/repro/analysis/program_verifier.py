@@ -194,7 +194,7 @@ def verify_program(
                     rules.STAGING_OVERFLOW,
                     f"per-job operand stream {per_job:.0f} B exceeds the "
                     f"staging slice ({staging:.0f} B, "
-                    f"{config.staging_fraction:.0%} of SRAM)",
+                    f"{config.staging_fraction * 100:.3g}% of SRAM)",
                     obj=where,
                 ))
             elif per_job > staging / 2.0:

@@ -12,8 +12,13 @@ valid because workers share no simulated resource other than the
 parameter server itself.
 """
 
-from repro.cluster.parameter_server import ParameterServer, SyncRound
-from repro.cluster.fleet import EquinoxFleet, FleetReport, WorkerReport
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.fleet import EquinoxFleet, FleetReport, WorkerReport
+    from repro.cluster.parameter_server import ParameterServer, SyncRound
 
 __all__ = [
     "ParameterServer",
@@ -22,3 +27,11 @@ __all__ = [
     "FleetReport",
     "WorkerReport",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "EquinoxFleet": "repro.cluster.fleet",
+    "FleetReport": "repro.cluster.fleet",
+    "WorkerReport": "repro.cluster.fleet",
+    "ParameterServer": "repro.cluster.parameter_server",
+    "SyncRound": "repro.cluster.parameter_server",
+})

@@ -25,19 +25,20 @@ trip, so ``--jobs 8``, ``--jobs 1`` and a cache replay produce
 bit-identical artifacts.
 """
 
-from repro.exec.cache import CacheStats, ResultCache
-from repro.exec.canonical import (
-    canonical_json,
-    code_fingerprint,
-    config_digest,
-)
-from repro.exec.jobs import Job, available_jobs, register_job, resolve_job
-from repro.exec.scheduler import (
-    JobExecutionError,
-    JobRunner,
-    ProcessPoolScheduler,
-    resolve_jobs,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.exec.cache import CacheStats, ResultCache
+    from repro.exec.canonical import canonical_json, code_fingerprint, config_digest
+    from repro.exec.jobs import Job, available_jobs, register_job, resolve_job
+    from repro.exec.scheduler import (
+        JobExecutionError,
+        JobRunner,
+        ProcessPoolScheduler,
+        resolve_jobs,
+    )
 
 __all__ = [
     "CacheStats",
@@ -54,3 +55,19 @@ __all__ = [
     "resolve_job",
     "resolve_jobs",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "CacheStats": "repro.exec.cache",
+    "ResultCache": "repro.exec.cache",
+    "canonical_json": "repro.exec.canonical",
+    "code_fingerprint": "repro.exec.canonical",
+    "config_digest": "repro.exec.canonical",
+    "Job": "repro.exec.jobs",
+    "available_jobs": "repro.exec.jobs",
+    "register_job": "repro.exec.jobs",
+    "resolve_job": "repro.exec.jobs",
+    "JobExecutionError": "repro.exec.scheduler",
+    "JobRunner": "repro.exec.scheduler",
+    "ProcessPoolScheduler": "repro.exec.scheduler",
+    "resolve_jobs": "repro.exec.scheduler",
+})

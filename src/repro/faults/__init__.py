@@ -27,17 +27,22 @@ and crashed workers. This package supplies
 prints a degradation table (see :mod:`repro.faults.chaos`).
 """
 
-from repro.faults.admission import AdmissionControl
-from repro.faults.counters import FaultCounters
-from repro.faults.guard import SLOGuard
-from repro.faults.injector import FaultInjector, WorkerCrashError
-from repro.faults.plan import (
-    FaultPlan,
-    HBMFaultSpec,
-    MMUFaultSpec,
-    RequestFaultSpec,
-    WorkerFaultSpec,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.admission import AdmissionControl
+    from repro.faults.counters import FaultCounters
+    from repro.faults.guard import SLOGuard
+    from repro.faults.injector import FaultInjector, WorkerCrashError
+    from repro.faults.plan import (
+        FaultPlan,
+        HBMFaultSpec,
+        MMUFaultSpec,
+        RequestFaultSpec,
+        WorkerFaultSpec,
+    )
 
 __all__ = [
     "AdmissionControl",
@@ -51,3 +56,16 @@ __all__ = [
     "WorkerCrashError",
     "WorkerFaultSpec",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "AdmissionControl": "repro.faults.admission",
+    "FaultCounters": "repro.faults.counters",
+    "SLOGuard": "repro.faults.guard",
+    "FaultInjector": "repro.faults.injector",
+    "WorkerCrashError": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "HBMFaultSpec": "repro.faults.plan",
+    "MMUFaultSpec": "repro.faults.plan",
+    "RequestFaultSpec": "repro.faults.plan",
+    "WorkerFaultSpec": "repro.faults.plan",
+})

@@ -29,13 +29,6 @@ from repro.kernels import ref_bfp
 
 __all__ = ["quantize", "matmul"]
 
-#: OpenBLAS runs a GEMM of at most 2^18 multiply-adds on one thread.
-#: Training-sized GEMMs gain nothing from a second thread, whose idle
-#: worker then spins on its core, so ``matmul`` issues its one product
-#: in row blocks under that size (any block order is exact).
-_BLOCK_MACS = 2**18
-
-
 def quantize(
     values: np.ndarray,
     fmt,
@@ -142,10 +135,7 @@ def matmul(
         )
     a = decode_tiles(a_mant, a_exp, a_fmt)[:logical_rows]
     b = decode_tiles(b_mant, b_exp, b_fmt)[:, :logical_cols]
-    product = np.empty((logical_rows, logical_cols))
-    rows = max(1, _BLOCK_MACS // max(1, a.shape[1] * logical_cols))
-    for i in range(0, logical_rows, rows):
-        np.matmul(a[i : i + rows], b, out=product[i : i + rows])
+    product = np.matmul(a, b)
     # Adding +0.0 turns -0.0, which a GEMM can return for all -0.0
     # products, into the +0.0 the reference (summing from +0.0) gives.
     out = np.empty((logical_rows, logical_cols), dtype=np.float32)

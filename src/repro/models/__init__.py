@@ -11,23 +11,28 @@ configuration — for inference batches and for training iterations
 parameter-server exchange).
 """
 
-from repro.models.graph import GemmLayer, ModelSpec
-from repro.models.lstm import deepbench_lstm
-from repro.models.gru import deepbench_gru
-from repro.models.resnet import resnet50
-from repro.models.mlp import mlp
-from repro.models.compiler import (
-    TileCompiler,
-    compile_inference,
-    compile_training,
-    tiling_utilization,
-)
-from repro.models.training import TrainingPlan, build_training_plan
-from repro.models.functional import (
-    FunctionalLSTMCell,
-    FunctionalMLP,
-    relative_output_error,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+from repro.models.mlp import mlp  # shadows its submodule, so eager
+
+if TYPE_CHECKING:
+    from repro.models.compiler import (
+        TileCompiler,
+        compile_inference,
+        compile_training,
+        tiling_utilization,
+    )
+    from repro.models.functional import (
+        FunctionalLSTMCell,
+        FunctionalMLP,
+        relative_output_error,
+    )
+    from repro.models.graph import GemmLayer, ModelSpec
+    from repro.models.gru import deepbench_gru
+    from repro.models.lstm import deepbench_lstm
+    from repro.models.resnet import resnet50
+    from repro.models.training import TrainingPlan, build_training_plan
 
 __all__ = [
     "GemmLayer",
@@ -46,3 +51,20 @@ __all__ = [
     "FunctionalMLP",
     "relative_output_error",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "TileCompiler": "repro.models.compiler",
+    "compile_inference": "repro.models.compiler",
+    "compile_training": "repro.models.compiler",
+    "tiling_utilization": "repro.models.compiler",
+    "FunctionalLSTMCell": "repro.models.functional",
+    "FunctionalMLP": "repro.models.functional",
+    "relative_output_error": "repro.models.functional",
+    "GemmLayer": "repro.models.graph",
+    "ModelSpec": "repro.models.graph",
+    "deepbench_gru": "repro.models.gru",
+    "deepbench_lstm": "repro.models.lstm",
+    "resnet50": "repro.models.resnet",
+    "TrainingPlan": "repro.models.training",
+    "build_training_plan": "repro.models.training",
+})

@@ -27,15 +27,20 @@ the same seed emit byte-identical JSON. No module here reads the wall
 clock.
 """
 
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.report import (
-    RunReport,
-    diff_reports,
-    report_from_simulation,
-    validate_report,
-)
-from repro.obs.sketch import QuantileSketch
-from repro.obs.spans import SpanTracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import Histogram, MetricsRegistry
+    from repro.obs.report import (
+        RunReport,
+        diff_reports,
+        report_from_simulation,
+        validate_report,
+    )
+    from repro.obs.sketch import QuantileSketch
+    from repro.obs.spans import SpanTracer
 
 __all__ = [
     "Histogram",
@@ -47,3 +52,14 @@ __all__ = [
     "report_from_simulation",
     "validate_report",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "RunReport": "repro.obs.report",
+    "diff_reports": "repro.obs.report",
+    "report_from_simulation": "repro.obs.report",
+    "validate_report": "repro.obs.report",
+    "QuantileSketch": "repro.obs.sketch",
+    "SpanTracer": "repro.obs.spans",
+})

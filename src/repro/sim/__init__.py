@@ -11,9 +11,14 @@ The hardware models in :mod:`repro.hw` and the Equinox front-end in
 :mod:`repro.core` are state machines driven by this kernel.
 """
 
-from repro.sim.engine import Simulator, Event
-from repro.sim.resources import SerialResource, BandwidthChannel, PortSet
-from repro.sim.stats import LatencyStats, CycleAccounting, ThroughputMeter
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Event, Simulator
+    from repro.sim.resources import BandwidthChannel, PortSet, SerialResource
+    from repro.sim.stats import CycleAccounting, LatencyStats, ThroughputMeter
 
 __all__ = [
     "Simulator",
@@ -25,3 +30,14 @@ __all__ = [
     "CycleAccounting",
     "ThroughputMeter",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "Event": "repro.sim.engine",
+    "Simulator": "repro.sim.engine",
+    "BandwidthChannel": "repro.sim.resources",
+    "PortSet": "repro.sim.resources",
+    "SerialResource": "repro.sim.resources",
+    "CycleAccounting": "repro.sim.stats",
+    "LatencyStats": "repro.sim.stats",
+    "ThroughputMeter": "repro.sim.stats",
+})

@@ -170,7 +170,7 @@ class Simulator:
         Scheduling in the past raises ``ValueError``: components must
         never rewind the clock.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         seq = self._seq_next
         self._seq_next = seq + 1
@@ -180,7 +180,7 @@ class Simulator:
 
     def after(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` after a non-negative ``delay``."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay {delay}")
         return self.at(self.now + delay, callback)
 
@@ -196,7 +196,7 @@ class Simulator:
         event, which is most of the per-event cost in dense
         arrival/completion traffic.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         seq = self._seq_next
         self._seq_next = seq + 1
@@ -204,7 +204,7 @@ class Simulator:
 
     def after_call(self, delay: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`after`: no handle, not cancellable."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay {delay}")
         seq = self._seq_next
         self._seq_next = seq + 1
@@ -278,7 +278,7 @@ class Simulator:
         simulation holding a live recurring event never drains — cancel
         it when the observed experiment ends.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError(f"interval must be positive, got {interval}")
         return RecurringEvent(self, float(interval), callback)
 

@@ -60,7 +60,7 @@ class SerialResource:
         tag: str = "work",
     ) -> None:
         """Enqueue a request for ``duration`` cycles of exclusive service."""
-        if duration < 0:
+        if not duration >= 0:
             raise ValueError(f"negative duration {duration}")
         if not self._queue and self._busy_until <= self.sim.now:
             # Idle with nobody waiting: the request would be pushed and
@@ -183,7 +183,7 @@ class BandwidthChannel:
         tag: str = "data",
     ) -> None:
         """Enqueue a transfer; ``on_done`` fires after latency + serialization."""
-        if size_bytes < 0:
+        if not size_bytes >= 0:
             raise ValueError(f"negative transfer size {size_bytes}")
         occupancy = size_bytes / self.bytes_per_cycle
         self.bytes_transferred += size_bytes

@@ -17,8 +17,13 @@ and must produce artifacts byte-identical to the uninterrupted run
 recovery mechanism; no simulator object is ever saved or restored.
 """
 
-from repro.state.checkpoint import CheckpointError, CompletionJournal
-from repro.state.signals import GracefulShutdown, ShutdownRequested
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.state.checkpoint import CheckpointError, CompletionJournal
+    from repro.state.signals import GracefulShutdown, ShutdownRequested
 
 __all__ = [
     "CheckpointError",
@@ -26,3 +31,10 @@ __all__ = [
     "GracefulShutdown",
     "ShutdownRequested",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "CheckpointError": "repro.state.checkpoint",
+    "CompletionJournal": "repro.state.checkpoint",
+    "GracefulShutdown": "repro.state.signals",
+    "ShutdownRequested": "repro.state.signals",
+})

@@ -9,12 +9,17 @@ uniform-encoding overhead comparison against a fixed-point-only
 inference accelerator.
 """
 
-from repro.synth.report import (
-    ComponentReport,
-    SynthesisReport,
-    synthesize,
-    encoding_overhead,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.synth.report import (
+        ComponentReport,
+        SynthesisReport,
+        encoding_overhead,
+        synthesize,
+    )
 
 __all__ = [
     "ComponentReport",
@@ -22,3 +27,10 @@ __all__ = [
     "synthesize",
     "encoding_overhead",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "ComponentReport": "repro.synth.report",
+    "SynthesisReport": "repro.synth.report",
+    "encoding_overhead": "repro.synth.report",
+    "synthesize": "repro.synth.report",
+})

@@ -1,6 +1,6 @@
 """Program verifier: one violating and one clean case per rule."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -127,6 +127,14 @@ class TestJobLevelRules:
             [StepProgram(mmu_jobs=[_job(tiny_config, weight_bytes=over)])]
         )
         assert "EQX104" in _ids(verify_program(program, tiny_config))
+
+    def test_eqx104_message_prints_a_sub_percent_slice(self, tiny_config):
+        config = replace(tiny_config, staging_fraction=0.005)
+        over = 2.0 * config.staging_bytes
+        program = _program([StepProgram(mmu_jobs=[_job(config, weight_bytes=over)])])
+        (diag,) = verify_program(program, config)
+        assert diag.rule_id == "EQX104"
+        assert "0.5% of SRAM" in diag.message
 
     def test_eqx104_counts_stash_reloads(self, tiny_config):
         step = StepProgram(

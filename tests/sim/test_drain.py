@@ -12,6 +12,7 @@ pinned the same way under both kernel backends.
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -409,6 +410,16 @@ class TestAnonymousLane:
         sim = Simulator()
         with pytest.raises(ValueError, match="negative delay"):
             getattr(sim, lane)(-0.5, lambda: None)
+        assert sim._heap == [] and sim._seq_next == 0
+
+    @pytest.mark.parametrize("lane", ["at", "after", "at_call", "after_call", "every"])
+    def test_nan_rejected_without_side_effects(self, lane):
+        """NaN compares false both ways, so a ``time < now`` check let it
+        in, and the event then fired with ``sim.now == nan``."""
+        sim = Simulator()
+        sim.run(until=10.0)
+        with pytest.raises(ValueError):
+            getattr(sim, lane)(math.nan, lambda: None)
         assert sim._heap == [] and sim._seq_next == 0
 
 

@@ -1,5 +1,7 @@
 """Serial resources, port sets, bandwidth channels."""
 
+import math
+
 import pytest
 
 from repro.sim.resources import BandwidthChannel, PortSet, SerialResource
@@ -65,6 +67,14 @@ class TestSerialResource:
         res = SerialResource(sim)
         with pytest.raises(ValueError):
             res.request(-1)
+
+    def test_rejects_nan_duration_without_side_effects(self, sim):
+        res = SerialResource(sim)
+        with pytest.raises(ValueError):
+            res.request(math.nan)
+        assert sim._heap == [] and sim._seq_next == 0
+        assert not res.is_busy and res.busy_cycles == 0.0
+        assert res.busy_by_tag == {}
 
     def test_queue_depth(self, sim):
         res = SerialResource(sim)
@@ -157,3 +167,10 @@ class TestBandwidthChannel:
         chan = BandwidthChannel(sim, bytes_per_cycle=10)
         with pytest.raises(ValueError):
             chan.transfer(-5)
+
+    def test_rejects_nan_size_without_side_effects(self, sim):
+        chan = BandwidthChannel(sim, bytes_per_cycle=10)
+        with pytest.raises(ValueError):
+            chan.transfer(math.nan)
+        assert sim._heap == [] and sim._seq_next == 0
+        assert chan.bytes_transferred == 0.0 and chan.utilization(1.0) == 0.0
