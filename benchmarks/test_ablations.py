@@ -10,6 +10,9 @@ Three studies beyond the paper's figures:
   installation-time queue threshold.
 """
 
+import pytest
+
+from repro.analysis.program_verifier import ProgramVerificationError
 from repro.core.equinox import EquinoxAccelerator
 from repro.dse.table1 import equinox_configuration
 from repro.hw.config import AcceleratorConfig
@@ -56,9 +59,16 @@ def test_ablation_software_scheduling(run_once):
 
 
 def test_ablation_staging_capacity(run_once):
+    # A 0.5% slice is refused at install: the compiler never splits a
+    # job below one instruction, and one instruction's operand stream of
+    # the LSTM training program is larger than the slice (EQX104).
+    with pytest.raises(ProgramVerificationError) as refused:
+        _accelerator(staging_fraction=0.005)
+    assert "EQX104" in {d.rule_id for d in refused.value.diagnostics}
+
     def run():
         rows = []
-        for fraction in (0.005, 0.02, 0.08):
+        for fraction in (0.01, 0.02, 0.08):
             acc = _accelerator(staging_fraction=fraction)
             report = acc.run(load=0.4, requests=8 * acc.batch_slots)
             rows.append((fraction, report.training_top_s))

@@ -14,13 +14,14 @@ still trips its rule.
 
 Exit status: 0 when no finding reaches the ``--fail-on`` severity
 (default ``error``), 1 otherwise, and 2 when ``--path`` or a
-``--fixture`` does not exist.
+``--fixture`` does not exist, or the fixture loader rejects a
+``--fixture`` (not a ``.py`` file, or no ``build()``).
 """
 
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -74,15 +75,20 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def collect(args: argparse.Namespace) -> List[Diagnostic]:
-    """Run the selected passes and return every diagnostic."""
+def collect(
+    args: argparse.Namespace, fixtures: Sequence[Tuple] = ()
+) -> List[Diagnostic]:
+    """Run the selected passes and return every diagnostic.
+
+    With ``--fixture``, only ``fixtures`` is verified: the ``(config,
+    artifact)`` pairs the named fixture modules built.
+    """
     diags: List[Diagnostic] = []
     if args.fixture:
-        for fixture in args.fixture:
-            for config, artifact in iter_fixture_artifacts(fixture):
-                diags.extend(verify(
-                    artifact, config, waste_threshold=args.waste_threshold
-                ))
+        for config, artifact in fixtures:
+            diags.extend(verify(
+                artifact, config, waste_threshold=args.waste_threshold
+            ))
         return diags
     if not args.skip_codebase:
         diags.extend(lint_repository(args.path))
@@ -102,7 +108,17 @@ def run(args: argparse.Namespace) -> int:
         if path is not None and not path.exists():
             print(f"analyze: {flag} {path} does not exist", file=sys.stderr)
             return 2
-    diags = collect(args)
+    fixtures: List[Tuple] = []
+    for fixture in args.fixture or ():
+        try:
+            fixtures.extend(iter_fixture_artifacts(fixture))
+        except ValueError as err:
+            print(
+                f"analyze: --fixture {fixture} is not a fixture ({err})",
+                file=sys.stderr,
+            )
+            return 2
+    diags = collect(args, fixtures)
     ignored = {part.strip() for part in args.ignore.split(",") if part.strip()}
     if ignored:
         diags = [d for d in diags if d.rule_id not in ignored]

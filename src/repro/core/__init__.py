@@ -2,9 +2,9 @@
 
 This package implements the paper's §3 mechanisms:
 
-* per-service hardware contexts (request queue + instruction counter +
-  exclusive buffer space) so inference and training services co-reside
-  (:mod:`repro.core.contexts`);
+* per-service buffer space reserved at install, so inference and
+  training services co-reside in on-chip SRAM
+  (:class:`~repro.core.equinox.EquinoxAccelerator`);
 * static and adaptive batch formation with the installation-time
   timeout threshold (:mod:`repro.core.batching`, Figure 11);
 * the instruction-controller scheduling policies — hardware priority
@@ -22,7 +22,6 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.core.batching import AdaptiveBatching, BatchingPolicy, StaticBatching
-    from repro.core.contexts import ServiceContext
     from repro.core.dispatcher import InferenceEngine, RequestDispatcher, TrainingEngine
     from repro.core.equinox import EquinoxAccelerator, SimulationReport
     from repro.core.requests import Batch, InferenceRequest, TrainingIterationRecord
@@ -48,7 +47,6 @@ __all__ = [
     "InferenceOnlyScheduler",
     "SoftwareScheduler",
     "make_scheduler",
-    "ServiceContext",
     "RequestDispatcher",
     "InferenceEngine",
     "TrainingEngine",
@@ -60,7 +58,6 @@ __getattr__ = lazy_exports(__name__, {
     "AdaptiveBatching": "repro.core.batching",
     "BatchingPolicy": "repro.core.batching",
     "StaticBatching": "repro.core.batching",
-    "ServiceContext": "repro.core.contexts",
     "InferenceEngine": "repro.core.dispatcher",
     "RequestDispatcher": "repro.core.dispatcher",
     "TrainingEngine": "repro.core.dispatcher",

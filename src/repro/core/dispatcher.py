@@ -484,15 +484,8 @@ class FairShareDispatcher(RequestDispatcher):
         self.timed_out_by_tenant: Dict[str, int] = dict.fromkeys(names, 0)
 
     @property
-    def tenant_names(self) -> List[str]:
-        return list(self._shares)
-
-    @property
     def queue_size(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
-
-    def queue_size_for(self, tenant: str) -> int:
-        return len(self._queues[tenant])
 
     def submit(self, tenant: Optional[str] = None) -> InferenceRequest:
         if tenant not in self._shares:
@@ -579,24 +572,6 @@ class FairShareDispatcher(RequestDispatcher):
         if not heads:
             return None
         return min(heads)
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-
-    def tenant_metrics(self) -> Dict[str, Dict[str, float]]:
-        """Per-tenant counters (stable tenant order)."""
-        return {
-            name: {
-                "queue_size": float(len(self._queues[name])),
-                "submitted": float(self.submitted_by_tenant[name]),
-                "shed": float(self.shed_by_tenant[name]),
-                "batched": float(self.batched_by_tenant[name]),
-                "timed_out": float(self.timed_out_by_tenant[name]),
-                "deficit": self._deficits[name],
-            }
-            for name in self._shares
-        }
 
 
 class InferenceEngine:
@@ -685,7 +660,6 @@ class InferenceEngine:
         step = self.program.steps[step_index]
         self.simd.issue(
             step.simd,
-            context="inference",
             on_done=lambda: self._run_step(batch, step_index + 1),
             priority=SIMD_INFERENCE_PRIORITY,
         )
@@ -878,8 +852,7 @@ class TrainingEngine:
             self.sim.after_call(0.0, _staged)
         else:
             self.hbm.transfer(
-                stream, kind="train_stream", on_done=_staged,
-                priority=PRIORITY_TRAINING,
+                stream, on_done=_staged, priority=PRIORITY_TRAINING
             )
 
     # ------------------------------------------------------------------
@@ -940,10 +913,7 @@ class TrainingEngine:
         # Fire-and-forget write-backs (stashes, gradients).
         for request in step.dram:
             if request.kind in ("stash_out", "grad_out"):
-                self.hbm.transfer(
-                    request.bytes, kind=request.kind,
-                    priority=PRIORITY_TRAINING,
-                )
+                self.hbm.transfer(request.bytes, priority=PRIORITY_TRAINING)
 
         step_started = self._exec_step_started
 
@@ -953,8 +923,7 @@ class TrainingEngine:
             self._next_step(step_idx)
 
         self.simd.issue(
-            step.simd, context="training", on_done=_after_simd,
-            priority=SIMD_TRAINING_PRIORITY,
+            step.simd, on_done=_after_simd, priority=SIMD_TRAINING_PRIORITY
         )
 
     def _next_step(self, step_idx: int) -> None:
@@ -978,8 +947,7 @@ class TrainingEngine:
                     self._next_step(captured)
 
                 self.hbm.transfer(
-                    sync_bytes, kind="param_sync", on_done=_sync_done,
-                    priority=PRIORITY_TRAINING,
+                    sync_bytes, on_done=_sync_done, priority=PRIORITY_TRAINING
                 )
                 return
             next_idx += 1

@@ -22,7 +22,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.batching import make_batching
-from repro.core.contexts import ServiceContext
 from repro.core.dispatcher import (
     InferenceEngine,
     RequestDispatcher,
@@ -183,13 +182,9 @@ class EquinoxAccelerator:
             self.fault_injector = FaultInjector(fault_plan, self.fault_counters)
             self.hbm.set_fault_injector(self.fault_injector)
             self.mmu.set_fault_injector(self.fault_injector)
-        self.weight_buffer = OnChipBuffer(
-            self.sim, "weight", config.sram.weight_bytes,
-            port_bytes_per_cycle=config.dram_bytes_per_cycle,
-        )
+        self.weight_buffer = OnChipBuffer("weight", config.sram.weight_bytes)
         self.activation_buffer = OnChipBuffer(
-            self.sim, "activation", config.sram.activation_bytes,
-            port_bytes_per_cycle=config.dram_bytes_per_cycle,
+            "activation", config.sram.activation_bytes
         )
 
         compiler = TileCompiler(config, chunk_us)
@@ -197,15 +192,15 @@ class EquinoxAccelerator:
         self.batch_slots = self.inference_program.rows
 
         # Install the inference service: weights must be SRAM-resident.
+        # Each service reserves exclusive buffer space (paper §3.2); an
+        # oversubscribed buffer raises BufferCapacityError.
         operand_bytes = config.encoding_info.bytes_per_operand
-        self.inference_context = ServiceContext(
-            "inference", self.inference_program
+        self.weight_buffer.allocate(
+            "inference", inference_model.weight_bytes(operand_bytes)
         )
-        self.inference_context.bind_buffers(
-            self.weight_buffer,
-            self.activation_buffer,
-            weight_bytes=inference_model.weight_bytes(operand_bytes),
-            activation_bytes=min(
+        self.activation_buffer.allocate(
+            "inference",
+            min(
                 config.sram.activation_bytes * 0.5,
                 2.0 * self.batch_slots
                 * max(l.k + l.n_out for l in inference_model.layers),
@@ -279,15 +274,10 @@ class EquinoxAccelerator:
                 batch=training_batch,
                 max_stream_bytes=config.staging_bytes / 2.0,
             )
-            self.training_context = ServiceContext(
-                "training", self.training_program
-            )
             # Training space-shares a sliver of SRAM for staging only.
-            self.training_context.bind_buffers(
-                self.weight_buffer,
-                self.activation_buffer,
-                weight_bytes=config.staging_bytes * 0.75,
-                activation_bytes=config.staging_bytes * 0.25,
+            self.weight_buffer.allocate("training", config.staging_bytes * 0.75)
+            self.activation_buffer.allocate(
+                "training", config.staging_bytes * 0.25
             )
             self.training_engine = TrainingEngine(
                 self.sim, config, self.mmu, self.simd, self.hbm,
@@ -364,14 +354,6 @@ class EquinoxAccelerator:
     def capacity_requests_per_s(self) -> float:
         return self.capacity_requests_per_cycle() * self.config.frequency_hz
 
-    def peak_inference_top_s(self) -> float:
-        """Useful-op throughput at MMU saturation."""
-        ops = self.batch_slots * self.inference_program.useful_ops_per_row
-        return (
-            ops / self.inference_program.total_mmu_cycles
-            * self.config.frequency_hz / 1e12
-        )
-
     # ------------------------------------------------------------------
     # Load experiments
     # ------------------------------------------------------------------
@@ -397,7 +379,7 @@ class EquinoxAccelerator:
             max_events: Hard safety stop for the event loop.
         """
         if load <= 0:
-            raise ValueError("load must be positive; use run_idle() for 0")
+            raise ValueError(f"load must be positive, got {load}")
         if requests <= 0:
             requests = max(2000, 40 * self.batch_slots)
         if arrivals is None:
@@ -605,16 +587,6 @@ class EquinoxAccelerator:
                 )
             )
         return reports
-
-    def run_idle(self, duration_s: float) -> SimulationReport:
-        """Run with no inference arrivals — training harvests the whole
-        accelerator (the zero-load end of Figure 9)."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if self.training_engine is not None and not self.training_engine._started:
-            self.training_engine.start()
-        self.sim.run(until=self.sim.now + self.config.seconds_to_cycles(duration_s))
-        return self._report(0.0)
 
     @staticmethod
     def _no_sample_latency_us(submitted: int) -> float:

@@ -29,10 +29,6 @@ from repro.sim.resources import BandwidthChannel
 PRIORITY_INFERENCE = 0
 PRIORITY_TRAINING = 1
 
-#: ``bytes_by_kind`` tag under which ECC-retry traffic is accounted, so
-#: retry bandwidth never masquerades as useful stream bytes.
-ECC_RETRY_KIND = "ecc_retry"
-
 
 class HBMInterface:
     """Event-driven model of the DRAM interface."""
@@ -46,7 +42,6 @@ class HBMInterface:
             fixed_latency=config.dram_latency_cycles,
             name="hbm",
         )
-        self.bytes_by_kind: dict = {}
         self._fault_injector = None
         #: ``_block_align`` memo: transfer size -> block-aligned size.
         self._aligned: Dict[float, float] = {}
@@ -54,10 +49,6 @@ class HBMInterface:
     def set_fault_injector(self, injector) -> None:
         """Attach a fault injector sampling transient ECC errors."""
         self._fault_injector = injector
-
-    @property
-    def queue_depth(self) -> int:
-        return self._channel.queue_depth
 
     @property
     def bytes_transferred(self) -> float:
@@ -75,22 +66,18 @@ class HBMInterface:
     def transfer(
         self,
         size_bytes: float,
-        kind: str = "train_weights",
         on_done: Optional[Callable[[], None]] = None,
         priority: int = PRIORITY_TRAINING,
     ) -> None:
         """Move ``size_bytes`` (block-aligned) across the channel."""
         aligned = self._block_align(size_bytes)
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0.0) + aligned
         if aligned == 0:
             if on_done is not None:
                 self.sim.after_call(0.0, on_done)
             return
         injector = self._fault_injector
         if injector is None or not injector.plan.hbm.enabled:
-            self._channel.transfer(
-                aligned, on_done=on_done, priority=priority, tag=kind
-            )
+            self._channel.transfer(aligned, on_done=on_done, priority=priority)
             return
 
         # Faulty path: each completion may carry a transient ECC error;
@@ -104,23 +91,15 @@ class HBMInterface:
                 if attempts[0] < injector.hbm_max_retries:
                     attempts[0] += 1
                     injector.note_hbm_retry()
-                    self.bytes_by_kind[ECC_RETRY_KIND] = (
-                        self.bytes_by_kind.get(ECC_RETRY_KIND, 0.0) + aligned
-                    )
                     self._channel.transfer(
-                        aligned,
-                        on_done=_complete,
-                        priority=priority,
-                        tag=ECC_RETRY_KIND,
+                        aligned, on_done=_complete, priority=priority
                     )
                     return
                 injector.note_hbm_retry_exhausted()
             if on_done is not None:
                 on_done()
 
-        self._channel.transfer(
-            aligned, on_done=_complete, priority=priority, tag=kind
-        )
+        self._channel.transfer(aligned, on_done=_complete, priority=priority)
 
     def utilization(self, window_cycles: Optional[float] = None) -> float:
         """Fraction of peak bandwidth consumed."""

@@ -86,7 +86,6 @@ class MatrixMultiplyUnit:
         self.throughput = ThroughputMeter()
         #: Throughput attributed per context (Figure 9's split).
         self.throughput_by_context: Dict[str, ThroughputMeter] = {}
-        self.busy_by_context: Dict[str, float] = {}
         self.jobs_issued = 0
         self.busy_cycles = 0.0
 
@@ -244,7 +243,6 @@ class MatrixMultiplyUnit:
             if meter is None:
                 meter = self._open_context(context, now)
             self.busy_cycles += occupancy
-            self.busy_by_context[context] += occupancy
             booked = self._cycles
             useful_ops = 2.0 * job.macs * utilization
             rows = job.rows
@@ -313,14 +311,13 @@ class MatrixMultiplyUnit:
         self.sim.after_call(job.cycles + stall, self._advance)
 
     def _open_context(self, context: str, now: float) -> ThroughputMeter:
-        """The first completion on behalf of ``context``: its busy tally
-        and meter start here, and the first completion of all starts
-        the global meter."""
+        """The first completion on behalf of ``context``: its meter
+        starts here, and the first completion of all starts the global
+        meter."""
         if self.throughput.first_cycle is None:
             self.throughput.first_cycle = now
         meter = self.throughput_by_context[context] = ThroughputMeter()
         meter.first_cycle = now
-        self.busy_by_context[context] = 0.0
         return meter
 
     # ------------------------------------------------------------------
@@ -332,11 +329,6 @@ class MatrixMultiplyUnit:
         window = self.sim.now if window_cycles is None else window_cycles
         return self.accounting.breakdown(window)
 
-    def measured_top_s(self, window_cycles: Optional[float] = None) -> float:
-        """Sustained useful throughput in TOp/s."""
-        window = self.sim.now if window_cycles is None else window_cycles
-        return self.throughput.top_s(window, self.config.frequency_hz)
-
     def context_top_s(
         self, context: str, window_cycles: Optional[float] = None
     ) -> float:
@@ -346,11 +338,3 @@ class MatrixMultiplyUnit:
             return 0.0
         window = self.sim.now if window_cycles is None else window_cycles
         return meter.top_s(window, self.config.frequency_hz)
-
-    def busy_fraction(
-        self, context: str, window_cycles: Optional[float] = None
-    ) -> float:
-        window = self.sim.now if window_cycles is None else window_cycles
-        if window <= 0:
-            return 0.0
-        return self.busy_by_context.get(context, 0.0) / window

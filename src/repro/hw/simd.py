@@ -27,20 +27,10 @@ class SIMDUnit:
         self.sim = sim
         self.config = config
         self._unit = SerialResource(sim, "simd")
-        self.ops_retired = 0.0
-
-    @property
-    def queue_depth(self) -> int:
-        return self._unit.queue_depth
-
-    @property
-    def busy_cycles(self) -> float:
-        return self._unit.busy_cycles
 
     def issue(
         self,
         job: SIMDJob,
-        context: str = "inference",
         on_done: Optional[Callable[[], None]] = None,
         priority: int = 0,
     ) -> None:
@@ -50,16 +40,4 @@ class SIMDUnit:
             if on_done is not None:
                 self.sim.after_call(0.0, on_done)
             return
-
-        def _done() -> None:
-            self.ops_retired += job.ops
-            if on_done is not None:
-                on_done()
-
-        self._unit.request(
-            duration=job.cycles, on_done=_done, priority=priority, tag=context
-        )
-
-    def utilization(self, window_cycles: Optional[float] = None) -> float:
-        window = self.sim.now if window_cycles is None else window_cycles
-        return self._unit.utilization(window)
+        self._unit.request(job.cycles, on_done=on_done, priority=priority)

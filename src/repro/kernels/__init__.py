@@ -7,7 +7,8 @@ time in each exist twice:
   semantics (the former inline implementations, kept as the oracle);
 * ``fast`` — a vectorized rewrite that must match the reference **bit
   for bit**: values, shared exponents and RNG stream position
-  (:mod:`repro.kernels.parity` is the executable contract).
+  (the corpus in ``tests/kernels/parity.py`` is the executable
+  contract).
 
 Call sites never import implementations directly (lint rule EQX308);
 they resolve through :func:`dispatch`. The default backend is ``fast``;

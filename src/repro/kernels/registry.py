@@ -4,7 +4,7 @@ A kernel pair is one numerical primitive implemented twice: a
 ``reference`` implementation — the readable, obviously-correct code
 that defines the semantics — and a ``fast`` implementation that must be
 **bit-identical** to it (values, shared exponents, RNG stream position;
-see :mod:`repro.kernels.parity` for the enforced contract). This module
+``tests/kernels/parity.py`` is the enforced contract). This module
 holds the pairs and decides which side runs.
 
 The ambient backend is ``"fast"``; :func:`use_backend` switches it for

@@ -23,11 +23,6 @@ if TYPE_CHECKING:
         compile_training,
         tiling_utilization,
     )
-    from repro.models.functional import (
-        FunctionalLSTMCell,
-        FunctionalMLP,
-        relative_output_error,
-    )
     from repro.models.graph import GemmLayer, ModelSpec
     from repro.models.gru import deepbench_gru
     from repro.models.lstm import deepbench_lstm
@@ -47,9 +42,6 @@ __all__ = [
     "tiling_utilization",
     "TrainingPlan",
     "build_training_plan",
-    "FunctionalLSTMCell",
-    "FunctionalMLP",
-    "relative_output_error",
 ]
 
 __getattr__ = lazy_exports(__name__, {
@@ -57,9 +49,6 @@ __getattr__ = lazy_exports(__name__, {
     "compile_inference": "repro.models.compiler",
     "compile_training": "repro.models.compiler",
     "tiling_utilization": "repro.models.compiler",
-    "FunctionalLSTMCell": "repro.models.functional",
-    "FunctionalMLP": "repro.models.functional",
-    "relative_output_error": "repro.models.functional",
     "GemmLayer": "repro.models.graph",
     "ModelSpec": "repro.models.graph",
     "deepbench_gru": "repro.models.gru",

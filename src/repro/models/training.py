@@ -40,11 +40,6 @@ class TrainingPlan:
         """Weight streams, stashes, gradient and sync traffic."""
         return self.program.total_dram_bytes
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """Useful ops per DRAM byte — training's fundamental bound."""
-        return self.ops_per_iteration / self.dram_bytes_per_iteration
-
     def compute_cycles(self) -> float:
         """MMU occupancy of one iteration at zero contention."""
         return self.program.total_mmu_cycles
@@ -69,22 +64,6 @@ class TrainingPlan:
         cycles = self.dedicated_iteration_cycles()
         seconds = self.config.cycles_to_seconds(cycles)
         return self.ops_per_iteration / seconds / 1e12
-
-    def compute_bound_top_s(self) -> float:
-        """Throughput if only the MMU limited (infinite bandwidth)."""
-        seconds = self.config.cycles_to_seconds(self.compute_cycles())
-        return self.ops_per_iteration / seconds / 1e12
-
-    def dram_bound_top_s(self) -> float:
-        """Throughput if only the HBM stream limited."""
-        seconds = self.config.cycles_to_seconds(self.dram_cycles())
-        return self.ops_per_iteration / seconds / 1e12
-
-    @property
-    def is_dram_bound(self) -> bool:
-        """Whether HBM bandwidth, not compute, limits this plan —
-        the paper's §2.2 observation for practical batch sizes."""
-        return self.dram_cycles() >= self.compute_cycles()
 
 
 def build_training_plan(

@@ -1,7 +1,7 @@
 """SLO service classes and tenant specs for multi-tenant serving.
 
 Equinox's hardware priority scheduler keeps one request context per
-installed service (paper §3.2, :mod:`repro.core.contexts`); the fleet
+installed service (paper §3.2, :mod:`repro.hw.mmu`); the fleet
 layer generalizes that to N tenants, each bound to a *service class*
 that fixes its latency objective and its slice of every chip's
 front-end:

@@ -1,9 +1,9 @@
-"""Shared-resource models: serial units, port sets, bandwidth channels.
+"""Shared-resource models: serial units and bandwidth channels.
 
 These are the contention points the paper's cycle-accurate simulator
 models beyond the analytical equations: execution units that serve one
-operation at a time, SRAM ports with a fixed width, and links (DRAM,
-host) that serialize transfers at a given bytes-per-cycle rate.
+operation at a time (the SIMD unit), and the DRAM link, which
+serializes transfers at a given bytes-per-cycle rate.
 """
 
 import heapq
@@ -22,9 +22,8 @@ class SerialResource:
     fires when service *starts*; the done callback (optional) fires when
     it completes.
 
-    Busy-time is integrated so cycle-accounting (Figure 8) can read
-    utilization per category via the ``account`` tag passed at request
-    time.
+    Busy time is integrated, so :meth:`utilization` reads the busy
+    share of a window.
     """
 
     def __init__(self, sim: Simulator, name: str = "resource"):
@@ -39,17 +38,11 @@ class SerialResource:
         #: completes no earlier, and a tie fires in schedule order.
         self._in_service: deque = deque()
         self.busy_cycles = 0.0
-        self.busy_by_tag: dict = {}
 
     @property
     def queue_depth(self) -> int:
         """Number of requests waiting for service."""
         return len(self._queue)
-
-    @property
-    def is_busy(self) -> bool:
-        """Whether a request is currently in service."""
-        return self._busy_until > self.sim.now
 
     def request(
         self,
@@ -57,7 +50,6 @@ class SerialResource:
         on_grant: Optional[Callable[[], None]] = None,
         on_done: Optional[Callable[[], None]] = None,
         priority: int = 0,
-        tag: str = "work",
     ) -> None:
         """Enqueue a request for ``duration`` cycles of exclusive service."""
         if not duration >= 0:
@@ -65,11 +57,11 @@ class SerialResource:
         if not self._queue and self._busy_until <= self.sim.now:
             # Idle with nobody waiting: the request would be pushed and
             # popped straight back, so start it directly.
-            self._start(duration, on_grant, on_done, tag)
+            self._start(duration, on_grant, on_done)
             return
         heapq.heappush(
             self._queue,
-            (priority, next(self._seq), duration, on_grant, on_done, tag),
+            (priority, next(self._seq), duration, on_grant, on_done),
         )
         self._pump()
 
@@ -77,21 +69,19 @@ class SerialResource:
         # While busy, the in-service request's completion re-pumps.
         if not self._queue or self._busy_until > self.sim.now:
             return
-        _priority, _seq, duration, on_grant, on_done, tag = heapq.heappop(
+        _priority, _seq, duration, on_grant, on_done = heapq.heappop(
             self._queue
         )
-        self._start(duration, on_grant, on_done, tag)
+        self._start(duration, on_grant, on_done)
 
     def _start(
         self,
         duration: float,
         on_grant: Optional[Callable[[], None]],
         on_done: Optional[Callable[[], None]],
-        tag: str,
     ) -> None:
         self._busy_until = self.sim.now + duration
         self.busy_cycles += duration
-        self.busy_by_tag[tag] = self.busy_by_tag.get(tag, 0.0) + duration
         # Completions are never cancelled: use the anonymous lane and
         # skip the Event allocation on the busiest event class. The
         # completion is scheduled before ``on_grant`` runs, so a service
@@ -114,40 +104,6 @@ class SerialResource:
         if horizon <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / horizon)
-
-
-class PortSet:
-    """``count`` identical ports in front of a structure (an SRAM bank).
-
-    Requests are granted on the first free port; excess requests queue
-    with priority. This models read/write port contention in the
-    activation and weight buffers.
-    """
-
-    def __init__(self, sim: Simulator, count: int, name: str = "ports"):
-        if count < 1:
-            raise ValueError("a port set needs at least one port")
-        self.ports = [SerialResource(sim, f"{name}[{i}]") for i in range(count)]
-
-    def request(
-        self,
-        duration: float,
-        on_grant: Optional[Callable[[], None]] = None,
-        on_done: Optional[Callable[[], None]] = None,
-        priority: int = 0,
-        tag: str = "work",
-    ) -> None:
-        """Route the request to the least-loaded port (idle ports first,
-        then shortest queue; ties to the lowest-numbered port)."""
-        target = min(
-            self.ports,
-            key=lambda p: (p.queue_depth + (1 if p.is_busy else 0)),
-        )
-        target.request(duration, on_grant, on_done, priority, tag)
-
-    @property
-    def busy_cycles(self) -> float:
-        return sum(p.busy_cycles for p in self.ports)
 
 
 class BandwidthChannel:
@@ -180,7 +136,6 @@ class BandwidthChannel:
         size_bytes: float,
         on_done: Optional[Callable[[], None]] = None,
         priority: int = 0,
-        tag: str = "data",
     ) -> None:
         """Enqueue a transfer; ``on_done`` fires after latency + serialization."""
         if not size_bytes >= 0:
@@ -196,13 +151,7 @@ class BandwidthChannel:
             else:
                 on_done()
 
-        self._pipe.request(
-            occupancy, on_done=_after_pipe, priority=priority, tag=tag
-        )
-
-    @property
-    def queue_depth(self) -> int:
-        return self._pipe.queue_depth
+        self._pipe.request(occupancy, on_done=_after_pipe, priority=priority)
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of the channel's bandwidth consumed so far."""

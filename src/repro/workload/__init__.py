@@ -19,7 +19,6 @@ if TYPE_CHECKING:
         TraceArrivals,
         UniformArrivals,
     )
-    from repro.workload.metrics import latency_target_cycles, offered_rate
     from repro.workload.scenarios import diurnal_load_profile, spike_load_profile
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "TraceArrivals",
     "diurnal_load_profile",
     "spike_load_profile",
-    "latency_target_cycles",
-    "offered_rate",
 ]
 
 __getattr__ = lazy_exports(__name__, {
@@ -38,8 +35,6 @@ __getattr__ = lazy_exports(__name__, {
     "PoissonArrivals": "repro.workload.loadgen",
     "TraceArrivals": "repro.workload.loadgen",
     "UniformArrivals": "repro.workload.loadgen",
-    "latency_target_cycles": "repro.workload.metrics",
-    "offered_rate": "repro.workload.metrics",
     "diurnal_load_profile": "repro.workload.scenarios",
     "spike_load_profile": "repro.workload.scenarios",
 })

@@ -1,33 +1,10 @@
-"""Service-level metric helpers.
+"""Service-level objective constant.
 
 The paper sets the inference 99th-percentile latency target at 10× the
 workload's mean service time on the Equinox_500µs configuration (§5,
-following the tail-latency literature), and expresses offered load as a
-fraction of an accelerator's saturation request rate.
+following the tail-latency literature).
 """
 
 #: The paper's service-level objective: p99 within this multiple of the
 #: mean service time.
 SLO_MULTIPLE = 10.0
-
-
-def latency_target_cycles(
-    mean_service_cycles: float, multiple: float = SLO_MULTIPLE
-) -> float:
-    """The p99 latency goal in cycles."""
-    if mean_service_cycles <= 0:
-        raise ValueError("service time must be positive")
-    if multiple <= 0:
-        raise ValueError("SLO multiple must be positive")
-    return multiple * mean_service_cycles
-
-
-def offered_rate(
-    load_fraction: float, capacity_requests_per_cycle: float
-) -> float:
-    """Arrival rate (requests/cycle) at a load fraction of capacity."""
-    if not 0.0 < load_fraction:
-        raise ValueError("load fraction must be positive")
-    if capacity_requests_per_cycle <= 0:
-        raise ValueError("capacity must be positive")
-    return load_fraction * capacity_requests_per_cycle

@@ -89,3 +89,14 @@ class TestMissingPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"analyze: --fixture {missing} does not exist\n"
+
+    def test_non_fixture_is_a_usage_error(self, capsys):
+        package_init = FIXTURES / "__init__.py"
+        fixtures = [str(FIXTURES / "bad_loop.py"), str(package_init)]
+        assert main(["--fixture", *fixtures]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"analyze: --fixture {package_init} ")
+        assert "defines no build()" in lines[0]

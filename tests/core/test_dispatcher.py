@@ -218,7 +218,7 @@ class TestFairShareDispatcher:
             dispatcher.submit("a")
         # Tenant a's flash crowd sheds its own overflow only.
         assert dispatcher.shed_by_tenant == {"a": 3, "b": 0}
-        assert dispatcher.queue_size_for("a") == 2
+        assert dispatcher.queue_size == 2  # all of them tenant a's
         dispatcher.submit("b")
         assert dispatcher.shed_by_tenant["b"] == 0
 
@@ -234,7 +234,7 @@ class TestFairShareDispatcher:
         dispatcher.submit("b")
         sim.run()
         assert dispatcher.timed_out_by_tenant == {"a": 1, "b": 0}
-        assert dispatcher.queue_size_for("b") == 1
+        assert dispatcher.queue_size == 1  # tenant b's request waits
 
     def test_unknown_tenant_rejected(self, sim):
         dispatcher = _fair(sim, [], [TenantShare("a")])
@@ -371,10 +371,25 @@ class TestTrainingEngine:
             sim, small_config, tiny_model, PriorityScheduler(16),
             training_model=tiny_model,
         )
+        sizes = []
+        transfer = bench.hbm.transfer
+
+        def _recording(size_bytes, *args, **kwargs):
+            sizes.append(size_bytes)
+            transfer(size_bytes, *args, **kwargs)
+
+        bench.hbm.transfer = _recording
         bench.training.start()
         sim.run(until=5e5)
-        assert bench.hbm.bytes_by_kind.get("train_stream", 0) > 0
-        assert bench.hbm.bytes_by_kind.get("param_sync", 0) > 0
+        steps = bench.training.program.steps
+        streams = {
+            step.stream_bytes / len(step.mmu_jobs) for step in steps if step.mmu_jobs
+        }
+        syncs = {step.dram_bytes for step in steps if not step.mmu_jobs}
+        assert min(streams) > 0 and max(syncs) > 0
+        assert streams & set(sizes)  # per-job weight streams
+        assert syncs & set(sizes)  # parameter-server exchange
+        assert bench.hbm.bytes_transferred >= sum(sizes)
 
     def test_iterations_have_positive_duration(self, sim, small_config, tiny_model):
         bench = _Bench(

@@ -1,9 +1,14 @@
 """EquinoxAccelerator facade: installation, load runs, invariants."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.equinox import EquinoxAccelerator
+from repro.dse.table1 import equinox_configuration
+from repro.hw.buffers import BufferCapacityError
 from repro.hw.config import AcceleratorConfig
+from repro.models.lstm import deepbench_lstm
 
 
 @pytest.fixture
@@ -24,17 +29,23 @@ class TestConstruction:
     def test_batch_slots_default_to_n(self, equinox, config):
         assert equinox.batch_slots == config.n
 
-    def test_inference_weights_reserved(self, equinox, tiny_model):
-        operand = equinox.config.encoding_info.bytes_per_operand
-        assert equinox.weight_buffer.allocation_of("inference") == pytest.approx(
+    def test_inference_weights_reserved(self, config, tiny_model):
+        acc = EquinoxAccelerator(config, tiny_model)
+        operand = config.encoding_info.bytes_per_operand
+        assert acc.weight_buffer.allocated_bytes == pytest.approx(
             tiny_model.weight_bytes(operand)
         )
 
-    def test_training_gets_staging_sliver(self, equinox, config):
-        staged = (
-            equinox.weight_buffer.allocation_of("training")
-            + equinox.activation_buffer.allocation_of("training")
-        )
+    def test_training_gets_staging_sliver(self, equinox, config, tiny_model):
+        alone = EquinoxAccelerator(config, tiny_model)
+
+        def reserved(acc):
+            return (
+                acc.weight_buffer.allocated_bytes
+                + acc.activation_buffer.allocated_bytes
+            )
+
+        staged = reserved(equinox) - reserved(alone)
         assert staged == pytest.approx(config.staging_bytes)
 
     def test_training_with_inference_only_rejected(self, config, tiny_model):
@@ -52,10 +63,38 @@ class TestConstruction:
     def test_analytic_service_characteristics(self, equinox):
         assert equinox.batch_service_us() > 0
         assert equinox.capacity_requests_per_s() > 0
-        assert equinox.peak_inference_top_s() > 0
-        assert (
-            equinox.peak_inference_top_s()
-            <= equinox.config.peak_throughput_top_s
+
+
+class TestInstallRefusal:
+    """An install that oversubscribes on-chip SRAM is refused with the
+    buffer, the context, the shortfall and who holds the space."""
+
+    @staticmethod
+    def _config(weight_bytes):
+        config = equinox_configuration("500us")
+        return dataclasses.replace(
+            config, sram=dataclasses.replace(config.sram, weight_bytes=weight_bytes)
+        )
+
+    def test_inference_weights_that_do_not_fit(self):
+        with pytest.raises(BufferCapacityError) as refused:
+            EquinoxAccelerator(self._config(1_000_000), deepbench_lstm())
+        assert str(refused.value) == (
+            "weight buffer cannot install context 'inference': requested "
+            "16875520 B but only 1000000 B of 1000000 B remain (existing "
+            "allocations: none); short by 15875520 B"
+        )
+
+    def test_training_staging_that_does_not_fit(self):
+        with pytest.raises(BufferCapacityError) as refused:
+            EquinoxAccelerator(
+                self._config(17_000_000), deepbench_lstm(),
+                training_model=deepbench_lstm(),
+            )
+        assert str(refused.value) == (
+            "weight buffer cannot install context 'training': requested "
+            "648708 B but only 124480 B of 17000000 B remain (existing "
+            "allocations: inference=16875520 B); short by 524228 B"
         )
 
 
@@ -86,15 +125,6 @@ class TestRuns:
         report = equinox.run(load=0.2, requests=40)
         assert report.training_top_s > 0
 
-    def test_run_idle_trains_at_full_tilt(self, config, tiny_model):
-        acc = EquinoxAccelerator(
-            config, tiny_model, training_model=tiny_model, training_batch=8,
-            chunk_us=0.05,
-        )
-        report = acc.run_idle(duration_s=2e-4)
-        assert report.training_top_s > 0
-        assert report.requests_completed == 0
-
     def test_run_records_request_and_training_spans(self, equinox):
         report = equinox.run(load=0.3, requests=40)
         summary = equinox.spans.summary()
@@ -107,10 +137,6 @@ class TestRuns:
         for name, entry in summary.items():
             histogram = histograms[f"span.{name}.cycles"]
             assert histogram["count"] == entry["count"]
-
-    def test_run_idle_rejects_bad_duration(self, equinox):
-        with pytest.raises(ValueError):
-            equinox.run_idle(0.0)
 
     def test_deterministic_given_seed(self, config, tiny_model):
         reports = []

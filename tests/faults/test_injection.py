@@ -10,7 +10,7 @@ from repro.faults import (
     MMUFaultSpec,
     RequestFaultSpec,
 )
-from repro.hw.dram import ECC_RETRY_KIND, HBMInterface
+from repro.hw.dram import HBMInterface
 from repro.hw.isa import MMUJob
 from repro.hw.mmu import MatrixMultiplyUnit
 from repro.workload.loadgen import FaultyArrivals, TraceArrivals
@@ -29,7 +29,7 @@ class TestHBMRetry:
         )
         hbm.set_fault_injector(injector)
         done = []
-        hbm.transfer(4096, kind="train_weights", on_done=lambda: done.append(1))
+        hbm.transfer(4096, on_done=lambda: done.append(1))
         sim.run()
         # Every completion errors: 2 bounded retries, then the transfer
         # is delivered through the exhausted path — never wedged.
@@ -38,18 +38,20 @@ class TestHBMRetry:
         assert counters.hbm_retry_exhausted == 1
         assert counters.hbm_errors == 3
 
-    def test_retry_bandwidth_is_accounted_separately(self, sim, tiny_config):
+    def test_retry_bandwidth_is_accounted(self, sim, tiny_config):
         hbm = HBMInterface(sim, tiny_config)
-        injector, _ = make_injector(
+        injector, counters = make_injector(
             FaultPlan(seed=1, hbm=HBMFaultSpec(error_rate=1.0, max_retries=2))
         )
         hbm.set_fault_injector(injector)
-        hbm.transfer(4096, kind="train_weights", on_done=lambda: None)
+        hbm.transfer(4096, on_done=lambda: None)
         sim.run()
-        aligned = hbm.bytes_by_kind["train_weights"]
-        assert hbm.bytes_by_kind[ECC_RETRY_KIND] == pytest.approx(2 * aligned)
-        # Retries consume real channel bandwidth.
-        assert hbm.bytes_transferred == pytest.approx(3 * aligned)
+        # Retries consume real channel bandwidth: the block stream
+        # crosses the channel once plus once per counted retry.
+        assert counters.hbm_retries == 2
+        assert hbm.bytes_transferred == pytest.approx(
+            (1 + counters.hbm_retries) * 4096
+        )
 
     def test_retries_delay_completion(self, sim, tiny_config):
         clean = HBMInterface(sim, tiny_config)
@@ -77,7 +79,7 @@ class TestHBMRetry:
         sim.run()
         assert done
         assert counters.faults_injected == 0
-        assert ECC_RETRY_KIND not in hbm.bytes_by_kind
+        assert hbm.bytes_transferred == 4096
 
 
 class TestMMUStall:

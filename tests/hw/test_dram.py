@@ -12,9 +12,9 @@ def hbm(sim, tiny_config):
 
 class TestTransfers:
     def test_block_alignment_rounds_up(self, sim, hbm):
-        hbm.transfer(100, kind="x")
+        hbm.transfer(100)
         sim.run()
-        assert hbm.bytes_by_kind["x"] == 128  # two 64 B blocks
+        assert hbm.bytes_transferred == 128  # two 64 B blocks
 
     def test_zero_transfer_completes_immediately(self, sim, hbm):
         done = []
@@ -33,19 +33,19 @@ class TestTransfers:
     def test_inference_priority_preempts_queue(self, sim, hbm):
         done = []
         hbm.transfer(64 * 100)  # occupies the channel
-        hbm.transfer(64, kind="train", priority=PRIORITY_TRAINING,
+        hbm.transfer(64, priority=PRIORITY_TRAINING,
                      on_done=lambda: done.append("train"))
-        hbm.transfer(64, kind="inf", priority=PRIORITY_INFERENCE,
+        hbm.transfer(64, priority=PRIORITY_INFERENCE,
                      on_done=lambda: done.append("inf"))
         sim.run()
         assert done == ["inf", "train"]
 
-    def test_bytes_by_kind_accumulates(self, sim, hbm):
-        hbm.transfer(64, kind="a")
-        hbm.transfer(64, kind="a")
-        hbm.transfer(64, kind="b")
+    def test_bytes_transferred_accumulates(self, sim, hbm):
+        hbm.transfer(64)
+        hbm.transfer(64)
+        hbm.transfer(1)
         sim.run()
-        assert hbm.bytes_by_kind == {"a": 128.0, "b": 64.0}
+        assert hbm.bytes_transferred == 192.0
 
     def test_achieved_bandwidth(self, sim, hbm, tiny_config):
         hbm.transfer(tiny_config.dram_bytes_per_cycle * 50)

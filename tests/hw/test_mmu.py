@@ -164,8 +164,11 @@ class TestAccounting:
         mmu.issue(_job(cycles=10, rows=4), 4, "inference")
         mmu.issue(_job(cycles=30, rows=4), 4, "training")
         sim.run()
-        assert mmu.busy_by_context["inference"] == 10
-        assert mmu.busy_by_context["training"] == 30
+        # macs = 100 × cycles, every row real: 2 × macs useful ops each.
+        meters = mmu.throughput_by_context
+        assert meters["inference"].total_ops == pytest.approx(2000.0)
+        assert meters["training"].total_ops == pytest.approx(6000.0)
+        assert mmu.breakdown(40)["working"] == pytest.approx(1.0)
         assert mmu.context_top_s("inference", 40) > 0
         assert mmu.context_top_s("idle-context", 40) == 0.0
 
@@ -236,17 +239,17 @@ class TestArbiterPinned:
 
     PINS = {
         "fair":
-            "25b68a4dad899c59609352cdcf48aa67b4477624df2055710f60754f50915514",
+            "da391c1beba85ec1bdc25455babc355724e777461300436d56550be349d67ad1",
         "inference_only":
-            "363da6ab1f863de32193706f68a7326fb17e52f7403f9e041a4e9f9e861986b9",
+            "ae8cafa8f790194626d9e04363efdfa0a84dc9c6101bfa2c4a9a5eef0ee2cee8",
         "priority_faults":
-            "0cd20f77836e2572c763bd7fd592508431d5c4d0c94c9e4450701d2d9661fec1",
+            "04cb9fd3afed79f424bcd2a38fa960a31d7882a4cf4eccb753d4a8a2c25786c4",
         "priority_spiky":
-            "13833da92cdd5cc9a26b3dc67b9a6c4935cdc41e6dfc51c361895ecf8d6269af",
+            "76664bce12ad38267d1d8923b68e3313ff3b3763c2801b78a21beed812b6aa32",
         "software_conservative":
-            "8a1d306ab6d11adbc1a2e8ca4b0e8bf059e08744493e962440e39f18c0f8939f",
+            "e6914bdad238de6103c4d83d66e43d705c1d36acbd33aac5370ce17bf9cf979b",
         "software_greedy":
-            "c0e49620099d22df5f6b16312f7c74e1b3843472e5c41fe406e7d7a82dc08321",
+            "9625ecc092eaca1b583ebae4be7f6ce0fab718979ce016a8735de746c1cc4ea4",
     }
     SETUPS = {
         "priority_spiky": dict(scheduler="priority", queue_threshold=1),
@@ -286,7 +289,6 @@ class TestArbiterPinned:
         return accelerator, {
             "report": dataclasses.asdict(report),
             "busy_cycles": mmu.accounting.busy_cycles(),
-            "busy_by_context": mmu.busy_by_context,
             "jobs_issued": mmu.jobs_issued,
             "throughput": mmu.throughput.metrics(),
             "throughput_by_context": {
@@ -306,6 +308,6 @@ class TestArbiterPinned:
             assert counters.degraded_intervals > 0
             assert counters.mmu_stalls > 0 and counters.hbm_retries > 0
         if name != "inference_only":
-            assert state["busy_by_context"].get("training", 0.0) > 0.0
+            assert state["throughput_by_context"]["training"]["total_ops"] > 0.0
         digest = hashlib.sha256(canonical_json(state).encode()).hexdigest()
         assert digest == self.PINS[name], name

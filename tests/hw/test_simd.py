@@ -40,13 +40,3 @@ class TestSIMD:
                    on_done=lambda: done.append("inf"))
         sim.run()
         assert done == ["inf", "train"]
-
-    def test_ops_retired(self, sim, simd):
-        simd.issue(SIMDJob(cycles=5.0, ops=123.0))
-        sim.run()
-        assert simd.ops_retired == 123.0
-
-    def test_utilization(self, sim, simd):
-        simd.issue(SIMDJob(cycles=40.0))
-        sim.run(until=80)
-        assert simd.utilization() == pytest.approx(0.5)

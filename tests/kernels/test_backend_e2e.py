@@ -3,7 +3,7 @@
 The parity corpus checks implementations; these tests check the
 *wrappers* — that ``use_backend`` reaches the dispatch (observable via
 the dispatch counters), and that results stay bit-identical through the
-composed pipelines (hbfp GEMM, functional models).
+composed hbfp GEMM.
 """
 
 import numpy as np
@@ -71,22 +71,4 @@ class TestComposedPipelines:
         a = _operands(11, (40, 56)).astype(np.float32)
         b = _operands(12, (56, 24)).astype(np.float32)
         both = _under_both(lambda: hbfp_gemm(a, b))
-        assert np.array_equal(both["reference"], both["fast"])
-
-    def test_functional_mlp_backend_invariant(self):
-        from repro.models.functional import FunctionalMLP
-
-        x = _operands(13, (8, 48)).astype(np.float32)
-        both = _under_both(lambda: FunctionalMLP(
-            [48, 32, 16], encoding="hbfp8", rng=np.random.default_rng(0)
-        ).run(x))
-        assert np.array_equal(both["reference"], both["fast"])
-
-    def test_functional_lstm_backend_invariant(self):
-        from repro.models.functional import FunctionalLSTMCell
-
-        h0 = _operands(14, (4, 32)).astype(np.float32)
-        both = _under_both(lambda: FunctionalLSTMCell(
-            32, encoding="hbfp8", rng=np.random.default_rng(0)
-        ).run(h0, steps=3))
         assert np.array_equal(both["reference"], both["fast"])

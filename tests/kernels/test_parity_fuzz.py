@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.kernels import parity, ref_bfp
+from repro.kernels import ref_bfp
+from tests.kernels import parity
 
 _CASES = parity.corpus()
 

@@ -13,30 +13,22 @@ class TestTrainingPlan:
             deepbench_lstm(hidden=256, steps=4), small_config, batch=16
         )
 
-    def test_intensity_positive(self, plan):
-        assert plan.arithmetic_intensity > 0
-
-    def test_dedicated_is_min_of_bounds(self, plan):
-        dedicated = plan.dedicated_throughput_top_s()
-        assert dedicated == pytest.approx(
-            min(plan.compute_bound_top_s(), plan.dram_bound_top_s()), rel=1e-6
+    def test_dedicated_is_min_of_bounds(self, plan, small_config):
+        slower = max(plan.compute_cycles(), plan.dram_cycles())
+        assert plan.dedicated_iteration_cycles() == slower
+        seconds = small_config.cycles_to_seconds(slower)
+        assert plan.dedicated_throughput_top_s() == pytest.approx(
+            plan.ops_per_iteration / seconds / 1e12, rel=1e-6
         )
 
-    def test_compute_bound_below_peak(self, plan, small_config):
+    def test_dedicated_below_peak(self, plan, small_config):
         # Tiling losses keep useful throughput under Eq. 3 peak.
-        assert plan.compute_bound_top_s() <= small_config.peak_throughput_top_s
+        assert plan.dedicated_throughput_top_s() <= small_config.peak_throughput_top_s
 
     def test_dram_bound_uses_stream_efficiency(self, plan, small_config):
-        effective = (
-            small_config.dram.bandwidth_bytes_per_s * DRAM_STREAM_EFFICIENCY
-        )
-        expected = plan.arithmetic_intensity * effective / 1e12
-        assert plan.dram_bound_top_s() == pytest.approx(expected, rel=1e-6)
-
-    def test_is_dram_bound_consistent(self, plan):
-        assert plan.is_dram_bound == (
-            plan.dram_cycles() >= plan.compute_cycles()
-        )
+        effective = small_config.dram_bytes_per_cycle * DRAM_STREAM_EFFICIENCY
+        expected = plan.dram_bytes_per_iteration / effective
+        assert plan.dram_cycles() == pytest.approx(expected, rel=1e-6)
 
     def test_paper_scale_lstm_is_dram_bound(self):
         """At the paper's scale (batch 128 vs hundreds of TOp/s of
@@ -47,7 +39,7 @@ class TestTrainingPlan:
         plan = build_training_plan(
             deepbench_lstm(), equinox_configuration("none"), batch=128
         )
-        assert plan.is_dram_bound
+        assert plan.dram_cycles() >= plan.compute_cycles()
         # Max training throughput lands near the paper's ~107 TOp/s.
         assert 80 <= plan.dedicated_throughput_top_s() <= 160
 
@@ -55,4 +47,7 @@ class TestTrainingPlan:
         model = deepbench_lstm(hidden=256, steps=4)
         small = build_training_plan(model, small_config, batch=8)
         large = build_training_plan(model, small_config, batch=64)
-        assert large.arithmetic_intensity > small.arithmetic_intensity
+        assert (
+            large.ops_per_iteration / large.dram_bytes_per_iteration
+            > small.ops_per_iteration / small.dram_bytes_per_iteration
+        )

@@ -1,10 +1,10 @@
-"""Serial resources, port sets, bandwidth channels."""
+"""Serial resources and bandwidth channels."""
 
 import math
 
 import pytest
 
-from repro.sim.resources import BandwidthChannel, PortSet, SerialResource
+from repro.sim.resources import BandwidthChannel, SerialResource
 
 
 class TestSerialResource:
@@ -48,13 +48,12 @@ class TestSerialResource:
         sim.run()
         assert order == ["a", "b"]
 
-    def test_busy_accounting_by_tag(self, sim):
+    def test_busy_accounting(self, sim):
         res = SerialResource(sim)
-        res.request(10, tag="x")
-        res.request(5, tag="y")
-        res.request(3, tag="x")
+        res.request(10)
+        res.request(5)
+        res.request(3)
         sim.run()
-        assert res.busy_by_tag == {"x": 13.0, "y": 5.0}
         assert res.busy_cycles == 18.0
 
     def test_utilization(self, sim):
@@ -73,8 +72,7 @@ class TestSerialResource:
         with pytest.raises(ValueError):
             res.request(math.nan)
         assert sim._heap == [] and sim._seq_next == 0
-        assert not res.is_busy and res.busy_cycles == 0.0
-        assert res.busy_by_tag == {}
+        assert res.queue_depth == 0 and res.busy_cycles == 0.0
 
     def test_queue_depth(self, sim):
         res = SerialResource(sim)
@@ -83,35 +81,6 @@ class TestSerialResource:
         res.request(10)
         sim.run(max_events=0)
         assert res.queue_depth == 2  # one in service, two waiting
-
-
-class TestPortSet:
-    def test_parallel_service_across_ports(self, sim):
-        ports = PortSet(sim, count=2)
-        starts = []
-        ports.request(10, on_grant=lambda: starts.append(sim.now))
-        ports.request(10, on_grant=lambda: starts.append(sim.now))
-        sim.run()
-        assert starts == [0.0, 0.0]
-
-    def test_third_request_waits(self, sim):
-        ports = PortSet(sim, count=2)
-        starts = []
-        for _ in range(3):
-            ports.request(10, on_grant=lambda: starts.append(sim.now))
-        sim.run()
-        assert starts == [0.0, 0.0, 10.0]
-
-    def test_rejects_zero_ports(self, sim):
-        with pytest.raises(ValueError):
-            PortSet(sim, count=0)
-
-    def test_busy_cycles_aggregate(self, sim):
-        ports = PortSet(sim, count=2)
-        ports.request(4)
-        ports.request(6)
-        sim.run()
-        assert ports.busy_cycles == 10.0
 
 
 class TestBandwidthChannel:

@@ -1,8 +1,7 @@
-"""Load profiles and SLO helpers."""
+"""Load profiles."""
 
 import pytest
 
-from repro.workload.metrics import latency_target_cycles, offered_rate
 from repro.workload.scenarios import diurnal_load_profile, spike_load_profile
 
 
@@ -57,18 +56,3 @@ class TestSpike:
                                      spike_start=1, spike_len=2)
         assert profile == [base, spike, spike, base]
 
-
-class TestMetrics:
-    def test_latency_target_default_multiple(self):
-        assert latency_target_cycles(100.0) == 1000.0
-
-    def test_offered_rate(self):
-        assert offered_rate(0.5, 0.001) == pytest.approx(0.0005)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            latency_target_cycles(0.0)
-        with pytest.raises(ValueError):
-            offered_rate(0.0, 1.0)
-        with pytest.raises(ValueError):
-            offered_rate(0.5, 0.0)
