@@ -378,7 +378,7 @@ class EquinoxAccelerator:
                 ``load × capacity``.
             max_events: Hard safety stop for the event loop.
         """
-        if load <= 0:
+        if not load > 0:
             raise ValueError(f"load must be positive, got {load}")
         if requests <= 0:
             requests = max(2000, 40 * self.batch_slots)

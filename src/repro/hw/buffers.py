@@ -36,7 +36,7 @@ class OnChipBuffer:
     """
 
     def __init__(self, name: str, capacity_bytes: float):
-        if capacity_bytes <= 0:
+        if not capacity_bytes > 0:
             raise ValueError("capacity must be positive")
         self.name = name
         self.capacity_bytes = capacity_bytes

@@ -57,7 +57,7 @@ class PoissonArrivals(ArrivalProcess):
     """
 
     def __init__(self, rate_per_cycle: float, seed: Union[int, Sequence[int]] = 0):
-        if rate_per_cycle <= 0:
+        if not rate_per_cycle > 0:
             raise ValueError("arrival rate must be positive")
         self.rate_per_cycle = rate_per_cycle
         self._scale = 1.0 / rate_per_cycle

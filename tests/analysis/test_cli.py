@@ -100,3 +100,21 @@ class TestMissingPaths:
         assert len(lines) == 1
         assert lines[0].startswith(f"analyze: --fixture {package_init} ")
         assert "defines no build()" in lines[0]
+
+    def test_non_python_fixture_is_a_usage_error(self, capsys, tmp_path):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("def build():\n    pass\n")
+        assert main(["--fixture", str(notes)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"analyze: --fixture {notes} is not a fixture "
+            f"(cannot load fixture {notes})\n"
+        )
+
+    def test_fixture_directory_is_a_usage_error(self, capsys):
+        assert main(["--fixture", str(FIXTURES)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"analyze: --fixture {FIXTURES} ")
+        assert len(captured.err.splitlines()) == 1

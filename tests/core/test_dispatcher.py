@@ -11,6 +11,7 @@ from repro.core.dispatcher import (
     TrainingEngine,
 )
 from repro.core.equinox import EquinoxAccelerator
+from repro.core.requests import InferenceRequest
 from repro.core.scheduler import InferenceOnlyScheduler, PriorityScheduler
 from repro.eval.runner import build_accelerator, simulate_load_point
 from repro.faults import FaultPlan, HBMFaultSpec, MMUFaultSpec
@@ -240,6 +241,33 @@ class TestFairShareDispatcher:
         dispatcher = _fair(sim, [], [TenantShare("a")])
         with pytest.raises(ValueError, match="unknown tenant"):
             dispatcher.submit("ghost")
+
+    def test_tenant_counters_start_at_zero_in_registration_order(self, sim):
+        dispatcher = _fair(sim, [], [TenantShare("b"), TenantShare("a")])
+        for counter in (
+            dispatcher.submitted_by_tenant,
+            dispatcher.shed_by_tenant,
+            dispatcher.batched_by_tenant,
+            dispatcher.timed_out_by_tenant,
+        ):
+            assert list(counter.items()) == [("b", 0), ("a", 0)]
+        assert dispatcher.queue_size == 0
+
+    def test_submit_needs_a_tenant(self, sim):
+        dispatcher = _fair(sim, [], [TenantShare("a")])
+        with pytest.raises(ValueError, match="unknown tenant None"):
+            dispatcher.submit()
+        assert dispatcher.requests_submitted == 0
+
+    def test_inject_checks_and_counts_the_tenant(self, sim):
+        dispatcher = _fair(sim, [], [TenantShare("a"), TenantShare("b")])
+        with pytest.raises(ValueError, match="unknown tenant 'ghost'"):
+            dispatcher.inject(InferenceRequest(7, 0.0, tenant="ghost"))
+        dispatcher.inject(InferenceRequest(7, 0.0, tenant="b"))
+        assert dispatcher.submitted_by_tenant == {"a": 0, "b": 1}
+        assert dispatcher.queue_size == 1
+        # Locally created ids continue past the injected one.
+        assert dispatcher.submit("a").request_id == 8
 
     def test_rejects_bad_tenant_sets(self, sim):
         with pytest.raises(ValueError, match="at least one"):

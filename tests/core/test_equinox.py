@@ -7,7 +7,7 @@ import pytest
 from repro.core.equinox import EquinoxAccelerator
 from repro.dse.table1 import equinox_configuration
 from repro.hw.buffers import BufferCapacityError
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, SRAMBudget
 from repro.models.lstm import deepbench_lstm
 
 
@@ -65,6 +65,66 @@ class TestConstruction:
         assert equinox.capacity_requests_per_s() > 0
 
 
+class TestInstallReservation:
+    """Each installed service reserves its own slice of both buffers."""
+
+    def test_inference_activation_slice(self, config, tiny_model):
+        acc = EquinoxAccelerator(config, tiny_model)
+        widest = max(layer.k + layer.n_out for layer in tiny_model.layers)
+        assert acc.activation_buffer.allocated_bytes == pytest.approx(
+            min(config.sram.activation_bytes * 0.5,
+                2.0 * acc.batch_slots * widest)
+        )
+
+    def test_inference_activation_slice_caps_at_half_the_buffer(
+        self, config, tiny_model
+    ):
+        small = dataclasses.replace(
+            config, sram=SRAMBudget(activation_bytes=1000)
+        )
+        acc = EquinoxAccelerator(small, tiny_model)
+        assert acc.activation_buffer.allocated_bytes == 500
+
+    def test_staging_splits_three_to_one(self, equinox, config, tiny_model):
+        alone = EquinoxAccelerator(config, tiny_model)
+        weight = (equinox.weight_buffer.allocated_bytes
+                  - alone.weight_buffer.allocated_bytes)
+        activation = (equinox.activation_buffer.allocated_bytes
+                      - alone.activation_buffer.allocated_bytes)
+        assert weight == pytest.approx(0.75 * config.staging_bytes)
+        assert activation == pytest.approx(0.25 * config.staging_bytes)
+
+    def test_activation_refusal_names_the_activation_buffer(
+        self, config, tiny_model
+    ):
+        # 2 % of ~55 MB of SRAM stages training; a quarter of it does
+        # not fit in a 200 kB activation buffer.
+        small = dataclasses.replace(
+            config, sram=SRAMBudget(activation_bytes=200_000)
+        )
+        with pytest.raises(BufferCapacityError) as refused:
+            EquinoxAccelerator(small, tiny_model, training_model=tiny_model)
+        message = str(refused.value)
+        assert message.startswith(
+            "activation buffer cannot install context 'training': "
+        )
+        assert "(existing allocations: inference=1536 B)" in message
+
+    def test_weight_slice_is_checked_before_activation(
+        self, config, tiny_model
+    ):
+        # Neither training slice fits; the weight buffer refuses first.
+        small = dataclasses.replace(
+            config,
+            sram=SRAMBudget(activation_bytes=20_000, weight_bytes=50_000),
+        )
+        with pytest.raises(BufferCapacityError) as refused:
+            EquinoxAccelerator(small, tiny_model, training_model=tiny_model)
+        assert str(refused.value).startswith(
+            "weight buffer cannot install context 'training': "
+        )
+
+
 class TestInstallRefusal:
     """An install that oversubscribes on-chip SRAM is refused with the
     buffer, the context, the shortfall and who holds the space."""
@@ -107,6 +167,11 @@ class TestRuns:
     def test_rejects_nonpositive_load(self, equinox):
         with pytest.raises(ValueError):
             equinox.run(load=0.0)
+
+    def test_rejects_nan_load(self, equinox):
+        with pytest.raises(ValueError, match="load must be positive, got nan"):
+            equinox.run(load=float("nan"))
+        assert equinox.sim.now == 0.0
 
     def test_report_invariants(self, equinox):
         report = equinox.run(load=0.6, requests=48)

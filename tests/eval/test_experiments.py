@@ -126,6 +126,44 @@ class TestSimulationExperiments:
             assert small_table2.rows[key][2] == probe.batch_service_us() / 1e3
 
 
+class TestResultReaders:
+    """The result properties the paper-shape assertions read."""
+
+    @staticmethod
+    def _fig7():
+        return fig7.Fig7Result(
+            curves={"hbfp8": {
+                "500us": [(1.0, 0.1), (2.0, 0.4), (3.0, 0.9)],
+                "min": [(4.0, 0.6), (5.0, 0.8)],
+            }},
+            latency_target_ms={"hbfp8": 0.5},
+        )
+
+    def test_fig7_best_throughput_under_target(self):
+        assert self._fig7().max_throughput_under_target("hbfp8", "500us") == 2.0
+
+    def test_fig7_class_never_under_target_reads_zero(self):
+        assert self._fig7().max_throughput_under_target("hbfp8", "min") == 0.0
+
+    def test_table2_recurrent_rows_match_within_tolerance(self):
+        result = table2.Table2Result(rows={
+            "lstm": (100.0, 200.0, 1.0), "gru": (110.0, 190.0, 2.0),
+        })
+        assert result.recurrent_throughputs_match()
+        assert not result.recurrent_throughputs_match(tolerance=0.05)
+
+    def test_table2_either_throughput_can_break_the_match(self):
+        lstm = (100.0, 200.0, 1.0)
+        slow_training = table2.Table2Result(
+            rows={"lstm": lstm, "gru": (50.0, 200.0, 1.0)}
+        )
+        slow_inference = table2.Table2Result(
+            rows={"lstm": lstm, "gru": (100.0, 100.0, 1.0)}
+        )
+        assert not slow_training.recurrent_throughputs_match()
+        assert not slow_inference.recurrent_throughputs_match()
+
+
 class TestSpike:
     def test_runs_and_renders(self):
         from repro.eval import spike

@@ -53,6 +53,18 @@ class TestHBMRetry:
             (1 + counters.hbm_retries) * 4096
         )
 
+    def test_fire_and_forget_transfers_retry_too(self, sim, tiny_config):
+        hbm = HBMInterface(sim, tiny_config)
+        injector, counters = make_injector(
+            FaultPlan(seed=1, hbm=HBMFaultSpec(error_rate=1.0, max_retries=2))
+        )
+        hbm.set_fault_injector(injector)
+        hbm.transfer(4096)  # a write-back: nobody waits on it
+        sim.run()
+        assert counters.hbm_retries == 2
+        assert counters.hbm_retry_exhausted == 1
+        assert hbm.bytes_transferred == pytest.approx(3 * 4096)
+
     def test_retries_delay_completion(self, sim, tiny_config):
         clean = HBMInterface(sim, tiny_config)
         t_clean = []

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.hw.buffers import BufferCapacityError, OnChipBuffer
+from repro.hw.buffers import BufferAllocation, BufferCapacityError, OnChipBuffer
 
 
 @pytest.fixture
@@ -51,6 +51,53 @@ class TestSpaceSharing:
         buffer.allocate("training", 400)
         assert buffer.free_bytes == 0
 
+    def test_allocate_returns_the_reservation(self, buffer):
+        assert buffer.allocate("inference", 600) == BufferAllocation(
+            "inference", 600
+        )
+
+    def test_exact_fit_fills_the_buffer(self, buffer):
+        buffer.allocate("inference", 600)
+        buffer.allocate("training", 400)
+        assert buffer.free_bytes == 0
+
+    def test_zero_byte_slice_still_holds_the_context(self, buffer):
+        buffer.allocate("training", 0)
+        assert buffer.free_bytes == 1000
+        with pytest.raises(ValueError):
+            buffer.allocate("training", 10)
+
+    def test_refusal_names_buffer_context_holders_and_shortfall(self, buffer):
+        buffer.allocate("inference", 900)
+        with pytest.raises(BufferCapacityError) as refused:
+            buffer.allocate("training", 250)
+        assert str(refused.value) == (
+            "weight buffer cannot install context 'training': requested "
+            "250 B but only 100 B of 1000 B remain (existing allocations: "
+            "inference=900 B); short by 150 B"
+        )
+
+    def test_refused_allocation_leaves_state_unchanged(self, buffer):
+        buffer.allocate("inference", 900)
+        with pytest.raises(BufferCapacityError):
+            buffer.allocate("training", 200)
+        assert buffer.allocated_bytes == 900
+        # The refused context holds nothing, so a slice that fits installs.
+        buffer.allocate("training", 100)
+        assert buffer.free_bytes == 0
+
+    def test_rejects_infinite_sizes(self, buffer):
+        with pytest.raises(BufferCapacityError):
+            buffer.allocate("inference", math.inf)
+        with pytest.raises(ValueError):
+            buffer.allocate("inference", -math.inf)
+        assert buffer.free_bytes == 1000
+
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             OnChipBuffer("b", capacity_bytes=0)
+
+    def test_rejects_nan_capacity(self):
+        # A NaN capacity would make every later capacity check pass.
+        with pytest.raises(ValueError):
+            OnChipBuffer("b", capacity_bytes=math.nan)

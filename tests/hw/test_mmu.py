@@ -172,6 +172,54 @@ class TestAccounting:
         assert mmu.context_top_s("inference", 40) > 0
         assert mmu.context_top_s("idle-context", 40) == 0.0
 
+    def test_context_meters_open_at_first_completion(self, sim, mmu):
+        mmu.issue(_job(cycles=10, rows=4), 4, "inference")
+        mmu.issue(_job(cycles=30, rows=4), 4, "training")
+        sim.run()
+        meters = mmu.throughput_by_context
+        assert (meters["inference"].first_cycle,
+                meters["inference"].last_cycle) == (10.0, 10.0)
+        assert (meters["training"].first_cycle,
+                meters["training"].last_cycle) == (40.0, 40.0)
+        assert (mmu.throughput.first_cycle, mmu.throughput.last_cycle) == (
+            10.0, 40.0
+        )
+
+    def test_context_top_s_over_window(self, sim, mmu, tiny_config):
+        mmu.issue(_job(cycles=10, rows=4), 4, "inference")
+        sim.run()
+        # 2000 useful ops over a 40-cycle window.
+        expected = 2000.0 / 40 * tiny_config.frequency_hz / 1e12
+        assert mmu.context_top_s("inference", 40) == pytest.approx(expected)
+        sim.run(until=40)
+        assert mmu.context_top_s("inference") == pytest.approx(expected)
+
+    def test_committed_block_books_to_its_context(self, sim, mmu):
+        # A software scheduler queues committed training behind
+        # inference; the work is still training's.
+        order = []
+        mmu.issue(_job(10), 4, "inference", on_issue=lambda: order.append("i"))
+        mmu.issue(_job(10), 4, "training", queue="inference",
+                  on_issue=lambda: order.append("t"))
+        mmu.issue(_job(10), 4, "inference", on_issue=lambda: order.append("i"))
+        sim.run()
+        assert order == ["i", "t", "i"]
+        meters = mmu.throughput_by_context
+        assert meters["training"].total_ops == pytest.approx(2000.0)
+        assert meters["inference"].total_ops == pytest.approx(4000.0)
+
+    def test_breakdown_covers_the_window(self, sim, mmu):
+        # Half the rows real on a half-utilized job, then a full one.
+        mmu.issue(_job(cycles=10, rows=4, util=0.5), 2, "inference")
+        mmu.issue(_job(cycles=30, rows=4), 4, "training")
+        sim.run()
+        breakdown = mmu.breakdown(80)
+        assert breakdown["working"] == pytest.approx((2.5 + 30) / 80)
+        assert breakdown["dummy"] == pytest.approx(2.5 / 80)
+        assert breakdown["other"] == pytest.approx(5 / 80)
+        assert breakdown["idle"] == pytest.approx(0.5)
+        assert sum(breakdown.values()) == pytest.approx(1.0)
+
 
 class TestPolicyArbitration:
     def test_fair_round_robins(self, sim, mmu):

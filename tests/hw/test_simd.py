@@ -40,3 +40,25 @@ class TestSIMD:
                    on_done=lambda: done.append("inf"))
         sim.run()
         assert done == ["inf", "train"]
+
+    def test_fifo_within_priority(self, sim, simd):
+        done = []
+        simd.issue(SIMDJob(cycles=10.0))
+        simd.issue(SIMDJob(cycles=1.0), on_done=lambda: done.append("a"))
+        simd.issue(SIMDJob(cycles=1.0), on_done=lambda: done.append("b"))
+        sim.run()
+        assert done == ["a", "b"]
+
+    def test_zero_cycle_job_does_not_wait_for_a_busy_unit(self, sim, simd):
+        done = []
+        simd.issue(SIMDJob(cycles=10.0), on_done=lambda: done.append(sim.now))
+        simd.issue(SIMDJob(cycles=0.0), on_done=lambda: done.append(sim.now))
+        sim.run()
+        assert done == [0.0, 10.0]
+
+    def test_done_is_optional(self, sim, simd):
+        done = []
+        simd.issue(SIMDJob(cycles=10.0))
+        simd.issue(SIMDJob(cycles=5.0), on_done=lambda: done.append(sim.now))
+        sim.run()
+        assert done == [15.0]

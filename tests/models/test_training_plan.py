@@ -25,6 +25,24 @@ class TestTrainingPlan:
         # Tiling losses keep useful throughput under Eq. 3 peak.
         assert plan.dedicated_throughput_top_s() <= small_config.peak_throughput_top_s
 
+    def test_plan_reads_the_compiled_program(self, plan):
+        program = plan.program
+        assert plan.compute_cycles() == program.total_mmu_cycles > 0
+        assert plan.ops_per_iteration == program.total_useful_ops > 0
+        assert plan.dram_bytes_per_iteration == program.total_dram_bytes > 0
+
+    def test_compute_scales_with_batch_and_weight_traffic_does_not(
+        self, small_config
+    ):
+        model = deepbench_lstm(hidden=256, steps=4)
+        small = build_training_plan(model, small_config, batch=8)
+        large = build_training_plan(model, small_config, batch=64)
+        assert large.compute_cycles() == pytest.approx(8 * small.compute_cycles())
+        # Weights stream once per iteration whatever the batch.
+        assert (
+            large.dram_bytes_per_iteration < 8 * small.dram_bytes_per_iteration
+        )
+
     def test_dram_bound_uses_stream_efficiency(self, plan, small_config):
         effective = small_config.dram_bytes_per_cycle * DRAM_STREAM_EFFICIENCY
         expected = plan.dram_bytes_per_iteration / effective

@@ -40,6 +40,11 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonArrivals(0.0)
 
+    def test_rejects_nan_rate(self):
+        # NaN gaps would reach the simulator as NaN event times.
+        with pytest.raises(ValueError, match="arrival rate must be positive"):
+            PoissonArrivals(float("nan"))
+
 
 class TestNextGapsStreamEquality:
     """``next_gaps(n)`` must consume the RNG exactly like n scalar
