@@ -15,13 +15,14 @@ still trips its rule.
 Exit status: 0 when no finding reaches the ``--fail-on`` severity
 (default ``error``), 1 otherwise, and 2 when ``--path`` or a
 ``--fixture`` does not exist, or the fixture loader rejects a
-``--fixture`` (not a ``.py`` file, or no ``build()``).
+``--fixture`` (not a ``.py`` file, a syntax error, or no ``build()``
+returning ``(config, artifacts)``).
 """
 
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -32,6 +33,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.program_verifier import DEFAULT_WASTE_THRESHOLD, verify
 from repro.analysis.suite import (
+    FixtureError,
     iter_fixture_artifacts,
     lint_repository,
     verify_builtin_programs,
@@ -75,21 +77,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def collect(
-    args: argparse.Namespace, fixtures: Sequence[Tuple] = ()
-) -> List[Diagnostic]:
-    """Run the selected passes and return every diagnostic.
-
-    With ``--fixture``, only ``fixtures`` is verified: the ``(config,
-    artifact)`` pairs the named fixture modules built.
-    """
+def collect(args: argparse.Namespace) -> List[Diagnostic]:
+    """Run the default passes that no ``--skip-*`` flag turned off."""
     diags: List[Diagnostic] = []
-    if args.fixture:
-        for config, artifact in fixtures:
-            diags.extend(verify(
-                artifact, config, waste_threshold=args.waste_threshold
-            ))
-        return diags
     if not args.skip_codebase:
         diags.extend(lint_repository(args.path))
     if not args.skip_programs:
@@ -108,17 +98,26 @@ def run(args: argparse.Namespace) -> int:
         if path is not None and not path.exists():
             print(f"analyze: {flag} {path} does not exist", file=sys.stderr)
             return 2
-    fixtures: List[Tuple] = []
-    for fixture in args.fixture or ():
-        try:
-            fixtures.extend(iter_fixture_artifacts(fixture))
-        except ValueError as err:
-            print(
-                f"analyze: --fixture {fixture} is not a fixture ({err})",
-                file=sys.stderr,
+    if args.fixture:
+        pairs: List[tuple] = []
+        for fixture in args.fixture:
+            try:
+                pairs.extend(iter_fixture_artifacts(fixture))
+            except FixtureError as err:
+                print(
+                    f"analyze: --fixture {fixture} is not a fixture ({err})",
+                    file=sys.stderr,
+                )
+                return 2
+        diags = [
+            diag
+            for config, artifact in pairs
+            for diag in verify(
+                artifact, config, waste_threshold=args.waste_threshold
             )
-            return 2
-    diags = collect(args, fixtures)
+        ]
+    else:
+        diags = collect(args)
     ignored = {part.strip() for part in args.ignore.split(",") if part.strip()}
     if ignored:
         diags = [d for d in diags if d.rule_id not in ignored]

@@ -129,12 +129,18 @@ def lint_repository(
     return lint_tree(root or repo_source_root(), lint_rules)
 
 
+class FixtureError(ValueError):
+    """A path the fixture loader cannot load as a fixture module."""
+
+
 def iter_fixture_artifacts(fixture_path: Path) -> Iterator[tuple]:
     """Load a regression-corpus fixture module.
 
     A fixture is a Python file defining ``build()`` returning
     ``(config, artifacts)`` where ``artifacts`` is one Program /
-    InstructionImage or a list of them.
+    InstructionImage or a list of them. A path that is not such a file
+    raises :class:`FixtureError`; whatever ``build()`` itself raises
+    propagates unchanged.
     """
     import importlib.util
 
@@ -142,12 +148,21 @@ def iter_fixture_artifacts(fixture_path: Path) -> Iterator[tuple]:
         f"repro_analysis_fixture_{fixture_path.stem}", fixture_path
     )
     if spec is None or spec.loader is None:
-        raise ValueError(f"cannot load fixture {fixture_path}")
+        raise FixtureError(f"cannot load fixture {fixture_path}")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except SyntaxError as err:
+        raise FixtureError(f"cannot load fixture {fixture_path}: {err}") from err
     if not hasattr(module, "build"):
-        raise ValueError(f"fixture {fixture_path} defines no build()")
-    config, artifacts = module.build()
+        raise FixtureError(f"fixture {fixture_path} defines no build()")
+    built = module.build()
+    if not (isinstance(built, tuple) and len(built) == 2):
+        raise FixtureError(
+            f"fixture {fixture_path}: build() returned "
+            f"{type(built).__name__}, not (config, artifacts)"
+        )
+    config, artifacts = built
     if not isinstance(artifacts, (list, tuple)):
         artifacts = [artifacts]
     for artifact in artifacts:

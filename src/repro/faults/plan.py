@@ -228,3 +228,29 @@ class FaultPlan:
                 ),
             ),
         )
+
+    def describe(self) -> str:
+        """One-line human summary (chaos-table row label)."""
+        parts = []
+        if self.hbm.enabled:
+            parts.append(
+                f"hbm(err={self.hbm.error_rate:g},"
+                f"retries<={self.hbm.max_retries})"
+            )
+        if self.mmu.enabled:
+            parts.append(
+                f"mmu(stall={self.mmu.stall_rate:g},"
+                f"{self.mmu.stall_cycles:g}cyc)"
+            )
+        if self.requests.enabled:
+            parts.append(
+                f"req(drop={self.requests.drop_rate:g},"
+                f"delay={self.requests.delay_rate:g})"
+            )
+        if self.workers.enabled:
+            parts.append(
+                f"workers(crash={list(self.workers.crashed)},"
+                f"stragglers={list(self.workers.stragglers)})"
+            )
+        body = " ".join(parts) if parts else "no faults"
+        return f"FaultPlan(seed={self.seed}: {body})"

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cli import main
-from repro.analysis.suite import iter_fixture_artifacts
+from repro.analysis.suite import FixtureError, iter_fixture_artifacts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,8 +41,15 @@ class TestFixtureCorpus:
     def test_fixture_without_build_is_rejected(self, tmp_path):
         bogus = tmp_path / "nothing.py"
         bogus.write_text("VALUE = 1\n")
-        with pytest.raises(ValueError, match="defines no build"):
+        with pytest.raises(FixtureError, match="defines no build"):
             list(iter_fixture_artifacts(bogus))
+
+    def test_error_inside_build_propagates(self, tmp_path):
+        broken = tmp_path / "broken.py"
+        broken.write_text("def build():\n    raise ValueError('boom')\n")
+        with pytest.raises(ValueError, match="boom") as info:
+            main(["--fixture", str(broken)])
+        assert not isinstance(info.value, FixtureError)
 
 
 class TestFlags:
@@ -111,6 +118,23 @@ class TestMissingPaths:
             f"analyze: --fixture {notes} is not a fixture "
             f"(cannot load fixture {notes})\n"
         )
+
+    @pytest.mark.parametrize("source,reason", [
+        ("def build(:\n", "cannot load fixture"),
+        ("def build():\n    return None\n", "build() returned NoneType"),
+    ])
+    def test_broken_fixture_file_is_a_usage_error(
+        self, capsys, tmp_path, source, reason
+    ):
+        broken = tmp_path / "broken.py"
+        broken.write_text(source)
+        assert main(["--fixture", str(broken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"analyze: --fixture {broken} is not a fixture")
+        assert reason in lines[0]
 
     def test_fixture_directory_is_a_usage_error(self, capsys):
         assert main(["--fixture", str(FIXTURES)]) == 2

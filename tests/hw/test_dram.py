@@ -16,11 +16,6 @@ class TestTransfers:
         sim.run()
         assert hbm.bytes_transferred == 128  # two 64 B blocks
 
-    def test_whole_blocks_are_not_padded(self, sim, hbm):
-        hbm.transfer(128)
-        sim.run()
-        assert hbm.bytes_transferred == 128
-
     def test_zero_transfer_completes_immediately(self, sim, hbm):
         done = []
         hbm.transfer(0, on_done=lambda: done.append(sim.now))
