@@ -108,25 +108,16 @@ class TestMissingPaths:
         assert lines[0].startswith(f"analyze: --fixture {package_init} ")
         assert "defines no build()" in lines[0]
 
-    def test_non_python_fixture_is_a_usage_error(self, capsys, tmp_path):
-        notes = tmp_path / "notes.txt"
-        notes.write_text("def build():\n    pass\n")
-        assert main(["--fixture", str(notes)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"analyze: --fixture {notes} is not a fixture "
-            f"(cannot load fixture {notes})\n"
-        )
-
-    @pytest.mark.parametrize("source,reason", [
-        ("def build(:\n", "cannot load fixture"),
-        ("def build():\n    return None\n", "build() returned NoneType"),
+    @pytest.mark.parametrize("name,source,reason", [
+        ("notes.txt", "def build():\n    pass\n", "cannot load fixture"),
+        ("broken.py", "def build(:\n", "cannot load fixture"),
+        ("broken.py", "def build():\n    return None\n",
+         "build() returned NoneType"),
     ])
     def test_broken_fixture_file_is_a_usage_error(
-        self, capsys, tmp_path, source, reason
+        self, capsys, tmp_path, name, source, reason
     ):
-        broken = tmp_path / "broken.py"
+        broken = tmp_path / name
         broken.write_text(source)
         assert main(["--fixture", str(broken)]) == 2
         captured = capsys.readouterr()
