@@ -155,7 +155,7 @@ def make_batching(
     """Factory used by the accelerator facade.
 
     Args:
-        kind: ``"static"``, ``"adaptive"`` or ``"pull"``.
+        kind: ``"static"`` or ``"adaptive"``.
         slots: Batch size.
         timeout_cycles: Adaptive formation timeout (ignored otherwise).
     """
@@ -163,6 +163,4 @@ def make_batching(
         return StaticBatching(slots)
     if kind == "adaptive":
         return AdaptiveBatching(slots, timeout_cycles)
-    if kind == "pull":
-        return PullBatching(slots)
     raise ValueError(f"unknown batching policy {kind!r}")

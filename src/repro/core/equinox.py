@@ -45,7 +45,7 @@ from repro.obs.report import RunReport, report_from_simulation
 from repro.obs.spans import SpanTracer
 from repro.sim.engine import Simulator
 from repro.sim.stats import inf_aware_percentile
-from repro.workload.loadgen import ArrivalProcess, FaultyArrivals, PoissonArrivals
+from repro.workload.loadgen import FaultyArrivals, PoissonArrivals
 
 #: Default batch-formation timeout as a multiple of the service time —
 #: the paper's Figure 11 sweep settles on 2×.
@@ -58,6 +58,11 @@ DEFAULT_QUEUE_THRESHOLD_BATCHES = 2
 #: guard's queue threshold: the guard engages only for backlogs the
 #: instruction-level spike guard alone is failing to drain.
 DEFAULT_DEGRADE_THRESHOLD_X = 2
+
+#: Hard safety stop for the event loop of one :meth:`EquinoxAccelerator
+#: .run` or :meth:`~EquinoxAccelerator.run_profile` call: an offered load
+#: far beyond saturation fails with an error instead of running forever.
+EVENT_BUDGET = 50_000_000
 
 
 @dataclass
@@ -125,8 +130,6 @@ class EquinoxAccelerator:
             to two batches' worth.
         training_batch: Samples per training iteration (paper: 128).
         chunk_us: Job aggregation granularity for the compiler.
-        max_inflight_batches: Inference batches overlapped in the
-            datapath (double-buffered activation banks).
         decision_latency_us: Software-scheduler turnaround.
         fault_plan: Seeded fault-injection plan
             (:class:`repro.faults.FaultPlan`); ``None`` disables the
@@ -155,9 +158,7 @@ class EquinoxAccelerator:
         queue_threshold: Optional[int] = None,
         training_batch: int = 128,
         chunk_us: float = 2.0,
-        max_inflight_batches: int = 2,
         decision_latency_us: float = 10.0,
-        software_conservative: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         admission: Optional[AdmissionControl] = None,
         degrade_threshold: Optional[int] = None,
@@ -223,7 +224,6 @@ class EquinoxAccelerator:
             scheduler,
             queue_threshold=queue_threshold,
             decision_latency_cycles=config.us_to_cycles(decision_latency_us),
-            conservative=software_conservative,
         )
         self.batching = make_batching(
             batching,
@@ -233,9 +233,7 @@ class EquinoxAccelerator:
 
         self.engine = InferenceEngine(
             self.sim, config, self.mmu, self.simd,
-            self.inference_program, self.scheduler,
-            max_inflight=max_inflight_batches,
-            spans=self.spans,
+            self.inference_program, self.scheduler, spans=self.spans,
         )
         self.dispatcher = RequestDispatcher(
             self.sim, self.batching, on_batch=self.engine.enqueue,
@@ -359,14 +357,11 @@ class EquinoxAccelerator:
     # ------------------------------------------------------------------
 
     def run(
-        self,
-        load: float,
-        requests: int = 0,
-        seed: int = 0,
-        arrivals: Optional[ArrivalProcess] = None,
-        max_events: int = 50_000_000,
+        self, load: float, requests: int = 0, seed: int = 0
     ) -> SimulationReport:
         """Drive the accelerator at an offered load and measure.
+
+        Arrivals are Poisson at ``load × capacity``.
 
         Args:
             load: Offered load as a fraction of the saturation request
@@ -374,17 +369,13 @@ class EquinoxAccelerator:
             requests: Inference requests to measure over; defaults to
                 ~40 batches (min 2000 requests).
             seed: Arrival-process seed.
-            arrivals: Custom arrival process; default Poisson at
-                ``load × capacity``.
-            max_events: Hard safety stop for the event loop.
         """
         if not load > 0:
             raise ValueError(f"load must be positive, got {load}")
         if requests <= 0:
             requests = max(2000, 40 * self.batch_slots)
-        if arrivals is None:
-            rate = load * self.capacity_requests_per_cycle()
-            arrivals = PoissonArrivals(rate, seed=seed)
+        rate = load * self.capacity_requests_per_cycle()
+        arrivals = PoissonArrivals(rate, seed=seed)
         if self.fault_plan is not None and self.fault_plan.requests.enabled:
             # Front-end network faults: drops and delays, sampled from
             # the plan's own substream so the lossy trace is exactly
@@ -434,7 +425,7 @@ class EquinoxAccelerator:
         # one slice of background training work).
         slice_cycles = max(self.batch_service_cycles(), 1000.0)
         while self.engine.requests_completed < target:
-            if self.sim.events_processed - start_events > max_events:
+            if self.sim.events_processed - start_events > EVENT_BUDGET:
                 raise RuntimeError(
                     "simulation exceeded its event budget; the offered "
                     "load may be far beyond saturation"
@@ -442,8 +433,7 @@ class EquinoxAccelerator:
             if self.sim.peek() is None:
                 raise RuntimeError("simulation drained before completing")
             self.sim.run(
-                until=self.sim.now + slice_cycles,
-                max_events=max_events,
+                until=self.sim.now + slice_cycles, max_events=EVENT_BUDGET
             )
         stop_submitting[0] = True
         self.dispatcher.flush()
@@ -455,7 +445,6 @@ class EquinoxAccelerator:
         loads: "list[float]",
         dwell_s: float,
         seed: int = 0,
-        max_events: int = 50_000_000,
     ) -> "list[SimulationReport]":
         """Drive a time-varying load profile in one continuous run.
 
@@ -470,7 +459,6 @@ class EquinoxAccelerator:
             loads: Offered load fraction per bucket (0 = no arrivals).
             dwell_s: Wall-clock duration of each bucket.
             seed: Arrival randomness seed.
-            max_events: Safety stop across the whole profile.
         """
         if not loads:
             raise ValueError("profile needs at least one bucket")
@@ -521,7 +509,7 @@ class EquinoxAccelerator:
                     rng_arrivals.next_gap() / load, _arrive
                 )
             self.sim.run(until=self.sim.now + dwell_cycles)
-            if self.sim.events_processed - start_events > max_events:
+            if self.sim.events_processed - start_events > EVENT_BUDGET:
                 raise RuntimeError("profile exceeded its event budget")
 
             window = self.sim.now - before.now

@@ -199,17 +199,12 @@ class SoftwareScheduler(SchedulingPolicy):
 
     Attributes:
         decision_latency_cycles: Scheduling turnaround in cycles.
-        conservative: When True (the deployable setting), require an
-            empty queue plus a quiet interval; when False, commit
-            greedily and let the experiment show the latency
-            violations.
     """
 
-    def __init__(self, decision_latency_cycles: float, conservative: bool = True):
+    def __init__(self, decision_latency_cycles: float):
         if decision_latency_cycles <= 0:
             raise ValueError("decision latency must be positive")
         self.decision_latency_cycles = decision_latency_cycles
-        self.conservative = conservative
         self._last_inference_activity = 0.0
 
     def note_inference_activity(self, now: float) -> None:
@@ -222,8 +217,6 @@ class SoftwareScheduler(SchedulingPolicy):
             return False
         if inference_backlog > 0:
             return False
-        if not self.conservative:
-            return True
         quiet = now - self._last_inference_activity
         return quiet >= self.decision_latency_cycles
 
@@ -248,8 +241,7 @@ class SoftwareScheduler(SchedulingPolicy):
     def __repr__(self) -> str:
         return (
             f"SoftwareScheduler(decision_latency_cycles="
-            f"{self.decision_latency_cycles:.0f}, "
-            f"conservative={self.conservative})"
+            f"{self.decision_latency_cycles:.0f})"
         )
 
 
@@ -257,7 +249,6 @@ def make_scheduler(
     kind: str,
     queue_threshold: int = 1,
     decision_latency_cycles: float = 1.0,
-    conservative: bool = True,
 ) -> SchedulingPolicy:
     """Factory used by the accelerator facade.
 
@@ -266,7 +257,6 @@ def make_scheduler(
             ``"software"``.
         queue_threshold: Spike guard for the priority scheduler.
         decision_latency_cycles: Turnaround for the software scheduler.
-        conservative: Software scheduler safety mode.
     """
     if kind == "priority":
         return PriorityScheduler(queue_threshold)
@@ -275,5 +265,5 @@ def make_scheduler(
     if kind == "inference_only":
         return InferenceOnlyScheduler()
     if kind == "software":
-        return SoftwareScheduler(decision_latency_cycles, conservative)
+        return SoftwareScheduler(decision_latency_cycles)
     raise ValueError(f"unknown scheduling policy {kind!r}")

@@ -141,7 +141,7 @@ class ExperimentCapture:
             })
 
     def build_report(
-        self, kind: str = "experiment", config: Optional[Dict[str, Any]] = None
+        self, config: Optional[Dict[str, Any]] = None
     ) -> RunReport:
         """The aggregate artifact (latency ``None`` when nothing ran)."""
         if self.latency_us.count > 0:
@@ -179,7 +179,7 @@ class ExperimentCapture:
             full_config.update(config)
         return RunReport(
             name=self.name,
-            kind=kind,
+            kind="experiment",
             config=full_config,
             latency_us=latency_us,
             throughput_top_s=throughput,

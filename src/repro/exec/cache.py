@@ -46,14 +46,6 @@ class CacheStats:
         self.evictions = 0
         self.writes = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "writes": self.writes,
-        }
-
     def __repr__(self) -> str:
         return (
             f"CacheStats(hits={self.hits}, misses={self.misses}, "

@@ -17,8 +17,9 @@ mode:
 
 Every entry and the total cycles spent degraded are counted, so a
 report shows *how long* the service ran in degraded mode, not just
-that it survived. Hysteresis (a lower recovery threshold) prevents
-flapping at the boundary.
+that it survived. Hysteresis prevents flapping at the boundary: the
+guard recovers only once the backlog is down to half the degradation
+threshold.
 """
 
 from typing import Callable, Optional
@@ -39,8 +40,6 @@ class SLOGuard:
         check_interval_cycles: Sampling period (typically one batch
             service time).
         counters: Shared fault/recovery counters.
-        recover_threshold: Backlog at or below which degraded mode
-            disengages; defaults to half the degrade threshold.
         on_degrade / on_recover: Mode-transition hooks (the accelerator
             wires these to the scheduler and batching policy).
     """
@@ -52,7 +51,6 @@ class SLOGuard:
         degrade_threshold: int,
         check_interval_cycles: float,
         counters: FaultCounters,
-        recover_threshold: Optional[int] = None,
         on_degrade: Optional[Callable[[], None]] = None,
         on_recover: Optional[Callable[[], None]] = None,
     ):
@@ -65,18 +63,11 @@ class SLOGuard:
                 f"check_interval_cycles must be positive, "
                 f"got {check_interval_cycles}"
             )
-        if recover_threshold is None:
-            recover_threshold = degrade_threshold // 2
-        if recover_threshold >= degrade_threshold:
-            raise ValueError(
-                "recover_threshold must be below degrade_threshold "
-                "(hysteresis), got "
-                f"{recover_threshold} >= {degrade_threshold}"
-            )
         self.sim = sim
         self.backlog_fn = backlog_fn
         self.degrade_threshold = degrade_threshold
-        self.recover_threshold = recover_threshold
+        #: Backlog at or below which degraded mode disengages.
+        self.recover_threshold = degrade_threshold // 2
         self.check_interval_cycles = check_interval_cycles
         self.counters = counters
         self.on_degrade = on_degrade

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.hw.buffers import BufferAllocation, OnChipBuffer
+    from repro.hw.buffers import OnChipBuffer
     from repro.hw.config import AcceleratorConfig, DRAMSpec, SRAMBudget
     from repro.hw.dram import HBMInterface
     from repro.hw.im2col import Im2ColUnit, lowered_conv_gemm
@@ -46,7 +46,6 @@ __all__ = [
     "SIMDUnit",
     "HBMInterface",
     "OnChipBuffer",
-    "BufferAllocation",
     "SystolicArray",
     "systolic_latency_cycles",
     "lowered_conv_gemm",
@@ -54,7 +53,6 @@ __all__ = [
 ]
 
 __getattr__ = lazy_exports(__name__, {
-    "BufferAllocation": "repro.hw.buffers",
     "OnChipBuffer": "repro.hw.buffers",
     "AcceleratorConfig": "repro.hw.config",
     "DRAMSpec": "repro.hw.config",

@@ -11,16 +11,7 @@ MMU occupancy (each bank has a dedicated read port), and DRAM fills are
 timed by :mod:`repro.hw.dram`.
 """
 
-from dataclasses import dataclass
 from typing import Dict
-
-
-@dataclass(frozen=True)
-class BufferAllocation:
-    """A context's reservation within a buffer."""
-
-    context: str
-    bytes: float
 
 
 class BufferCapacityError(Exception):
@@ -50,7 +41,7 @@ class OnChipBuffer:
     def free_bytes(self) -> float:
         return self.capacity_bytes - self.allocated_bytes
 
-    def allocate(self, context: str, size_bytes: float) -> BufferAllocation:
+    def allocate(self, context: str, size_bytes: float) -> None:
         """Reserve ``size_bytes`` for ``context`` (one slice per context)."""
         if context in self._allocations:
             raise ValueError(f"context {context!r} already holds {self.name}")
@@ -68,4 +59,3 @@ class OnChipBuffer:
                 f"short by {size_bytes - self.free_bytes:.0f} B"
             )
         self._allocations[context] = size_bytes
-        return BufferAllocation(context, size_bytes)

@@ -6,15 +6,17 @@ up to 512-bit blocks, and complete a fixed access latency after their
 last block — the throughput/latency-limited model the authors verified
 against DRAMSim for 512-bit blocks.
 
-Inference traffic (rare — models are resident on chip) gets priority
-over training traffic so that piggybacking never delays an inference
-weight or I/O transfer.
+The link carries training traffic only: inference weights stay
+resident in on-chip SRAM once the service is installed (paper §2.2,
+§3.2), so the inference path never touches DRAM, and training's
+operand streams, write-backs and parameter syncs share one FIFO
+channel in arrival order.
 
 Fault model: with a :class:`repro.faults.injector.FaultInjector`
 attached, a completed transfer may carry a transient ECC error and be
-retried — the whole block stream re-crosses the channel (at the same
-priority), so retries consume real bandwidth and delay whoever waits
-on the transfer. Retries are *bounded* per transfer; an exhausted
+retried — the whole block stream re-enters the channel queue, so
+retries consume real bandwidth and delay whoever waits on the
+transfer. Retries are *bounded* per transfer; an exhausted
 budget falls back to the slow host-side correction path (delivered,
 counted ``hbm_retry_exhausted``) rather than wedging the pipeline.
 """
@@ -24,10 +26,6 @@ from typing import Callable, Dict, Optional
 from repro.hw.config import AcceleratorConfig
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthChannel
-
-#: Queue priorities on the DRAM channel.
-PRIORITY_INFERENCE = 0
-PRIORITY_TRAINING = 1
 
 
 class HBMInterface:
@@ -67,7 +65,6 @@ class HBMInterface:
         self,
         size_bytes: float,
         on_done: Optional[Callable[[], None]] = None,
-        priority: int = PRIORITY_TRAINING,
     ) -> None:
         """Move ``size_bytes`` (block-aligned) across the channel."""
         aligned = self._block_align(size_bytes)
@@ -77,7 +74,7 @@ class HBMInterface:
             return
         injector = self._fault_injector
         if injector is None or not injector.plan.hbm.enabled:
-            self._channel.transfer(aligned, on_done=on_done, priority=priority)
+            self._channel.transfer(aligned, on_done=on_done)
             return
 
         # Faulty path: each completion may carry a transient ECC error;
@@ -91,15 +88,13 @@ class HBMInterface:
                 if attempts[0] < injector.hbm_max_retries:
                     attempts[0] += 1
                     injector.note_hbm_retry()
-                    self._channel.transfer(
-                        aligned, on_done=_complete, priority=priority
-                    )
+                    self._channel.transfer(aligned, on_done=_complete)
                     return
                 injector.note_hbm_retry_exhausted()
             if on_done is not None:
                 on_done()
 
-        self._channel.transfer(aligned, on_done=_complete, priority=priority)
+        self._channel.transfer(aligned, on_done=_complete)
 
     def utilization(self, window_cycles: Optional[float] = None) -> float:
         """Fraction of peak bandwidth consumed."""

@@ -86,8 +86,6 @@ class MatrixMultiplyUnit:
         self.throughput = ThroughputMeter()
         #: Throughput attributed per context (Figure 9's split).
         self.throughput_by_context: Dict[str, ThroughputMeter] = {}
-        self.jobs_issued = 0
-        self.busy_cycles = 0.0
 
     def set_policy(
         self, policy, pressure_fn: Optional[Callable[[], int]] = None
@@ -238,11 +236,9 @@ class MatrixMultiplyUnit:
             now = self.sim.now
             cycles = job.cycles
             utilization = job.utilization
-            occupancy = cycles + stall
             meter = self.throughput_by_context.get(context)
             if meter is None:
                 meter = self._open_context(context, now)
-            self.busy_cycles += occupancy
             booked = self._cycles
             useful_ops = 2.0 * job.macs * utilization
             rows = job.rows
@@ -302,7 +298,6 @@ class MatrixMultiplyUnit:
         self._svc_stream = stream
         self._svc_stall = stall
         self._svc_on_done = on_done
-        self.jobs_issued += 1
         if on_issue is not None:
             on_issue()
         # A granted job is never revoked (the arbiter commits at grant),

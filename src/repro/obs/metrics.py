@@ -24,11 +24,7 @@ so two identically seeded runs serialize byte-identically.
 import re
 from typing import Any, Callable, Dict, Mapping, Union
 
-from repro.obs.sketch import (
-    DEFAULT_RELATIVE_ACCURACY,
-    QuantileSketch,
-    check_sample,
-)
+from repro.obs.sketch import QuantileSketch, check_sample
 
 __all__ = ["Histogram", "MetricsRegistry"]
 
@@ -63,17 +59,11 @@ class Histogram:
     the multiset of samples, not on their order.
     """
 
-    __slots__ = ("name", "help", "_sketch", "_pending")
+    __slots__ = ("name", "_sketch", "_pending")
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-    ):
+    def __init__(self, name: str):
         self.name = _check_name(name)
-        self.help = help
-        self._sketch = QuantileSketch(relative_accuracy=relative_accuracy)
+        self._sketch = QuantileSketch()
         self._pending: Dict[float, int] = {}
 
     def observe(self, value: float) -> None:
@@ -127,16 +117,11 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
         self._sources: Dict[str, SourceFn] = {}
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         if name in self._sources:
             raise ValueError(f"metric {name!r} already registered as a source")
         if name not in self._histograms:
-            self._histograms[name] = Histogram(name, help, relative_accuracy)
+            self._histograms[name] = Histogram(name)
         return self._histograms[name]
 
     def register_source(self, name: str, fn: SourceFn) -> None:

@@ -184,9 +184,6 @@ class RunReport:
             walk(section, getattr(self, section))
         return out
 
-    def diff(self, other: "RunReport") -> Dict[str, Tuple[Any, Any]]:
-        return diff_reports(self, other)
-
 
 def diff_reports(
     a: RunReport, b: RunReport, rel_tolerance: float = 0.0
@@ -315,7 +312,6 @@ def report_from_simulation(
     sim_report: Any,
     *,
     kind: str = "accelerator",
-    p50_latency_us: Optional[float] = None,
     config: Optional[Dict[str, Any]] = None,
     metrics: Optional[Dict[str, Any]] = None,
     spans: Optional[Dict[str, Dict[str, float]]] = None,
@@ -336,8 +332,6 @@ def report_from_simulation(
     }
     if config:
         full_config.update(config)
-    if p50_latency_us is None:
-        p50_latency_us = getattr(sim_report, "p50_latency_us", None)
 
     def _measured(value: Optional[float]) -> Optional[float]:
         if value is None or math.isnan(value):
@@ -350,7 +344,7 @@ def report_from_simulation(
         kind=kind,
         config=full_config,
         latency_us={
-            "p50": _measured(p50_latency_us),
+            "p50": _measured(sim_report.p50_latency_us),
             "p99": _measured(sim_report.p99_latency_us),
             "mean": _measured(sim_report.mean_latency_us),
             "max": _measured(sim_report.max_latency_us),

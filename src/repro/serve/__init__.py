@@ -40,8 +40,6 @@ if TYPE_CHECKING:
         LATENCY_CRITICAL,
         ServiceClass,
         TenantSpec,
-        register_service_class,
-        registered_service_classes,
         service_class,
     )
     from repro.serve.report import SCHEMA_ID, FleetReport, validate_fleet_report
@@ -59,8 +57,6 @@ __all__ = [
     "ServiceClass",
     "TenantSpec",
     "default_tenants",
-    "register_service_class",
-    "registered_service_classes",
     "render",
     "run",
     "run_scenario",
@@ -74,8 +70,6 @@ __getattr__ = lazy_exports(__name__, {
     "LATENCY_CRITICAL": "repro.serve.classes",
     "ServiceClass": "repro.serve.classes",
     "TenantSpec": "repro.serve.classes",
-    "register_service_class": "repro.serve.classes",
-    "registered_service_classes": "repro.serve.classes",
     "service_class": "repro.serve.classes",
     "SCHEMA_ID": "repro.serve.report",
     "FleetReport": "repro.serve.report",

@@ -155,18 +155,6 @@ def service_class(name: str) -> ServiceClass:
         ) from None
 
 
-def register_service_class(cls: ServiceClass, replace: bool = False) -> None:
-    """Add a custom tier to the registry (``replace`` guards rebinds)."""
-    if not replace and cls.name in _REGISTRY:
-        raise ValueError(f"service class {cls.name!r} already registered")
-    _REGISTRY[cls.name] = cls
-
-
-def registered_service_classes() -> Dict[str, ServiceClass]:
-    """Snapshot of the registry (name → class), insertion-ordered."""
-    return dict(_REGISTRY)
-
-
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant of the fleet: identity, tier, and offered load.

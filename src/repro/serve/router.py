@@ -34,7 +34,11 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batching import PullBatching
-from repro.core.dispatcher import FairShareDispatcher, TenantShare
+from repro.core.dispatcher import (
+    MAX_INFLIGHT_BATCHES,
+    FairShareDispatcher,
+    TenantShare,
+)
 from repro.core.requests import Batch, InferenceRequest
 from repro.faults.admission import AdmissionControl
 from repro.faults.counters import FaultCounters
@@ -54,7 +58,8 @@ KILL_WINDOW = (0.2, 0.6)
 
 class ChipServer:
     """One chip's serving front end: fair-share dispatcher + fixed
-    service-time batch engine with ``max_inflight`` overlap.
+    service-time batch engine with two batches in flight (the chip's
+    double-buffered activation banks, ``MAX_INFLIGHT_BATCHES``).
 
     Formation is demand-driven (:class:`PullBatching`): a batch forms
     exactly when a service slot frees up, so queued requests stay in
@@ -71,20 +76,16 @@ class ChipServer:
         batch_slots: int,
         admission: Optional[AdmissionControl] = None,
         counters: Optional[FaultCounters] = None,
-        max_inflight: int = 2,
         slowdown: float = 1.0,
         on_complete: Optional[Callable[["ChipServer", Batch], None]] = None,
     ):
         if batch_service_cycles <= 0:
             raise ValueError("batch service time must be positive")
-        if max_inflight < 1:
-            raise ValueError("need at least one batch in flight")
         if slowdown < 1.0:
             raise ValueError(f"slowdown must be >= 1, got {slowdown}")
         self.sim = sim
         self.chip_id = chip_id
         self.batch_service_cycles = batch_service_cycles
-        self.max_inflight = max_inflight
         self.slowdown = slowdown
         self.on_complete = on_complete
         self.dispatcher = FairShareDispatcher(
@@ -124,7 +125,7 @@ class ChipServer:
             return
         self._start_staged()
         while (
-            len(self._inflight) < self.max_inflight
+            len(self._inflight) < MAX_INFLIGHT_BATCHES
             and self.dispatcher.queue_size
         ):
             # form_one fires _on_batch, which stages and starts it.
@@ -138,7 +139,7 @@ class ChipServer:
         while (
             self.alive
             and self._staged
-            and len(self._inflight) < self.max_inflight
+            and len(self._inflight) < MAX_INFLIGHT_BATCHES
         ):
             batch = self._staged.popleft()
             batch.started_cycle = self.sim.now
@@ -205,8 +206,6 @@ class FleetRouter:
         admission: Optional[AdmissionControl] = None,
         fault_plan: Optional[FaultPlan] = None,
         counters: Optional[FaultCounters] = None,
-        max_inflight: int = 2,
-        affinity_size: Optional[int] = None,
     ):
         if fleet_size < 1:
             raise ValueError(f"fleet size must be >= 1, got {fleet_size}")
@@ -228,7 +227,6 @@ class FleetRouter:
                 batch_slots,
                 admission=admission,
                 counters=self.counters,
-                max_inflight=max_inflight,
                 slowdown=(
                     workers.slowdown_for(chip_id) if workers is not None else 1.0
                 ),
@@ -237,12 +235,11 @@ class FleetRouter:
             for chip_id in range(fleet_size)
         ]
         # Service-affinity hints: each tenant prefers a contiguous arc
-        # of the fleet starting at a crc32-derived offset — placement
-        # locality without hard partitioning (the arcs overlap, and a
-        # fully-dead arc falls back to the whole alive fleet).
-        if affinity_size is None:
-            affinity_size = max(2, (fleet_size + 1) // 2)
-        affinity_size = min(affinity_size, fleet_size)
+        # of about half the fleet (at least two chips) starting at a
+        # crc32-derived offset — placement locality without hard
+        # partitioning (the arcs overlap, and a fully-dead arc falls
+        # back to the whole alive fleet).
+        affinity_size = min(max(2, (fleet_size + 1) // 2), fleet_size)
         self._affinity: Dict[str, List[int]] = {}
         for share in tenants:
             start = zlib.crc32(share.name.encode("utf-8")) % fleet_size

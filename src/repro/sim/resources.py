@@ -18,9 +18,8 @@ class SerialResource:
     """A unit that serves one request at a time with priority queueing.
 
     Requests carry a duration (cycles of occupancy) and a priority
-    (lower value = more urgent); ties break FIFO. The grant callback
-    fires when service *starts*; the done callback (optional) fires when
-    it completes.
+    (lower value = more urgent); ties break FIFO. The done callback
+    (optional) fires when service completes.
 
     Busy time is integrated, so :meth:`utilization` reads the busy
     share of a window.
@@ -47,7 +46,6 @@ class SerialResource:
     def request(
         self,
         duration: float,
-        on_grant: Optional[Callable[[], None]] = None,
         on_done: Optional[Callable[[], None]] = None,
         priority: int = 0,
     ) -> None:
@@ -57,11 +55,10 @@ class SerialResource:
         if not self._queue and self._busy_until <= self.sim.now:
             # Idle with nobody waiting: the request would be pushed and
             # popped straight back, so start it directly.
-            self._start(duration, on_grant, on_done)
+            self._start(duration, on_done)
             return
         heapq.heappush(
-            self._queue,
-            (priority, next(self._seq), duration, on_grant, on_done),
+            self._queue, (priority, next(self._seq), duration, on_done)
         )
         self._pump()
 
@@ -69,28 +66,18 @@ class SerialResource:
         # While busy, the in-service request's completion re-pumps.
         if not self._queue or self._busy_until > self.sim.now:
             return
-        _priority, _seq, duration, on_grant, on_done = heapq.heappop(
-            self._queue
-        )
-        self._start(duration, on_grant, on_done)
+        _priority, _seq, duration, on_done = heapq.heappop(self._queue)
+        self._start(duration, on_done)
 
     def _start(
-        self,
-        duration: float,
-        on_grant: Optional[Callable[[], None]],
-        on_done: Optional[Callable[[], None]],
+        self, duration: float, on_done: Optional[Callable[[], None]]
     ) -> None:
         self._busy_until = self.sim.now + duration
         self.busy_cycles += duration
         # Completions are never cancelled: use the anonymous lane and
-        # skip the Event allocation on the busiest event class. The
-        # completion is scheduled before ``on_grant`` runs, so a service
-        # that ``on_grant`` starts re-entrantly (possible only after a
-        # zero-duration one) is scheduled, and completes, after it.
+        # skip the Event allocation on the busiest event class.
         self._in_service.append(on_done)
         self.sim.after_call(duration, self._complete)
-        if on_grant is not None:
-            on_grant()
 
     def _complete(self) -> None:
         on_done = self._in_service.popleft()
@@ -135,9 +122,10 @@ class BandwidthChannel:
         self,
         size_bytes: float,
         on_done: Optional[Callable[[], None]] = None,
-        priority: int = 0,
     ) -> None:
-        """Enqueue a transfer; ``on_done`` fires after latency + serialization."""
+        """Enqueue a transfer; ``on_done`` fires after latency + serialization.
+
+        Transfers cross the link in arrival order."""
         if not size_bytes >= 0:
             raise ValueError(f"negative transfer size {size_bytes}")
         occupancy = size_bytes / self.bytes_per_cycle
@@ -151,7 +139,7 @@ class BandwidthChannel:
             else:
                 on_done()
 
-        self._pipe.request(occupancy, on_done=_after_pipe, priority=priority)
+        self._pipe.request(occupancy, on_done=_after_pipe)
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of the channel's bandwidth consumed so far."""

@@ -151,13 +151,13 @@ class MixedArrivals(ArrivalProcess):
             :meth:`next_gap` arrival (``None`` before the first draw).
     """
 
-    def __init__(self, streams: Sequence[ArrivalProcess], block: int = 64):
+    #: Gaps drawn per component refill.
+    REFILL_BLOCK = 64
+
+    def __init__(self, streams: Sequence[ArrivalProcess]):
         if not streams:
             raise ValueError("need at least one component stream")
-        if block < 1:
-            raise ValueError(f"refill block must be >= 1, got {block}")
         self.streams = list(streams)
-        self._block = block
         #: Per-stream buffered *absolute* arrival times, ascending.
         self._pending: List[Deque[float]] = [deque() for _ in self.streams]
         #: Per-stream clock: absolute time of the last buffered arrival.
@@ -169,7 +169,7 @@ class MixedArrivals(ArrivalProcess):
     def _refill(self, index: int) -> None:
         clock = self._clocks[index]
         pending = self._pending[index]
-        for gap in self.streams[index].next_gaps(self._block):
+        for gap in self.streams[index].next_gaps(self.REFILL_BLOCK):
             clock += gap
             pending.append(clock)
         self._clocks[index] = clock

@@ -54,15 +54,6 @@ class TestInferenceInstallGate:
             )
         assert any(d.rule_id == "EQX103" for d in excinfo.value.diagnostics)
 
-    def test_verify_false_bypasses_the_gate(self, sim, tiny_config):
-        mmu, simd = _datapath(sim, tiny_config)
-        engine = InferenceEngine(
-            sim, tiny_config, mmu, simd,
-            _overcommitted_program(tiny_config), InferenceOnlyScheduler(),
-            verify=False,
-        )
-        assert engine.program.name == "overcommit"
-
     def test_compiled_program_installs(self, sim, tiny_config, tiny_model):
         compiler = TileCompiler(tiny_config, chunk_us=0.05)
         mmu, simd = _datapath(sim, tiny_config)
@@ -86,18 +77,6 @@ class TestTrainingInstallGate:
             )
         assert any(d.rule_id == "EQX104" for d in excinfo.value.diagnostics)
 
-    def test_verify_false_bypasses_the_gate(self, sim, tiny_config):
-        mmu, simd = _datapath(sim, tiny_config)
-        hbm = HBMInterface(sim, tiny_config)
-        engine = TrainingEngine(
-            sim, tiny_config, mmu, simd, hbm,
-            _staging_overflow_program(tiny_config),
-            PriorityScheduler(queue_threshold=4),
-            inference_queue_size=lambda: 0,
-            verify=False,
-        )
-        assert engine.program.name == "staging_overflow"
-
     def test_compiled_program_installs(self, sim, tiny_config, tiny_model):
         compiler = TileCompiler(tiny_config, chunk_us=0.05)
         program = compiler.compile_training(
@@ -110,4 +89,4 @@ class TestTrainingInstallGate:
             PriorityScheduler(queue_threshold=4),
             inference_queue_size=lambda: 0,
         )
-        assert engine.jobs_issued == 0
+        assert engine.iterations_completed == 0

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import repro.core.equinox as equinox_module
 from repro.core.equinox import EquinoxAccelerator
 from repro.dse.table1 import equinox_configuration
 from repro.hw.buffers import BufferCapacityError
@@ -172,6 +173,16 @@ class TestRuns:
         with pytest.raises(ValueError, match="load must be positive, got nan"):
             equinox.run(load=float("nan"))
         assert equinox.sim.now == 0.0
+
+    def test_event_budget_stops_a_run(self, equinox, monkeypatch):
+        monkeypatch.setattr(equinox_module, "EVENT_BUDGET", 10)
+        with pytest.raises(RuntimeError, match="event budget"):
+            equinox.run(load=0.5, requests=40)
+
+    def test_event_budget_stops_a_profile(self, equinox, monkeypatch):
+        monkeypatch.setattr(equinox_module, "EVENT_BUDGET", 10)
+        with pytest.raises(RuntimeError, match="event budget"):
+            equinox.run_profile([0.5], dwell_s=1e-4)
 
     def test_report_invariants(self, equinox):
         report = equinox.run(load=0.6, requests=48)

@@ -74,11 +74,6 @@ class TestSoftwareScheduler:
         assert not policy.can_commit_training_block(0, now=1050.0)
         assert policy.can_commit_training_block(0, now=1100.0)
 
-    def test_greedy_mode_skips_quiet_check(self):
-        policy = SoftwareScheduler(decision_latency_cycles=100, conservative=False)
-        policy.note_inference_activity(1000.0)
-        assert policy.can_commit_training_block(0, now=1001.0)
-
     def test_blocks_are_not_preemptable(self):
         assert SoftwareScheduler(10).training_blocks_preemption()
 
@@ -120,7 +115,6 @@ class TestLoneInferenceContract:
         "fair": FairScheduler,
         "inference_only": InferenceOnlyScheduler,
         "software": lambda: SoftwareScheduler(10),
-        "software_greedy": lambda: SoftwareScheduler(10, conservative=False),
     }
 
     @pytest.mark.parametrize("name", sorted(POLICIES))

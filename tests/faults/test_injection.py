@@ -112,7 +112,7 @@ class TestMMUStall:
         sim.run()
         assert counters.mmu_stalls == 1
         assert counters.mmu_stall_cycles == 40.0
-        assert mmu.busy_cycles == pytest.approx(140.0)
+        assert mmu.accounting.busy_total() == pytest.approx(140.0)
         # The stall is dead time: Figure 8's "other", not working cycles.
         shares = mmu.accounting.breakdown(140.0)
         assert shares["other"] == pytest.approx(40.0 / 140.0)
@@ -122,7 +122,7 @@ class TestMMUStall:
         mmu = MatrixMultiplyUnit(sim, tiny_config)
         mmu.issue(self._job(), real_rows=4, context="inference")
         sim.run()
-        assert mmu.busy_cycles == pytest.approx(100.0)
+        assert mmu.accounting.busy_total() == pytest.approx(100.0)
 
 
 class TestFaultyArrivals:

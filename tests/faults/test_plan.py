@@ -95,18 +95,3 @@ class TestSubstreams:
             FaultPlan(seed=2).rng("hbm").random(8),
         )
 
-
-class TestDescribe:
-    def test_quiet_plan(self):
-        assert "no faults" in FaultPlan.none().describe()
-
-    def test_active_plan_lists_components(self):
-        plan = FaultPlan(
-            seed=3,
-            hbm=HBMFaultSpec(error_rate=0.05),
-            workers=WorkerFaultSpec(crashed=(1,)),
-        )
-        text = plan.describe()
-        assert "hbm" in text
-        assert "workers" in text
-        assert "seed=3" in text

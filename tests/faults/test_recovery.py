@@ -164,6 +164,28 @@ class TestSLOGuard:
         assert counters.degraded_cycles == pytest.approx(20.0)
         guard.stop()
 
+    @pytest.mark.parametrize("degrade_threshold", [4, 5])
+    def test_recovers_at_half_the_degrade_threshold(
+        self, sim, degrade_threshold
+    ):
+        """Hysteresis: recovery waits for the backlog to fall to half
+        the degradation threshold, rounded down."""
+        backlog = [degrade_threshold]
+        guard = SLOGuard(
+            sim, lambda: backlog[0],
+            degrade_threshold=degrade_threshold, check_interval_cycles=10.0,
+            counters=FaultCounters(),
+        )
+        sim.run(until=10.0)
+        assert guard.degraded
+        backlog[0] = degrade_threshold // 2 + 1
+        sim.run(until=20.0)
+        assert guard.degraded
+        backlog[0] = degrade_threshold // 2
+        sim.run(until=30.0)
+        assert not guard.degraded
+        guard.stop()
+
     def test_flush_accounts_open_interval(self, sim):
         backlog = [10]
         counters = FaultCounters()
@@ -176,14 +198,6 @@ class TestSLOGuard:
         assert guard.degraded
         guard.flush()
         assert counters.degraded_cycles == pytest.approx(25.0)
-
-    def test_recover_threshold_must_sit_below(self, sim):
-        with pytest.raises(ValueError):
-            SLOGuard(
-                sim, lambda: 0, degrade_threshold=4,
-                check_interval_cycles=10.0, counters=FaultCounters(),
-                recover_threshold=4,
-            )
 
 
 class TestGracefulDegradation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.dram import HBMInterface, PRIORITY_INFERENCE, PRIORITY_TRAINING
+from repro.hw.dram import HBMInterface
 
 
 @pytest.fixture
@@ -30,16 +30,6 @@ class TestTransfers:
         expected = serialization + tiny_config.dram_latency_cycles
         assert done[0] == pytest.approx(expected)
 
-    def test_inference_priority_preempts_queue(self, sim, hbm):
-        done = []
-        hbm.transfer(64 * 100)  # occupies the channel
-        hbm.transfer(64, priority=PRIORITY_TRAINING,
-                     on_done=lambda: done.append("train"))
-        hbm.transfer(64, priority=PRIORITY_INFERENCE,
-                     on_done=lambda: done.append("inf"))
-        sim.run()
-        assert done == ["inf", "train"]
-
     def test_bytes_transferred_accumulates(self, sim, hbm):
         hbm.transfer(64)
         hbm.transfer(64)
@@ -64,19 +54,19 @@ class TestTransfers:
             2 * serialization + tiny_config.dram_latency_cycles
         )
 
-    def test_inference_does_not_preempt_a_transfer_in_service(
-        self, sim, hbm, tiny_config
-    ):
+    def test_transfers_cross_in_arrival_order(self, sim, hbm, tiny_config):
+        # A short transfer queued behind a long one waits for it: the
+        # link is FIFO, whatever the sizes.
         done = []
-        hbm.transfer(64 * 100, priority=PRIORITY_TRAINING,
-                     on_done=lambda: done.append(("train", sim.now)))
-        hbm.transfer(64, priority=PRIORITY_INFERENCE,
-                     on_done=lambda: done.append(("inf", sim.now)))
+        hbm.transfer(64 * 100, on_done=lambda: done.append(("long", sim.now)))
+        hbm.transfer(64, on_done=lambda: done.append(("short", sim.now)))
+        hbm.transfer(64, on_done=lambda: done.append(("last", sim.now)))
         sim.run()
         per_block = 64 / tiny_config.dram_bytes_per_cycle
         latency = tiny_config.dram_latency_cycles
-        assert [name for name, _ in done] == ["train", "inf"]
+        assert [name for name, _ in done] == ["long", "short", "last"]
         assert done[1][1] == pytest.approx(101 * per_block + latency)
+        assert done[2][1] == pytest.approx(102 * per_block + latency)
 
     def test_bandwidth_of_an_empty_window_is_zero(self, sim, hbm):
         assert hbm.achieved_gb_s() == 0.0

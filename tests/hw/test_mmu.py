@@ -115,7 +115,6 @@ class TestIssueBatch:
         assert mmu.queue_depth == 0
         sim.run()
         assert sim.events_processed == 0
-        assert mmu.jobs_issued == 0
 
     def test_real_rows_cap_at_each_jobs_rows(self, sim, mmu):
         """Three real requests over jobs of 4 and 2 rows: the first job
@@ -287,29 +286,20 @@ class TestArbiterPinned:
 
     PINS = {
         "fair":
-            "da391c1beba85ec1bdc25455babc355724e777461300436d56550be349d67ad1",
+            "4ba09b420493ccf31c564b42a5d4b10dbeaface6b6f292d68af5695051a94c1d",
         "inference_only":
-            "ae8cafa8f790194626d9e04363efdfa0a84dc9c6101bfa2c4a9a5eef0ee2cee8",
+            "4a8825067ea869f5bc38fa88efd319f205919121616a8584d3d102003fe85fe2",
         "priority_faults":
-            "04cb9fd3afed79f424bcd2a38fa960a31d7882a4cf4eccb753d4a8a2c25786c4",
+            "a2182bcbdb63ba1ccd8d9992fa2c6fd99e8e1e286df92933d7b9370612af846f",
         "priority_spiky":
-            "76664bce12ad38267d1d8923b68e3313ff3b3763c2801b78a21beed812b6aa32",
-        "software_conservative":
-            "e6914bdad238de6103c4d83d66e43d705c1d36acbd33aac5370ce17bf9cf979b",
-        "software_greedy":
-            "9625ecc092eaca1b583ebae4be7f6ce0fab718979ce016a8735de746c1cc4ea4",
+            "941ea627f7e03b6152b2a0953a69d12f554317684d414aba52c49b2bb6e81503",
+        "software":
+            "052b43c7e8ed08fe7b6f04cbfc96e3f1e635d1f4cf194b8e226b41af54c8ddca",
     }
     SETUPS = {
         "priority_spiky": dict(scheduler="priority", queue_threshold=1),
         "fair": dict(scheduler="fair"),
-        "software_conservative": dict(
-            scheduler="software", software_conservative=True,
-            decision_latency_us=0.2,
-        ),
-        "software_greedy": dict(
-            scheduler="software", software_conservative=False,
-            decision_latency_us=0.2,
-        ),
+        "software": dict(scheduler="software", decision_latency_us=0.2),
         "inference_only": dict(training=False),
         "priority_faults": dict(
             scheduler="priority",
@@ -337,7 +327,6 @@ class TestArbiterPinned:
         return accelerator, {
             "report": dataclasses.asdict(report),
             "busy_cycles": mmu.accounting.busy_cycles(),
-            "jobs_issued": mmu.jobs_issued,
             "throughput": mmu.throughput.metrics(),
             "throughput_by_context": {
                 context: meter.metrics()

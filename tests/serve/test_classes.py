@@ -10,8 +10,6 @@ from repro.serve.classes import (
     LATENCY_CRITICAL,
     ServiceClass,
     TenantSpec,
-    register_service_class,
-    registered_service_classes,
     service_class,
 )
 from repro.workload.metrics import SLO_MULTIPLE
@@ -60,9 +58,7 @@ class TestServiceClass:
 
 class TestBuiltinTiers:
     def test_registry_holds_the_three_tiers(self):
-        registry = registered_service_classes()
         for cls in (LATENCY_CRITICAL, BEST_EFFORT, BATCH_TRAINING):
-            assert registry[cls.name] == cls
             assert service_class(cls.name) == cls
 
     def test_latency_critical_is_the_paper_slo(self):
@@ -81,16 +77,6 @@ class TestBuiltinTiers:
     def test_unknown_class_raises(self):
         with pytest.raises(ValueError, match="unknown service class"):
             service_class("platinum")
-
-    def test_register_guards_rebinds(self):
-        custom = ServiceClass(name="test-classes-custom-tier", weight=3.0)
-        register_service_class(custom)
-        assert service_class(custom.name) == custom
-        with pytest.raises(ValueError, match="already registered"):
-            register_service_class(custom)
-        replacement = ServiceClass(name=custom.name, weight=5.0)
-        register_service_class(replacement, replace=True)
-        assert service_class(custom.name).weight == 5.0
 
 
 class TestTenantSpec:

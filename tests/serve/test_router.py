@@ -18,26 +18,29 @@ def _shares():
 
 class TestChipServer:
     def test_pull_batching_forms_only_on_free_slots(self, sim):
-        chip = ChipServer(sim, 0, _shares(), SERVICE, 4, max_inflight=1)
+        chip = ChipServer(sim, 0, _shares(), SERVICE, 4)
         for _ in range(9):
             chip.dispatcher.submit("a")
-        # The first arrival found an idle slot and started alone; the
-        # rest stay in the bounded admission queue, not formed batches.
-        assert chip.dispatcher.queue_size == 8
+        # The first two arrivals found the two slots idle and each
+        # started alone; the rest stay in the bounded admission queue,
+        # not formed batches.
+        assert chip.dispatcher.queue_size == 7
         assert chip.outstanding_requests == 9
         sim.run()
         assert chip.requests_served == 9
-        assert chip.batches_served == 3  # 1 + 4 + 4
+        assert chip.batches_served == 4  # 1 + 1, then 4 + 3
+        assert sim.now == 2 * SERVICE
         assert chip.outstanding_requests == 0
 
-    def test_max_inflight_overlaps_batches(self, sim):
-        chip = ChipServer(sim, 0, _shares(), SERVICE, 1, max_inflight=2)
-        for _ in range(2):
+    def test_two_batches_overlap(self, sim):
+        chip = ChipServer(sim, 0, _shares(), SERVICE, 1)
+        for _ in range(3):
             chip.dispatcher.submit("a")
         sim.run()
-        # Both single-request batches ran concurrently.
-        assert chip.batches_served == 2
-        assert sim.now == SERVICE
+        # The first two single-request batches ran concurrently; the
+        # third waited for a slot.
+        assert chip.batches_served == 3
+        assert sim.now == 2 * SERVICE
 
     def test_slowdown_stretches_service(self, sim):
         chip = ChipServer(sim, 0, _shares(), SERVICE, 4, slowdown=2.0)
@@ -46,7 +49,7 @@ class TestChipServer:
         assert sim.now == 2 * SERVICE
 
     def test_kill_evacuates_everything_in_request_order(self, sim):
-        chip = ChipServer(sim, 0, _shares(), SERVICE, 4, max_inflight=1)
+        chip = ChipServer(sim, 0, _shares(), SERVICE, 4)
         for _ in range(6):
             chip.dispatcher.submit("a")
         evacuated = chip.kill()
@@ -62,8 +65,6 @@ class TestChipServer:
     def test_rejects_bad_parameters(self, sim):
         with pytest.raises(ValueError):
             ChipServer(sim, 0, _shares(), 0.0, 4)
-        with pytest.raises(ValueError):
-            ChipServer(sim, 0, _shares(), SERVICE, 4, max_inflight=0)
         with pytest.raises(ValueError):
             ChipServer(sim, 0, _shares(), SERVICE, 4, slowdown=0.5)
 

@@ -10,18 +10,18 @@ from repro.sim.resources import BandwidthChannel, SerialResource
 class TestSerialResource:
     def test_serves_immediately_when_free(self, sim):
         res = SerialResource(sim)
-        starts = []
-        res.request(10, on_grant=lambda: starts.append(sim.now))
+        done = []
+        res.request(10, on_done=lambda: done.append(sim.now))
         sim.run()
-        assert starts == [0.0]
+        assert done == [10.0]
 
     def test_serializes_requests(self, sim):
         res = SerialResource(sim)
-        starts = []
-        res.request(10, on_grant=lambda: starts.append(sim.now))
-        res.request(5, on_grant=lambda: starts.append(sim.now))
+        done = []
+        res.request(10, on_done=lambda: done.append(sim.now))
+        res.request(5, on_done=lambda: done.append(sim.now))
         sim.run()
-        assert starts == [0.0, 10.0]
+        assert done == [10.0, 15.0]
 
     def test_done_fires_at_completion(self, sim):
         res = SerialResource(sim)
@@ -32,21 +32,25 @@ class TestSerialResource:
 
     def test_priority_orders_queue(self, sim):
         res = SerialResource(sim)
-        order = []
+        done = []
         res.request(10)  # occupies the unit
-        res.request(1, on_grant=lambda: order.append("low"), priority=5)
-        res.request(1, on_grant=lambda: order.append("high"), priority=0)
+        res.request(1, on_done=lambda: done.append(("low", sim.now)),
+                    priority=5)
+        res.request(1, on_done=lambda: done.append(("high", sim.now)),
+                    priority=0)
         sim.run()
-        assert order == ["high", "low"]
+        assert done == [("high", 11.0), ("low", 12.0)]
 
     def test_fifo_within_priority(self, sim):
         res = SerialResource(sim)
-        order = []
+        done = []
         res.request(10)
-        res.request(1, on_grant=lambda: order.append("a"), priority=1)
-        res.request(1, on_grant=lambda: order.append("b"), priority=1)
+        res.request(1, on_done=lambda: done.append(("a", sim.now)),
+                    priority=1)
+        res.request(1, on_done=lambda: done.append(("b", sim.now)),
+                    priority=1)
         sim.run()
-        assert order == ["a", "b"]
+        assert done == [("a", 11.0), ("b", 12.0)]
 
     def test_busy_accounting(self, sim):
         res = SerialResource(sim)
@@ -84,45 +88,56 @@ class TestSerialResource:
 
     def test_in_service_request_is_not_preempted(self, sim):
         res = SerialResource(sim)
-        starts = []
-        res.request(10, on_grant=lambda: starts.append(("low", sim.now)),
+        done = []
+        res.request(10, on_done=lambda: done.append(("low", sim.now)),
                     priority=5)
-        res.request(1, on_grant=lambda: starts.append(("high", sim.now)),
+        res.request(1, on_done=lambda: done.append(("high", sim.now)),
                     priority=0)
         sim.run()
-        assert starts == [("low", 0.0), ("high", 10.0)]
+        assert done == [("low", 10.0), ("high", 11.0)]
 
-    def test_zero_duration_request_completes_at_grant(self, sim):
+    def test_zero_duration_request_completes_when_served(self, sim):
         res = SerialResource(sim)
-        events = []
-        res.request(4)
-        res.request(0, on_grant=lambda: events.append(("grant", sim.now)),
-                    on_done=lambda: events.append(("done", sim.now)))
+        done = []
+        res.request(4, on_done=lambda: done.append(("first", sim.now)))
+        res.request(0, on_done=lambda: done.append(("zero", sim.now)))
         sim.run()
-        assert events == [("grant", 4.0), ("done", 4.0)]
+        assert done == [("first", 4.0), ("zero", 4.0)]
 
-    def test_grant_requesting_again_waits_its_turn(self, sim):
+    def test_request_from_a_completion_starts_at_once(self, sim):
         res = SerialResource(sim)
-        starts = []
+        done = []
 
         def _chain():
-            starts.append(sim.now)
-            res.request(5, on_grant=lambda: starts.append(sim.now))
+            done.append(sim.now)
+            res.request(5, on_done=lambda: done.append(sim.now))
 
-        res.request(10, on_grant=_chain)
+        res.request(10, on_done=_chain)
         sim.run()
-        assert starts == [0.0, 10.0]
+        assert done == [10.0, 15.0]
         assert res.busy_cycles == 15.0
 
-    def test_reentrant_start_after_zero_duration_completes_in_order(self, sim):
+    def test_request_from_a_completion_queues_behind_waiting_work(self, sim):
         res = SerialResource(sim)
         done = []
         res.request(
-            0,
-            on_grant=lambda: res.request(3, on_done=lambda: done.append(
-                ("second", sim.now))),
-            on_done=lambda: done.append(("first", sim.now)),
+            10,
+            on_done=lambda: res.request(1, on_done=lambda: done.append(
+                ("late", sim.now))),
         )
+        res.request(5, on_done=lambda: done.append(("waiting", sim.now)))
+        sim.run()
+        assert done == [("waiting", 15.0), ("late", 16.0)]
+
+    def test_zero_duration_chain_completes_in_order(self, sim):
+        res = SerialResource(sim)
+        done = []
+
+        def _first():
+            done.append(("first", sim.now))
+            res.request(3, on_done=lambda: done.append(("second", sim.now)))
+
+        res.request(0, on_done=_first)
         sim.run()
         assert done == [("first", 0.0), ("second", 3.0)]
 
@@ -176,15 +191,6 @@ class TestBandwidthChannel:
         chan.transfer(50, on_done=lambda: done.append(sim.now))
         sim.run()
         assert done == [10.0, 15.0]
-
-    def test_priority_reorders(self, sim):
-        chan = BandwidthChannel(sim, bytes_per_cycle=10)
-        done = []
-        chan.transfer(100)  # occupies the pipe
-        chan.transfer(10, on_done=lambda: done.append("bulk"), priority=2)
-        chan.transfer(10, on_done=lambda: done.append("urgent"), priority=0)
-        sim.run()
-        assert done == ["urgent", "bulk"]
 
     def test_bytes_accounting(self, sim):
         chan = BandwidthChannel(sim, bytes_per_cycle=10)

@@ -181,8 +181,6 @@ class TestMixedArrivals:
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             MixedArrivals([])
-        with pytest.raises(ValueError):
-            MixedArrivals([UniformArrivals(10.0)], block=0)
 
 
 class TestTrace:
