@@ -1,5 +1,8 @@
 """Scheduler: ordering, parity, crash/timeout isolation, budgets."""
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.exec.jobs import Job
@@ -9,6 +12,7 @@ from repro.exec.scheduler import (
     ProcessPoolScheduler,
     resolve_jobs,
 )
+from repro.state.signals import GracefulShutdown
 
 
 def _echo_jobs(count, code_version="v1"):
@@ -137,6 +141,38 @@ class TestPool:
         with pytest.raises(JobExecutionError, match="raised"):
             runner.map([Job("exec.probe", {"mode": "raise"})])
         assert runner.counters["retries"] == 0
+
+
+def _pool_leftovers():
+    """Pool manager threads and child processes still alive."""
+    managers = [
+        thread.name for thread in threading.enumerate()
+        if type(thread).__name__ == "_ExecutorManagerThread"
+    ]
+    return managers, multiprocessing.active_children()
+
+
+class TestPoolTeardown:
+    """Nothing a pool started outlives ``map``: a manager thread left
+    running races interpreter exit, and a worker left running holds
+    its CPU and memory after the command has finished."""
+
+    def test_map_leaves_no_thread_or_child(self):
+        assert JobRunner(jobs=2).map(_echo_jobs(4)) == JobRunner(
+            jobs=1
+        ).map(_echo_jobs(4))
+        assert _pool_leftovers() == ([], [])
+
+    def test_timed_out_job_under_graceful_shutdown_leaves_no_child(self):
+        """Workers forked under the CLI's SIGTERM handler inherit it, so
+        only a SIGKILL stops a job that never polls the flag."""
+        runner = JobRunner(jobs=2, timeout_s=0.5, max_retries=0)
+        with GracefulShutdown():
+            with pytest.raises(JobExecutionError, match="timed out"):
+                runner.map(
+                    [Job("exec.probe", {"mode": "sleep", "seconds": 5})]
+                )
+        assert _pool_leftovers() == ([], [])
 
 
 class TestCacheIntegration:
