@@ -222,6 +222,63 @@ class TestSwallowedException:
         assert lint_source(source, path=SIM_PATH) == []
 
 
+class TestUnboundedRetry:
+    """EQX305: a ``while True`` retry whose except handler never leaves
+    the loop."""
+
+    @staticmethod
+    def _retry(handler_body, loop="while True:", handler_comment=""):
+        return (
+            "import os\n\n\n"
+            "def fetch(attempts):\n"
+            f"    {loop}\n"
+            "        try:\n"
+            "            return os.read(0, 1)\n"
+            f"        except OSError:{handler_comment}\n"
+            f"            {handler_body}\n"
+        )
+
+    @pytest.mark.parametrize("body", ["pass", "continue"])
+    def test_eqx305_handler_that_stays_in_the_loop(self, body):
+        diags = lint_source(self._retry(body), path=SIM_PATH)
+        assert _ids(diags) == ["EQX305"]
+        assert diags[0].severity is Severity.WARNING
+        assert diags[0].location.line == 8  # the except line
+
+    @pytest.mark.parametrize("body", ["break", "return None", "raise"])
+    def test_handler_that_leaves_the_loop_is_fine(self, body):
+        assert lint_source(self._retry(body), path=SIM_PATH) == []
+
+    def test_try_in_an_inner_loop_is_not_charged_to_the_outer(self):
+        source = (
+            "def fetch(paths):\n"
+            "    while True:\n"
+            "        for path in paths:\n"
+            "            try:\n"
+            "                return open(path)\n"
+            "            except OSError:\n"
+            "                continue\n"
+            "        paths = paths[1:]\n"
+        )
+        assert lint_source(source, path=SIM_PATH) == []
+
+    def test_return_in_a_nested_function_does_not_bound_the_loop(self):
+        source = self._retry("def fallback():\n                return None")
+        diags = lint_source(source, path=SIM_PATH)
+        assert _ids(diags) == ["EQX305"]
+        assert diags[0].location.line == 8
+
+    def test_conditional_loop_is_not_checked(self):
+        source = self._retry("pass", loop="while attempts:")
+        assert lint_source(source, path=SIM_PATH) == []
+
+    def test_suppression(self):
+        source = self._retry(
+            "pass", handler_comment="  # eqx: ignore[EQX305]"
+        )
+        assert lint_source(source, path=SIM_PATH) == []
+
+
 class TestDirectPercentile:
     _SOURCE = (
         "import numpy as np\n"
