@@ -1,11 +1,11 @@
 """Fleet-scale free training (extension): N Equinox + parameter server."""
 
-from repro.cluster import EquinoxFleet
-from repro.workload import diurnal_load_profile
+from repro.cluster.fleet import EquinoxFleet
+from repro.workload.scenarios import diurnal_load_profile
 
 
 def _run():
-    from repro.cluster import ParameterServer
+    from repro.cluster.parameter_server import ParameterServer
 
     # A sharded parameter service (400 Gb/s aggregate fabric).
     fleet = EquinoxFleet(size=6, server=ParameterServer(network_bytes_per_s=50e9))

@@ -12,12 +12,10 @@ Run: python examples/design_space_exploration.py
 
 from dataclasses import replace
 
-from repro.dse import (
-    DesignSpaceExplorer,
-    TSMC28,
-    accelerator_power_w,
-    pareto_frontier,
-)
+from repro.dse.explorer import DesignSpaceExplorer
+from repro.dse.pareto import pareto_frontier
+from repro.dse.power import accelerator_power_w
+from repro.dse.tech import TSMC28
 
 
 def main() -> None:

@@ -11,8 +11,9 @@ fleet's idle time worth?
 Run: python examples/fleet_training.py
 """
 
-from repro.cluster import EquinoxFleet, ParameterServer
-from repro.workload import diurnal_load_profile
+from repro.cluster.fleet import EquinoxFleet
+from repro.cluster.parameter_server import ParameterServer
+from repro.workload.scenarios import diurnal_load_profile
 
 
 def main() -> None:

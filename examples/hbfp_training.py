@@ -14,9 +14,9 @@ Run: python examples/hbfp_training.py
 
 import numpy as np
 
-from repro.arith import BlockFloatTensor, BFPFormat, hbfp_gemm
-from repro.arith.hbfp import hbfp_quantization_noise
-from repro.train import convergence_experiment, perplexity_experiment
+from repro.arith.bfp import BFPFormat, BlockFloatTensor
+from repro.arith.hbfp import hbfp_gemm, hbfp_quantization_noise
+from repro.train.convergence import convergence_experiment, perplexity_experiment
 
 
 def main() -> None:

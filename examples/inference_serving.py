@@ -12,9 +12,9 @@ Figures 6/7 from the user's side.
 Run: python examples/inference_serving.py
 """
 
-from repro.core import EquinoxAccelerator
-from repro.dse import equinox_configuration, pareto_table
-from repro.models import deepbench_lstm
+from repro.core.equinox import EquinoxAccelerator
+from repro.dse.table1 import equinox_configuration, pareto_table
+from repro.models.lstm import deepbench_lstm
 
 LOADS = (0.2, 0.5, 0.8, 0.95)
 SLO_MULTIPLE = 10.0

@@ -12,10 +12,11 @@ training, not latency, when the spike hits.
 Run: python examples/piggyback_training.py
 """
 
-from repro.core import EquinoxAccelerator
-from repro.dse import equinox_configuration
-from repro.models import build_training_plan, deepbench_lstm
-from repro.workload import diurnal_load_profile
+from repro.core.equinox import EquinoxAccelerator
+from repro.dse.table1 import equinox_configuration
+from repro.models.lstm import deepbench_lstm
+from repro.models.training import build_training_plan
+from repro.workload.scenarios import diurnal_load_profile
 
 SLO_MULTIPLE = 10.0
 DWELL_S = 0.02  # simulated seconds per two-hour bucket

@@ -14,9 +14,10 @@ Walks the core API end to end:
 Run: python examples/quickstart.py
 """
 
-from repro.core import EquinoxAccelerator
-from repro.dse import equinox_configuration
-from repro.models import build_training_plan, deepbench_lstm
+from repro.core.equinox import EquinoxAccelerator
+from repro.dse.table1 import equinox_configuration
+from repro.models.lstm import deepbench_lstm
+from repro.models.training import build_training_plan
 
 
 def main() -> None:

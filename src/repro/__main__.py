@@ -15,7 +15,7 @@
 Experiment subcommands print the same text tables the benchmark harness
 produces; ``all`` regenerates the full evaluation in one go. With
 ``--report-dir``, each experiment additionally writes its structured
-JSON :class:`repro.obs.RunReport` artifact (schema-validated) into that
+JSON :class:`repro.obs.report.RunReport` artifact (schema-validated) into that
 directory. Each experiment is offered ``--loads`` and the executor
 flags (``--jobs N``, ``--cache-dir DIR``, ``--checkpoint-dir DIR`` ...)
 only when its ``run`` takes ``loads`` or ``executor``: the simulator
@@ -44,6 +44,7 @@ from repro.eval import (
     fig2, fig6, fig7, fig8, fig9, fig10, fig11, spike,
     table1, table2, table3,
 )
+from repro.obs.report import write_artifact
 
 EXPERIMENTS = {
     "fig2": (fig2, "hbfp8 vs fp32 convergence"),
@@ -58,21 +59,6 @@ EXPERIMENTS = {
     "table3": (table3, "area/power synthesis"),
     "spike": (spike, "spike response (extension)"),
 }
-
-
-def _write_artifact(report, directory: str) -> None:
-    """Validate one RunReport and write it as ``<dir>/<name>.json``."""
-    from repro.obs import validate_report
-
-    text = report.to_json()
-    problems = validate_report(json.loads(text))
-    for problem in problems:
-        print(f"invalid artifact {report.name}: {problem}", file=sys.stderr)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{report.name}.json")
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
-    print(f"[artifact] {path}")
 
 
 def _takes(name: str) -> "set[str]":
@@ -105,12 +91,12 @@ def _run_one(name: str, loads, report_dir=None, executor=None) -> None:
                 # On the way out, flush what was measured so far as a
                 # *partial* artifact — marked as such, never confused
                 # with a complete run.
-                _write_artifact(
+                write_artifact(
                     capture.build_report(config={"partial": True}),
                     report_dir,
                 )
                 raise
-        _write_artifact(capture.build_report(), report_dir)
+        write_artifact(capture.build_report(), report_dir)
     else:
         result = module.run(**kwargs)
     print(module.render(result))
@@ -311,18 +297,26 @@ def _dispatch(args, shutdown) -> int:
         print(f"\n[chaos completed in {time.time() - started:.1f}s]\n")
         if args.report_dir is not None:
             for artifact in result["artifacts"].values():
-                _write_artifact(artifact, args.report_dir)
+                write_artifact(artifact, args.report_dir)
         rows = result["rows"]
         return 0 if all(r.reproducible for r in rows) else 1
     if args.command == "serve":
         # Imported lazily, like chaos: the serving fabric pulls in the
         # dispatcher/fleet layers the experiment subcommands never need.
-        from repro import serve as serve_mod
+        from repro.serve import scenarios
+        from repro.serve.report import validate_fleet_report
 
         if args.validate_only is not None:
-            with open(args.validate_only) as handle:
-                data = json.load(handle)
-            problems = serve_mod.validate_fleet_report(data)
+            try:
+                with open(args.validate_only) as handle:
+                    data = json.load(handle)
+            except (OSError, ValueError) as error:
+                print(
+                    f"{args.validate_only}: unreadable ({error})",
+                    file=sys.stderr,
+                )
+                return 1
+            problems = validate_fleet_report(data)
             for problem in problems:
                 print(f"invalid fleet report: {problem}", file=sys.stderr)
             if not problems:
@@ -332,15 +326,15 @@ def _dispatch(args, shutdown) -> int:
         if args.fleet is not None:
             kwargs["fleet_sizes"] = args.fleet
         if args.tenants is not None:
-            kwargs["tenants"] = serve_mod.default_tenants(args.tenants)
+            kwargs["tenants"] = scenarios.default_tenants(args.tenants)
         if args.requests_per_chip is not None:
             kwargs["requests_per_chip"] = args.requests_per_chip
         if args.seed is not None:
             kwargs["seed"] = args.seed
         kwargs["executor"] = exec_cli.runner_from_args(args, shutdown=shutdown)
         started = time.time()
-        report = serve_mod.run(**kwargs)
-        print(serve_mod.render(report))
+        report = scenarios.run(**kwargs)
+        print(scenarios.render(report))
         print(f"\n[serve completed in {time.time() - started:.1f}s]\n")
         if args.report_dir is not None:
             os.makedirs(args.report_dir, exist_ok=True)

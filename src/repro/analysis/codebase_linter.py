@@ -488,7 +488,8 @@ class AdhocConfigDumpRule(LintRule):
                     f"{name}() of a config bypasses the canonical "
                     "serializer: key order, numpy scalars and non-finite "
                     "floats will hash differently than the exec cache "
-                    "keys — use repro.exec.canonical_json / config_digest",
+                    "keys — use repro.exec.canonical.canonical_json / "
+                    "config_digest",
                     file=context.path, line=node.lineno,
                 ))
         return diags

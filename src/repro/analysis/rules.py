@@ -140,7 +140,7 @@ ADHOC_CONFIG_DUMP = _register(Rule(
     "and artifact checksums are sha256 over *canonical* JSON (sorted "
     "keys, numpy coercion, the obs inf/nan policy); an ad-hoc dump "
     "hashes differently and silently defeats result caching — use "
-    "repro.exec.canonical_json / config_digest.",
+    "repro.exec.canonical.canonical_json / config_digest.",
 ))
 KERNEL_IMPL_IMPORT = _register(Rule(
     "EQX308", "kernel-impl-import", Severity.ERROR,

@@ -29,9 +29,12 @@ from repro.analysis.program_verifier import (
 )
 from repro.hw.config import AcceleratorConfig
 from repro.hw.instructions import assemble_inference, assemble_training
-from repro.models import deepbench_gru, deepbench_lstm, mlp, resnet50
 from repro.models.compiler import TileCompiler
 from repro.models.graph import ModelSpec
+from repro.models.gru import deepbench_gru
+from repro.models.lstm import deepbench_lstm
+from repro.models.mlp import mlp
+from repro.models.resnet import resnet50
 
 #: Two installed services space-share the instruction buffer.
 IMAGE_SHARE = 0.5

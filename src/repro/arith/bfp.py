@@ -190,10 +190,6 @@ class BlockFloatTensor:
             + n_tiles * self.fmt.exponent_bits
         )
 
-    def quantization_error(self, reference: np.ndarray) -> float:
-        """Max absolute decode error against ``reference``."""
-        return float(np.abs(self.to_float() - np.asarray(reference, np.float32)).max())
-
 
 def quantize_bfp(values: np.ndarray, fmt: BFPFormat = BFP8) -> np.ndarray:
     """Round-trip a float array through BFP (quantize-dequantize)."""

@@ -11,27 +11,3 @@ server's aggregation/broadcast compose them into fleet-level rounds —
 valid because workers share no simulated resource other than the
 parameter server itself.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.cluster.fleet import EquinoxFleet, FleetReport, WorkerReport
-    from repro.cluster.parameter_server import ParameterServer, SyncRound
-
-__all__ = [
-    "ParameterServer",
-    "SyncRound",
-    "EquinoxFleet",
-    "FleetReport",
-    "WorkerReport",
-]
-
-__getattr__ = lazy_exports(__name__, {
-    "EquinoxFleet": "repro.cluster.fleet",
-    "FleetReport": "repro.cluster.fleet",
-    "WorkerReport": "repro.cluster.fleet",
-    "ParameterServer": "repro.cluster.parameter_server",
-    "SyncRound": "repro.cluster.parameter_server",
-})

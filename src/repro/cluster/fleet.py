@@ -22,13 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cluster.parameter_server import ParameterServer, SyncRound
 from repro.core.equinox import EquinoxAccelerator
 from repro.dse.table1 import equinox_configuration
-from repro.faults import (
-    FaultCounters,
-    FaultInjector,
-    FaultPlan,
-    WorkerCrashError,
-    WorkerFaultSpec,
-)
+from repro.faults.counters import FaultCounters
+from repro.faults.injector import FaultInjector, WorkerCrashError
+from repro.faults.plan import FaultPlan, WorkerFaultSpec
 from repro.models.graph import ModelSpec
 from repro.models.lstm import deepbench_lstm
 from repro.models.training import build_training_plan

@@ -42,11 +42,6 @@ class SyncRound:
         return self.compute_s + self.gather_s + self.update_s + self.broadcast_s
 
     @property
-    def is_partial(self) -> bool:
-        """Whether the round aggregated fewer workers than it started."""
-        return self.workers_dropped > 0
-
-    @property
     def communication_fraction(self) -> float:
         comm = self.gather_s + self.update_s + self.broadcast_s
         return comm / self.total_s if self.total_s > 0 else 0.0

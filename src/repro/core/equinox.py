@@ -4,9 +4,9 @@ Assembles the simulator, the datapath models, the compiled programs and
 the front-end into one object with a load-experiment API. This is the
 public entry point the examples and the evaluation harness use:
 
-    >>> from repro.core import EquinoxAccelerator
-    >>> from repro.dse import equinox_configuration
-    >>> from repro.models import deepbench_lstm
+    >>> from repro.core.equinox import EquinoxAccelerator
+    >>> from repro.dse.table1 import equinox_configuration
+    >>> from repro.models.lstm import deepbench_lstm
     >>> eq = EquinoxAccelerator(
     ...     equinox_configuration("500us"), deepbench_lstm(),
     ...     training_model=deepbench_lstm(),
@@ -132,12 +132,12 @@ class EquinoxAccelerator:
         chunk_us: Job aggregation granularity for the compiler.
         decision_latency_us: Software-scheduler turnaround.
         fault_plan: Seeded fault-injection plan
-            (:class:`repro.faults.FaultPlan`); ``None`` disables the
+            (:class:`repro.faults.plan.FaultPlan`); ``None`` disables the
             fault subsystem entirely (byte-identical to the historical
             behaviour).
         admission: Overload policy for the request queue
-            (:class:`repro.faults.AdmissionControl`): bounded admission
-            with shedding plus request deadline timeouts with
+            (:class:`repro.faults.admission.AdmissionControl`): bounded
+            admission with shedding plus request deadline timeouts with
             retry/backoff. ``None`` keeps the unbounded queue.
         degrade_threshold: Inference backlog (requests) at which the
             SLO guard degrades gracefully — preempting training and

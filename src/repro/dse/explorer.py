@@ -194,7 +194,7 @@ class DesignSpaceExplorer:
     ) -> List[DesignPoint]:
         """All feasible points — Figure 6's cloud.
 
-        With an ``executor`` (a :class:`repro.exec.JobRunner`), the n
+        With an ``executor`` (a :class:`repro.exec.scheduler.JobRunner`), the n
         grid is fanned out in chunks of ``chunk`` as ``dse.points``
         jobs; aggregation preserves sweep order (n outer, frequency
         inner), so the result is identical to the serial loop for any

@@ -42,9 +42,9 @@ def run(
     executor: Optional[Any] = None,
 ) -> Fig7Result:
     """Every (class, load) point is one ``eval.load_point`` job, run
-    through ``executor`` (a :class:`repro.exec.JobRunner`) when given;
-    curves are read back in sweep order, so the result is the same for
-    any worker count."""
+    through ``executor`` (a :class:`repro.exec.scheduler.JobRunner`)
+    when given; curves are read back in sweep order, so the result is
+    the same for any worker count."""
     targets: Dict[str, float] = {}
     plan: List[Tuple[str, str]] = []
     for encoding in encodings:

@@ -7,7 +7,7 @@ inside it feeds one shared :class:`ExperimentCapture`, which aggregates
 latency (into a bounded-memory quantile sketch), throughput, the
 Figure-8 cycle breakdown and fault counters across *all* the
 accelerators the experiment builds — that aggregate becomes the
-experiment's :class:`repro.obs.RunReport` artifact.
+experiment's :class:`repro.obs.report.RunReport` artifact.
 """
 
 from contextlib import contextmanager
@@ -220,14 +220,15 @@ def run_load_points(
 ) -> List[Dict[str, Any]]:
     """Run each point as one ``eval.load_point`` job, in order.
 
-    ``executor`` is a :class:`repro.exec.JobRunner`; without one the
+    ``executor`` is a :class:`repro.exec.scheduler.JobRunner`; without one the
     points run in this process through ``JobRunner(jobs=1)``. Either
     way each result's ``capture`` is folded into the active capture as
     it completes, in submission order, so a serial and a fanned-out run
     aggregate alike, and a run stopped part-way has folded every point
     that finished.
     """
-    from repro.exec import Job, JobRunner
+    from repro.exec.jobs import Job
+    from repro.exec.scheduler import JobRunner
 
     runner = executor if executor is not None else JobRunner(jobs=1)
     capture = _ACTIVE_CAPTURE

@@ -9,7 +9,7 @@ hit is **byte-verified** before it is trusted:
 * payload bytes must re-hash to the stored ``payload_sha256``;
 * the stored key material must match the requesting job (a collision
   or a hand-edited file can never alias another job's result);
-* any :class:`repro.obs.RunReport`-shaped dict embedded in the payload
+* any :class:`repro.obs.report.RunReport`-shaped dict embedded in the payload
   must still pass :func:`repro.obs.report.validate_report`.
 
 A verification failure is not an error: the entry is *evicted* and the
@@ -202,24 +202,3 @@ class ResultCache:
             raise
         self.stats.writes += 1
         return path
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Remove every entry; returns the number removed."""
-        removed = 0
-        for path in self.directory.glob("*/*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-

@@ -13,7 +13,6 @@ Two pieces, both consumed by ``python -m repro``:
 """
 
 import argparse
-import json
 import sys
 from typing import Any, Optional
 
@@ -98,7 +97,7 @@ def runner_from_args(
 
     Without executor flags it is ``JobRunner(jobs=1)``: the jobs run in
     this process. ``shutdown`` is the CLI's
-    :class:`repro.state.GracefulShutdown` instance; its ``check`` is
+    :class:`repro.state.signals.GracefulShutdown` instance; its ``check`` is
     polled between jobs, with or without executor flags, so a
     SIGINT/SIGTERM unwinds at a journal-consistent boundary.
     ``--kill-after`` arms a :class:`repro.faults.killswitch.KillSwitch`
@@ -156,6 +155,7 @@ def run_sweep(
     from repro.dse.tech import TSMC28
     from repro.eval.fig6 import Fig6Result, render
     from repro.exec.canonical import code_fingerprint, config_digest
+    from repro.obs.report import write_artifact
 
     for flag, value in (("--n-max", args.n_max), ("--chunk", args.chunk)):
         if value < 1:
@@ -190,7 +190,7 @@ def run_sweep(
     )
     if args.report_dir is not None:
         report = _sweep_report(args, result, code_fingerprint, config_digest)
-        _write_report(report, args.report_dir)
+        write_artifact(report, args.report_dir)
     return 0
 
 
@@ -226,18 +226,3 @@ def _sweep_report(args, result, code_fingerprint, config_digest):
         },
         metrics=metrics,
     )
-
-
-def _write_report(report, directory: str) -> None:
-    import os
-
-    from repro.obs.report import validate_report
-
-    text = report.to_json()
-    for problem in validate_report(json.loads(text)):
-        print(f"invalid artifact {report.name}: {problem}", file=sys.stderr)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{report.name}.json")
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
-    print(f"[artifact] {path}")

@@ -25,16 +25,11 @@ from collections import deque
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import Job, run_job
-
-if TYPE_CHECKING:
-    # Only for annotations: a module-level runtime import would close a
-    # cycle (repro.exec.__init__ -> scheduler; repro.state.checkpoint ->
-    # repro.exec.canonical). JobRunner imports it lazily instead.
-    from repro.state.checkpoint import CompletionJournal
+from repro.state.checkpoint import CompletionJournal
 
 __all__ = [
     "JobExecutionError",
@@ -112,15 +107,15 @@ class ProcessPoolScheduler:
             window is re-queued within the retry budget.
         max_retries: Infrastructure-failure budget *per job*.
         journal: Optional completion journal
-            (:class:`repro.state.CompletionJournal`, duck-typed here to
-            keep the import graph acyclic). Consulted *before* the
-            cache — a journaled result is this exact run's durably
-            fsynced output — and appended after every execution, which
-            is the crash-consistency barrier: a job whose result made
-            the journal is never re-run on ``--resume``.
+            (:class:`repro.state.checkpoint.CompletionJournal`).
+            Consulted *before* the cache — a journaled result is this
+            exact run's durably fsynced output — and appended after
+            every execution, which is the crash-consistency barrier: a
+            job whose result made the journal is never re-run on
+            ``--resume``.
         shutdown_check: Polled between jobs; expected to raise (e.g.
-            :class:`repro.state.ShutdownRequested`) to stop cleanly at
-            a job boundary, after the journal append.
+            :class:`repro.state.signals.ShutdownRequested`) to stop
+            cleanly at a job boundary, after the journal append.
         on_unit_done: Called once per completed job *after* its journal
             append — the hook the crash-recovery drill's kill switch
             counts work units on, so a SIGKILL always lands on a
@@ -133,7 +128,7 @@ class ProcessPoolScheduler:
         cache: Optional[ResultCache] = None,
         timeout_s: Optional[float] = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        journal: Optional["CompletionJournal"] = None,
+        journal: Optional[CompletionJournal] = None,
         shutdown_check: Optional[Callable[[], None]] = None,
         on_unit_done: Optional[Callable[[], None]] = None,
     ):
@@ -362,11 +357,6 @@ class JobRunner:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.journal = None
         if checkpoint_dir is not None:
-            # Imported here, not at module level: repro.state.checkpoint
-            # imports repro.exec.canonical, whose package init imports
-            # this module — a top-level import would close the cycle.
-            from repro.state.checkpoint import CompletionJournal
-
             journal_path = os.path.join(
                 os.fspath(checkpoint_dir), "journal.jsonl"
             )

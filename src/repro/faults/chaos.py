@@ -232,7 +232,8 @@ def _map_scenarios(
     """Run scenario specs, in order, as ``chaos.scenario`` jobs through
     ``executor``, or in this process through ``JobRunner(jobs=1)`` when
     there is none."""
-    from repro.exec import Job, JobRunner
+    from repro.exec.jobs import Job
+    from repro.exec.scheduler import JobRunner
 
     runner = executor if executor is not None else JobRunner(jobs=1)
     return runner.map(
@@ -254,7 +255,7 @@ def run(
         requests: Requests measured per single-accelerator scenario.
         seed: Base seed for both the arrival processes and the fault
             plans.
-        executor: Optional :class:`repro.exec.JobRunner`; scenarios
+        executor: Optional :class:`repro.exec.scheduler.JobRunner`; scenarios
             (independent by construction) fan out across workers, with
             one barrier where the fleet-chaos round timeout is
             calibrated from the fault-free fleet round.

@@ -74,7 +74,7 @@ class SLOGuard:
         self.on_recover = on_recover
         self.degraded = False
         self._degraded_since = 0.0
-        self._ticker = sim.every(check_interval_cycles, self._check)
+        sim.every(check_interval_cycles, self._check)
 
     def _check(self) -> None:
         backlog = self.backlog_fn()
@@ -96,8 +96,3 @@ class SLOGuard:
         if self.degraded:
             self.counters.degraded_cycles += self.sim.now - self._degraded_since
             self._degraded_since = self.sim.now
-
-    def stop(self) -> None:
-        """Cancel the periodic check (end of experiment)."""
-        self.flush()
-        self._ticker.cancel()

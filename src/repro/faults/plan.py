@@ -185,7 +185,7 @@ class FaultPlan:
         """The plan as plain JSON-able data (tuples become lists).
 
         Round-trips through :meth:`from_dict`; this is how a plan rides
-        inside a :class:`repro.exec.Job` config or a report artifact.
+        inside a :class:`repro.exec.jobs.Job` config or a report artifact.
         """
         return {
             "seed": self.seed,

@@ -77,17 +77,6 @@ class InstructionImage:
     def bytes(self) -> int:
         return self.count * INSTRUCTION_BYTES
 
-    def fits(self, config: AcceleratorConfig, share: float = 1.0) -> bool:
-        """Whether the image fits in (a share of) the instruction
-        buffer. Two installed services space-share the buffer."""
-        return self.bytes <= share * config.sram.instruction_bytes
-
-    def histogram(self) -> Dict[Opcode, int]:
-        counts: Dict[Opcode, int] = {}
-        for instruction in self.instructions:
-            counts[instruction.opcode] = counts.get(instruction.opcode, 0) + 1
-        return counts
-
 
 def _gemm_block(
     rows: int, k: int, n_out: int, config: AcceleratorConfig

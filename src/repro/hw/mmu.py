@@ -102,19 +102,6 @@ class MatrixMultiplyUnit:
         self._fault_injector = injector
 
     # ------------------------------------------------------------------
-    # Queue state
-    # ------------------------------------------------------------------
-
-    def queue_depth_of(self, context: str) -> int:
-        """Jobs waiting in one queue (the one in service excluded)."""
-        queue = self._queues[context]
-        return sum(len(stream[0]) for stream in queue) - queue.head
-
-    @property
-    def queue_depth(self) -> int:
-        return sum(self.queue_depth_of(name) for name in self._queues)
-
-    # ------------------------------------------------------------------
     # Issue path
     # ------------------------------------------------------------------
 

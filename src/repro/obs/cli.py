@@ -5,7 +5,7 @@
     python -m repro metrics diff run_a.json run_b.json
 
 ``smoke`` runs one small accelerator experiment and emits its
-:class:`repro.obs.RunReport`, whose ``profile`` section carries the
+:class:`repro.obs.report.RunReport`, whose ``profile`` section carries the
 run's simulator event count — the CI metrics job runs exactly this and
 then ``validate``s the output, which fails (exit 1) on schema breakage
 or any ``nan`` latency/throughput field. ``diff`` compares two

@@ -8,7 +8,8 @@ paper's headline quantities in fixed fields —
 * ``latency_us`` — p50/p99/mean/max request latency (Figures 7/10/11),
 * ``throughput_top_s`` — inference and training TOp/s (Figure 9),
 * ``cycle_breakdown`` — Figure 8's working/dummy/idle/other fractions,
-* ``faults`` — the full :class:`repro.faults.FaultCounters` snapshot,
+* ``faults`` — the full :class:`repro.faults.counters.FaultCounters`
+  snapshot,
 
 plus the free-form ``metrics`` (a :class:`MetricsRegistry` snapshot),
 ``spans`` (per-name aggregates) and ``profile`` (the simulator event
@@ -27,6 +28,8 @@ zero-completion sentinel — but ``nan`` always means a collector bug).
 
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -37,6 +40,7 @@ __all__ = [
     "jsonable",
     "report_from_simulation",
     "validate_report",
+    "write_artifact",
 ]
 
 #: Schema identifier embedded in (and required of) every artifact.
@@ -300,6 +304,19 @@ def validate_report(data: Mapping[str, Any]) -> List[str]:
                     f"faults.{key} must be a non-negative number, got {value!r}"
                 )
     return problems
+
+
+def write_artifact(report: RunReport, directory: str) -> None:
+    """Validate ``report``, print each problem to stderr, and write it
+    as ``<directory>/<name>.json``."""
+    text = report.to_json()
+    for problem in validate_report(json.loads(text)):
+        print(f"invalid artifact {report.name}: {problem}", file=sys.stderr)
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{report.name}.json")
+    with open(path, "w") as handle:
+        handle.write(text + "\n")
+    print(f"[artifact] {path}")
 
 
 # ----------------------------------------------------------------------

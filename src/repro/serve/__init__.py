@@ -28,56 +28,3 @@ Everything here draws randomness only through seeded, crc32-keyed
 substreams (lint rule EQX310 enforces this), so reports are
 byte-identical across runs and ``--jobs`` settings.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.serve.classes import (
-        BATCH_TRAINING,
-        BEST_EFFORT,
-        LATENCY_CRITICAL,
-        ServiceClass,
-        TenantSpec,
-        service_class,
-    )
-    from repro.serve.report import SCHEMA_ID, FleetReport, validate_fleet_report
-    from repro.serve.router import ChipServer, FleetRouter
-    from repro.serve.scenarios import default_tenants, render, run, run_scenario
-
-__all__ = [
-    "BATCH_TRAINING",
-    "BEST_EFFORT",
-    "LATENCY_CRITICAL",
-    "SCHEMA_ID",
-    "ChipServer",
-    "FleetReport",
-    "FleetRouter",
-    "ServiceClass",
-    "TenantSpec",
-    "default_tenants",
-    "render",
-    "run",
-    "run_scenario",
-    "service_class",
-    "validate_fleet_report",
-]
-
-__getattr__ = lazy_exports(__name__, {
-    "BATCH_TRAINING": "repro.serve.classes",
-    "BEST_EFFORT": "repro.serve.classes",
-    "LATENCY_CRITICAL": "repro.serve.classes",
-    "ServiceClass": "repro.serve.classes",
-    "TenantSpec": "repro.serve.classes",
-    "service_class": "repro.serve.classes",
-    "SCHEMA_ID": "repro.serve.report",
-    "FleetReport": "repro.serve.report",
-    "validate_fleet_report": "repro.serve.report",
-    "ChipServer": "repro.serve.router",
-    "FleetRouter": "repro.serve.router",
-    "default_tenants": "repro.serve.scenarios",
-    "render": "repro.serve.scenarios",
-    "run": "repro.serve.scenarios",
-    "run_scenario": "repro.serve.scenarios",
-})

@@ -28,8 +28,7 @@ tail percentiles where it belongs.
 """
 
 import zlib
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,51 +102,37 @@ class ChipServer:
         self.alive = True
         self.batches_served = 0
         self.requests_served = 0
-        #: Formed but not yet started (only the end-of-run flush and a
-        #: failover burst can outpace the service slots).
-        self._staged: Deque[Batch] = deque()
         self._inflight: Dict[int, Tuple[Event, Batch]] = {}
 
     @property
     def outstanding_requests(self) -> int:
-        """Live requests this chip owes: queued + retrying + staged +
-        in service. The placement load signal."""
+        """Live requests this chip owes: queued + retrying + in service.
+        The placement load signal."""
         return (
             self.dispatcher.queue_size
             + self.dispatcher.pending_retries
-            + sum(batch.real_count for batch in self._staged)
             + sum(batch.real_count for _, batch in self._inflight.values())
         )
 
     def pump(self) -> None:
-        """Start as much staged/queued work as the slots allow."""
+        """Start as much queued work as the slots allow."""
         if not self.alive:
             return
-        self._start_staged()
         while (
             len(self._inflight) < MAX_INFLIGHT_BATCHES
             and self.dispatcher.queue_size
         ):
-            # form_one fires _on_batch, which stages and starts it.
+            # form_one fires _on_batch, which starts it.
             self.dispatcher.form_one()
 
     def _on_batch(self, batch: Batch) -> None:
-        self._staged.append(batch)
-        self._start_staged()
-
-    def _start_staged(self) -> None:
-        while (
-            self.alive
-            and self._staged
-            and len(self._inflight) < MAX_INFLIGHT_BATCHES
-        ):
-            batch = self._staged.popleft()
-            batch.started_cycle = self.sim.now
-            event = self.sim.after(
-                self.batch_service_cycles * self.slowdown,
-                lambda b=batch: self._finish(b),
-            )
-            self._inflight[batch.batch_id] = (event, batch)
+        # Only pump forms a batch, and only into a free service slot.
+        batch.started_cycle = self.sim.now
+        event = self.sim.after(
+            self.batch_service_cycles * self.slowdown,
+            lambda b=batch: self._finish(b),
+        )
+        self._inflight[batch.batch_id] = (event, batch)
 
     def _finish(self, batch: Batch) -> None:
         self._inflight.pop(batch.batch_id, None)
@@ -157,12 +142,6 @@ class ChipServer:
         if self.on_complete is not None:
             self.on_complete(self, batch)
         self.pump()
-
-    def flush(self) -> None:
-        """End-of-run drain: form everything still queued (pending
-        retries fold back in first); service finishes on the clock."""
-        if self.alive:
-            self.dispatcher.flush()
 
     def kill(self) -> List[InferenceRequest]:
         """The chip dies now. Every in-service batch is cancelled and
@@ -174,9 +153,6 @@ class ChipServer:
             event.cancel()
             evacuated.extend(batch.requests)
         self._inflight.clear()
-        for batch in self._staged:
-            evacuated.extend(batch.requests)
-        self._staged.clear()
         evacuated.extend(self.dispatcher.drain())
         for request in evacuated:
             # Back through admission: the batch it was in never ran.
@@ -390,11 +366,6 @@ class FleetRouter:
     @property
     def unroutable(self) -> int:
         return sum(self.unroutable_by_tenant.values())
-
-    def flush(self) -> None:
-        """End-of-run drain on every surviving chip."""
-        for chip in self.chips:
-            chip.flush()
 
     def shed_by_tenant(self) -> Dict[str, int]:
         """Fleet-wide per-tenant shed totals (admission + failover)."""

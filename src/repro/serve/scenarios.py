@@ -11,7 +11,7 @@ self-check (the same discipline as :mod:`repro.faults.chaos`).
 
 Scenario specs are pure data (tenant dicts, calibration numbers, a
 :meth:`repro.faults.plan.FaultPlan.to_dict` plan), so the matrix fans
-out unchanged across :class:`repro.exec.JobRunner` workers as
+out unchanged across :class:`repro.exec.scheduler.JobRunner` workers as
 ``serve.fleet_scenario`` jobs — byte-identical serial or parallel.
 """
 
@@ -150,18 +150,10 @@ def _simulate(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     router.schedule_kills(requests / sum(rates))
 
     sim.run()
-    for _ in range(8):
-        if not router.outstanding_requests:
-            break
-        # Tail drain: pull batching leaves sub-batch remainders queued
-        # (and retries pending); flush forms them, service completes on
-        # the clock. Retries re-armed during a drain need another pass.
-        router.flush()
-        sim.run()
     if router.outstanding_requests:
         raise RuntimeError(
             f"fleet failed to drain: {router.outstanding_requests} "
-            "request(s) still outstanding after flush"
+            "request(s) still outstanding after the simulation drained"
         )
 
     shed = router.shed_by_tenant()
@@ -268,7 +260,8 @@ def _map_scenarios(
     """Run scenario specs, in order, as ``serve.fleet_scenario`` jobs
     through ``executor``, or in this process through
     ``JobRunner(jobs=1)`` when there is none."""
-    from repro.exec import Job, JobRunner
+    from repro.exec.jobs import Job
+    from repro.exec.scheduler import JobRunner
 
     runner = executor if executor is not None else JobRunner(jobs=1)
     return runner.map(
@@ -290,7 +283,7 @@ def run(
         tenants: The tenant mix (default: :func:`default_tenants`).
         requests_per_chip: Measured requests per chip per scenario.
         seed: Base seed for arrivals, placement, and kill times.
-        executor: Optional :class:`repro.exec.JobRunner`; scenarios
+        executor: Optional :class:`repro.exec.scheduler.JobRunner`; scenarios
             (independent by construction) fan out across workers.
     """
     from repro.core.equinox import EquinoxAccelerator

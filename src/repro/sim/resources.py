@@ -38,11 +38,6 @@ class SerialResource:
         self._in_service: deque = deque()
         self.busy_cycles = 0.0
 
-    @property
-    def queue_depth(self) -> int:
-        """Number of requests waiting for service."""
-        return len(self._queue)
-
     def request(
         self,
         duration: float,

@@ -115,25 +115,16 @@ class LatencyStats:
 class ThroughputMeter:
     """Integrates useful operations over time to report TOp/s.
 
-    ``record(ops)`` is called as work retires; ``top_s`` converts to
-    TOp/s given the clock frequency that maps cycles to seconds. The
-    MMU books every job completion into ``total_ops``, ``first_cycle``
-    and ``last_cycle`` directly, from amounts that are non-negative by
-    construction; ``record`` checks its amount for every other caller.
+    The MMU books every job completion into ``total_ops``,
+    ``first_cycle`` and ``last_cycle`` as work retires, from amounts
+    that are non-negative by construction; ``top_s`` converts to TOp/s
+    given the clock frequency that maps cycles to seconds.
     """
 
     def __init__(self) -> None:
         self.total_ops = 0.0
         self.first_cycle: Optional[float] = None
         self.last_cycle: Optional[float] = None
-
-    def record(self, ops: float, cycle: float) -> None:
-        if ops < 0:
-            raise ValueError(f"negative op count {ops}")
-        self.total_ops += ops
-        if self.first_cycle is None:
-            self.first_cycle = cycle
-        self.last_cycle = cycle
 
     def ops_per_cycle(self, horizon_cycles: float) -> float:
         if horizon_cycles <= 0:
@@ -169,26 +160,13 @@ class CycleAccounting:
     one.
 
     ``cycles`` holds the busy accumulators. The MMU adds each job's
-    amounts into it directly, from inputs checked where they enter;
-    ``add`` checks its category and amount for every other caller.
+    amounts into it directly, from inputs checked where they enter.
     """
 
     def __init__(self) -> None:
         self.cycles: Dict[str, float] = {
             c: 0.0 for c in CYCLE_CATEGORIES if c != "idle"
         }
-
-    def add(self, category: str, cycles: float) -> None:
-        if category == "idle":
-            raise ValueError("idle cycles are derived, not recorded")
-        if category not in self.cycles:
-            raise ValueError(
-                f"unknown cycle category {category!r}; "
-                f"choose from {sorted(self.cycles)}"
-            )
-        if cycles < 0:
-            raise ValueError(f"negative cycles {cycles}")
-        self.cycles[category] += cycles
 
     def busy_total(self) -> float:
         return sum(self.cycles.values())

@@ -3,12 +3,14 @@
 The package has two pieces:
 
 * :mod:`repro.state.checkpoint` — the append-only, self-checksummed
-  :class:`CompletionJournal` (``<dir>/journal.jsonl``) the execution
-  engine replays on ``--resume``;
+  :class:`~repro.state.checkpoint.CompletionJournal`
+  (``<dir>/journal.jsonl``) the execution engine replays on
+  ``--resume``;
 * :mod:`repro.state.signals` — graceful SIGINT/SIGTERM handling
-  (:class:`GracefulShutdown` / :class:`ShutdownRequested`) so an
-  interrupted run stops at a journal-consistent job boundary and exits
-  with a named reason instead of a traceback.
+  (:class:`~repro.state.signals.GracefulShutdown` /
+  :class:`~repro.state.signals.ShutdownRequested`) so an interrupted
+  run stops at a journal-consistent job boundary and exits with a
+  named reason instead of a traceback.
 
 The contract everything here serves is **bit-exact resume**: a run
 killed and restarted with ``--resume`` replays its completion journal
@@ -16,25 +18,3 @@ and must produce artifacts byte-identical to the uninterrupted run
 (see DESIGN.md, "Checkpoint & resume"). The journal is the only
 recovery mechanism; no simulator object is ever saved or restored.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.state.checkpoint import CheckpointError, CompletionJournal
-    from repro.state.signals import GracefulShutdown, ShutdownRequested
-
-__all__ = [
-    "CheckpointError",
-    "CompletionJournal",
-    "GracefulShutdown",
-    "ShutdownRequested",
-]
-
-__getattr__ = lazy_exports(__name__, {
-    "CheckpointError": "repro.state.checkpoint",
-    "CompletionJournal": "repro.state.checkpoint",
-    "GracefulShutdown": "repro.state.signals",
-    "ShutdownRequested": "repro.state.signals",
-})

@@ -170,14 +170,6 @@ class TestEncodeDecode:
                 lsb = 2.0 * max_abs / 127
                 assert np.abs(out - tile).max() <= lsb + 1e-12
 
-    def test_quantization_error_helper(self):
-        x = np.random.default_rng(5).standard_normal((8, 8)).astype(np.float32)
-        bfp = BlockFloatTensor.from_float(x)
-        assert bfp.quantization_error(x) >= 0.0
-        assert bfp.quantization_error(x) == pytest.approx(
-            float(np.abs(bfp.to_float() - x).max())
-        )
-
 
 class TestStochasticRounding:
     """The unbiased rounding HBFP uses on the weight-update path."""

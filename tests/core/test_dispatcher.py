@@ -14,8 +14,8 @@ from repro.core.equinox import EquinoxAccelerator
 from repro.core.requests import InferenceRequest
 from repro.core.scheduler import InferenceOnlyScheduler, PriorityScheduler
 from repro.eval.runner import build_accelerator, simulate_load_point
-from repro.faults import FaultPlan, HBMFaultSpec, MMUFaultSpec
 from repro.faults.admission import AdmissionControl
+from repro.faults.plan import FaultPlan, HBMFaultSpec, MMUFaultSpec
 from repro.hw.dram import HBMInterface
 from repro.hw.isa import StepProgram
 from repro.hw.mmu import MatrixMultiplyUnit

@@ -14,8 +14,8 @@ import pytest
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pareto import pareto_frontier
 from repro.dse.table1 import design_space
-from repro.exec import JobRunner
 from repro.exec.canonical import config_digest
+from repro.exec.scheduler import JobRunner
 
 #: (points, ``config_digest`` of their ``asdict``) of the default grid.
 CLOUD_GOLDENS = {

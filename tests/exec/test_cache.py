@@ -129,13 +129,6 @@ class TestVerification:
 
 
 class TestMaintenance:
-    def test_len_and_clear(self, cache):
-        for i in range(3):
-            cache.put(_job({"payload": i}), {"r": i})
-        assert len(cache) == 3
-        assert cache.clear() == 3
-        assert len(cache) == 0
-
     def test_two_level_fanout(self, cache):
         job = _job()
         path = cache.put(job, {"r": 1})

@@ -10,7 +10,7 @@ rests on ordered aggregation + canonical normalization, not on luck.
 import pytest
 
 from repro.__main__ import main
-from repro.exec import JobRunner
+from repro.exec.scheduler import JobRunner
 
 
 def _sweep_artifact(tmp_path, tag, *flags):

@@ -10,7 +10,7 @@ import signal
 import pytest
 
 from repro.__main__ import main
-from repro.exec import JobRunner
+from repro.exec.scheduler import JobRunner
 from repro.state.signals import GracefulShutdown
 
 

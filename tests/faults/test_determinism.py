@@ -6,8 +6,8 @@ import pytest
 
 from repro.cluster.fleet import EquinoxFleet
 from repro.core.equinox import EquinoxAccelerator
-from repro.faults import (
-    AdmissionControl,
+from repro.faults.admission import AdmissionControl
+from repro.faults.plan import (
     FaultPlan,
     HBMFaultSpec,
     MMUFaultSpec,

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.faults import (
-    FaultCounters,
-    FaultInjector,
-    FaultPlan,
-    HBMFaultSpec,
-    MMUFaultSpec,
-    RequestFaultSpec,
-)
+from repro.faults.counters import FaultCounters
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, HBMFaultSpec, MMUFaultSpec, RequestFaultSpec
 from repro.hw.dram import HBMInterface
 from repro.hw.isa import MMUJob
 from repro.hw.mmu import MatrixMultiplyUnit

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults import (
+from repro.faults.plan import (
     FaultPlan,
     HBMFaultSpec,
     MMUFaultSpec,

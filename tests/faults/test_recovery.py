@@ -8,13 +8,10 @@ import pytest
 from repro.core.batching import StaticBatching
 from repro.core.dispatcher import RequestDispatcher
 from repro.core.equinox import EquinoxAccelerator
-from repro.faults import (
-    AdmissionControl,
-    FaultCounters,
-    FaultPlan,
-    MMUFaultSpec,
-    SLOGuard,
-)
+from repro.faults.admission import AdmissionControl
+from repro.faults.counters import FaultCounters
+from repro.faults.guard import SLOGuard
+from repro.faults.plan import FaultPlan, MMUFaultSpec
 from repro.hw.config import AcceleratorConfig
 
 
@@ -162,7 +159,6 @@ class TestSLOGuard:
         assert transitions == ["degrade", "recover"]
         assert counters.degraded_intervals == 1
         assert counters.degraded_cycles == pytest.approx(20.0)
-        guard.stop()
 
     @pytest.mark.parametrize("degrade_threshold", [4, 5])
     def test_recovers_at_half_the_degrade_threshold(
@@ -184,7 +180,6 @@ class TestSLOGuard:
         backlog[0] = degrade_threshold // 2
         sim.run(until=30.0)
         assert not guard.degraded
-        guard.stop()
 
     def test_flush_accounts_open_interval(self, sim):
         backlog = [10]

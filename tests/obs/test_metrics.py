@@ -170,8 +170,8 @@ class TestLegacyCollectorSources:
         from repro.sim.stats import CycleAccounting
 
         accounting = CycleAccounting()
-        accounting.add("working", 30.0)
-        accounting.add("dummy", 10.0)
+        accounting.cycles["working"] += 30.0
+        accounting.cycles["dummy"] += 10.0
         registry = MetricsRegistry()
         registry.register_source("mmu.cycles", accounting.metrics)
         view = registry.snapshot()["sources"]["mmu.cycles"]
