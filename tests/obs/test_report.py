@@ -15,6 +15,7 @@ from repro.obs.report import (
     diff_reports,
     report_from_simulation,
     validate_report,
+    write_artifact,
 )
 
 
@@ -102,6 +103,30 @@ class TestValidation:
         problems = validate_report({"name": "x"})
         assert any("schema" in p for p in problems)
         assert any("kind" in p for p in problems)
+
+
+class TestWriteArtifact:
+    def test_writes_named_json_and_prints_its_path(self, tmp_path, capsys):
+        report = _report()
+        directory = tmp_path / "reports"
+        write_artifact(report, str(directory))
+        path = directory / "unit.json"
+        assert path.read_text() == report.to_json() + "\n"
+        captured = capsys.readouterr()
+        assert captured.out == f"[artifact] {path}\n"
+        assert captured.err == ""
+
+    def test_prints_each_problem_and_still_writes(self, tmp_path, capsys):
+        report = _report(
+            cycle_breakdown={
+                "working": 1.5, "dummy": -0.1, "idle": 0.3, "other": 0.1
+            }
+        )
+        write_artifact(report, str(tmp_path))
+        assert (tmp_path / "unit.json").read_text() == report.to_json() + "\n"
+        problems = capsys.readouterr().err.splitlines()
+        assert len(problems) == 2
+        assert all(p.startswith("invalid artifact unit: ") for p in problems)
 
 
 class TestDiff:
